@@ -13,7 +13,7 @@ unique; the enumeration asserts this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import AlgebraError, Presentation
 from .noncommutative import find_subword

@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import COMMUTATIVE, AlgebraError, BoundError
+from .algebra import COMMUTATIVE, BoundError
 from .chains import chain_counts, enumerate_chains
 from .commutative import comm_buchberger, comm_normal_form, comm_reduce_basis
 from .hilbert import (
@@ -27,7 +27,7 @@ from .hilbert import (
 from .noncommutative import nc_buchberger, nc_normal_form, nc_reduce_basis
 from .presentation import ParseError, make_bn, parse_poly, parse_presentation
 from .resolution import (
-    AnickResolution,
+    build_resolution,
     is_minimal,
     tor_dimensions,
     verify_resolution,
@@ -48,8 +48,7 @@ def build_parser():
         if poly_arg:
             p.add_argument("poly", help="polynomial to reduce")
         p.add_argument("--bn", type=int, default=None, metavar="N",
-                       help="use the built-in monomial-plus-one-relation "
-                            "family instead of a file")
+                       help="use the built-in algebra B_N instead of a file")
         p.add_argument("--max-degree", type=int, default=8)
         p.add_argument("--max-level", type=int, default=3)
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -101,10 +100,6 @@ def require_noncommutative(pres, command):
                          f"{pres.name} is commutative")
 
 
-def _coeff_str(value):
-    return str(value)
-
-
 def _series_json(coeffs):
     out = []
     for c in coeffs:
@@ -146,7 +141,6 @@ def cmd_nf(pres, args):
     if pres.kind == COMMUTATIVE:
         basis = comm_reduce_basis(comm_buchberger(pres)).basis
         nf = comm_normal_form(pres, f, basis)
-        certified = True
     else:
         gb = nc_buchberger(pres, max_degree=args.max_degree)
         degree = pres.poly_degree(f)
@@ -155,13 +149,12 @@ def cmd_nf(pres, args):
                 f"input has degree {degree}; the basis is only certified to "
                 f"degree {gb.complete_to_degree} (raise --max-degree)")
         nf = nc_normal_form(pres, f, gb.basis)
-        certified = True
     data = {
         "algebra": pres.name,
         "input": pres.format_poly(f),
         "normal_form": pres.format_poly(nf),
         "member": not nf,
-        "certified": certified,
+        "certified": True,
     }
     if args.format == "json":
         return data
@@ -170,16 +163,11 @@ def cmd_nf(pres, args):
             f"ideal membership: {verdict}")
 
 
-def _chain_layout(pres, args):
-    gb = nc_buchberger(pres, max_degree=args.max_degree)
-    obstructions = [g.leading[0] for g in nc_reduce_basis(gb).basis]
-    cs = enumerate_chains(pres, obstructions, args.max_level, args.max_degree)
-    return gb, cs
-
-
 def cmd_chains(pres, args):
     require_noncommutative(pres, "chains")
-    gb, cs = _chain_layout(pres, args)
+    gb = nc_buchberger(pres, max_degree=args.max_degree)
+    cs = enumerate_chains(pres, [g.leading[0] for g in gb.basis],
+                          args.max_level, args.max_degree)
     counts = chain_counts(cs)
     levels = {}
     for n in range(-1, cs.max_level + 1):
@@ -215,8 +203,7 @@ def cmd_hilbert(pres, args):
     else:
         gb = nc_buchberger(pres, max_degree=args.max_degree)
         series = hilbert_from_normal_words(gb, args.max_degree)
-        obstructions = [g.leading[0] for g in nc_reduce_basis(gb).basis]
-        cs = enumerate_chains(pres, obstructions,
+        cs = enumerate_chains(pres, [g.leading[0] for g in gb.basis],
                               max(args.max_level, args.max_degree),
                               args.max_degree)
         chain_series = hilbert_from_chains(cs, args.max_degree)
@@ -249,13 +236,6 @@ def cmd_hilbert(pres, args):
     return "\n".join(lines)
 
 
-def _build_resolution(pres, args, max_level):
-    gb = nc_buchberger(pres, max_degree=args.max_degree)
-    obstructions = [g.leading[0] for g in nc_reduce_basis(gb).basis]
-    cs = enumerate_chains(pres, obstructions, max_level, args.max_degree)
-    return AnickResolution(pres, gb, cs, max_level, args.max_degree)
-
-
 def _report_json(report):
     dd = report["dd_zero"]
     split = report["splitting"]
@@ -280,7 +260,7 @@ def _report_json(report):
 
 def cmd_anick(pres, args):
     require_noncommutative(pres, "anick")
-    res = _build_resolution(pres, args, args.max_level)
+    res = build_resolution(pres, args.max_level, args.max_degree)
     report = verify_resolution(res)
     matrices = {}
     for n in range(1, res.max_level + 1):
@@ -326,7 +306,7 @@ def cmd_anick(pres, args):
 
 def cmd_tor(pres, args):
     require_noncommutative(pres, "tor")
-    res = _build_resolution(pres, args, args.max_level + 1)
+    res = build_resolution(pres, args.max_level + 1, args.max_degree)
     table = tor_dimensions(res)
     minimal, witness = is_minimal(res)
     data = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import COMMUTATIVE, AlgebraError, Polynomial, Presentation
+from .algebra import COMMUTATIVE, AlgebraError, Presentation
 
 
 @dataclass
@@ -156,10 +156,6 @@ def comm_reduce_basis(gb):
     monic = [pres.scale(1 / g.leading[1], g) for g in kept]
     monic.sort(key=lambda g: pres.term_key(g.leading[0]), reverse=True)
     return CommGB(pres, tuple(monic), reduced=True)
-
-
-def comm_is_normal(pres, basis, m):
-    return not any(divides(g.leading[0], m) for g in basis)
 
 
 def comm_normal_monomials(pres, basis, max_degree):

@@ -42,11 +42,6 @@ def series_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def series_scale(c, a):
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
 def series_mul(a, b):
     _check_same(a, b)
     n = len(a)

@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import NONCOMMUTATIVE, AlgebraError, BoundError, Polynomial, Presentation
+from .algebra import NONCOMMUTATIVE, AlgebraError, BoundError, Presentation
 
 
 @dataclass
@@ -337,8 +337,7 @@ def normal_words(gb, max_degree):
             f"normal words requested to degree {max_degree} but the basis is "
             f"only certified to degree {gb.complete_to_degree}")
     pres = gb.presentation
-    auto = WordAutomaton(pres.ngens, [g.leading[0] for g in gb.basis]) \
-        if gb.basis else None
+    auto = WordAutomaton(pres.ngens, [g.leading[0] for g in gb.basis])
     out = {d: [] for d in range(max_degree + 1)}
 
     def rec(word, state, deg):
@@ -347,7 +346,7 @@ def normal_words(gb, max_degree):
             nd = deg + pres.generator_degree(letter)
             if nd > max_degree:
                 continue
-            ns = auto.step(state, letter) if auto else 0
+            ns = auto.step(state, letter)
             if ns < 0:
                 continue
             rec(word + (letter,), ns, nd)

@@ -40,13 +40,13 @@ from .noncommutative import (
 class AnickResolution:
     """Differentials d_n for 0 <= n <= max_level on the chain generators.
 
-    ``check_splitting`` verifies d(i(u)) = u at every internal splitting;
-    failures are collected, not raised, so a verification report can show
-    them.
+    Every internal splitting is audited for d(i(u)) = u; failures are
+    collected, not raised, so a verification report can show them.
+    ``hilbert`` holds the algebra's normal-word counts to ``max_degree``.
+    Build one with :func:`build_resolution`.
     """
 
-    def __init__(self, presentation, gb, chain_set, max_level, max_degree,
-                 check_splitting=True):
+    def __init__(self, presentation, gb, chain_set, max_level, max_degree):
         presentation.require_graded()
         if gb.presentation is not presentation and gb.presentation != presentation:
             raise AlgebraError("basis belongs to a different presentation")
@@ -75,9 +75,9 @@ class AnickResolution:
         self._gen_chain = {c.word[0]: k for k, c in enumerate(self.levels[0])}
         self._basis = list(gb.basis)
         self._lead = [g.leading[0] for g in self._basis]
+        self.hilbert = count_normal_words(pres, self._lead, max_degree)
         self._nf_cache = {}
         self._normal_cache = {}
-        self._check_splitting = check_splitting
         self.split_checks = 0
         self.split_failures = []
         self.diff = {0: [{(0, c.word): Fraction(1)} for c in self.levels[0]]}
@@ -206,13 +206,12 @@ class AnickResolution:
         return out
 
     def split(self, m, elem):
-        """i_m with the optional d(i(u)) = u audit."""
+        """i_m with the d(i(u)) = u audit."""
         result = self._i0(elem) if m == 0 else self._isplit(m, elem)
-        if self._check_splitting:
-            back = self.apply_d(m, result)
-            self.split_checks += 1
-            if back != {k: v for k, v in elem.items() if v}:
-                self.split_failures.append((m, elem, back))
+        back = self.apply_d(m, result)
+        self.split_checks += 1
+        if back != {k: v for k, v in elem.items() if v}:
+            self.split_failures.append((m, elem, back))
         return result
 
     def _build_d(self, n, chain):
@@ -232,25 +231,20 @@ class AnickResolution:
         return result
 
 
-def build_resolution(presentation, max_level, max_degree, gb=None,
-                     chain_set=None, check_splitting=True):
-    """Convenience constructor running completion and chain enumeration."""
-    if gb is None:
-        gb = nc_buchberger(presentation, max_degree=max_degree)
-    if chain_set is None:
-        chain_set = enumerate_chains(
-            presentation, [g.leading[0] for g in gb.basis],
-            max_level, max_degree)
-    return AnickResolution(presentation, gb, chain_set, max_level, max_degree,
-                           check_splitting=check_splitting)
+def build_resolution(presentation, max_level, max_degree):
+    """The resolution to the given level and degree: completion to
+    max_degree, chains on the leading words of the basis, differentials.
+
+    This is the one path from a presentation to a resolution; the
+    d(i(u)) = u splitting audit always runs.
+    """
+    gb = nc_buchberger(presentation, max_degree=max_degree)
+    chain_set = enumerate_chains(
+        presentation, [g.leading[0] for g in gb.basis], max_level, max_degree)
+    return AnickResolution(presentation, gb, chain_set, max_level, max_degree)
 
 
 # -- verification ------------------------------------------------------------
-
-
-def _hilbert_counts(res, max_degree):
-    return count_normal_words(
-        res.presentation, [g.leading[0] for g in res.gb.basis], max_degree)
 
 
 def module_dimension(res, n, degree, h):
@@ -292,7 +286,7 @@ def _block_columns(res, n, degree, words_by_degree):
 
 def block_rank_degree(res, budget):
     """Largest degree whose cumulative column count stays within budget."""
-    h = _hilbert_counts(res, res.max_degree)
+    h = res.hilbert
     total = 0
     chosen = -1
     for d in range(res.max_degree + 1):
@@ -330,7 +324,7 @@ def verify_resolution(res, rank_budget=4000, rank_degree=None):
                            "ok": not res.split_failures}
 
     horizon = euler_horizon(res)
-    h = _hilbert_counts(res, horizon)
+    h = res.hilbert
     euler_failures = []
     for d in range(horizon + 1):
         total = 0
@@ -346,7 +340,6 @@ def verify_resolution(res, rank_budget=4000, rank_degree=None):
         rank_degree = block_rank_degree(res, rank_budget)
     rank_degree = min(rank_degree, res.max_degree)
     words = normal_words(res.gb, rank_degree)
-    hh = _hilbert_counts(res, rank_degree)
     ranks = {}
     for n in range(0, res.max_level + 1):
         ranks[n] = {}
@@ -357,7 +350,7 @@ def verify_resolution(res, rank_budget=4000, rank_degree=None):
     exact_ok = True
     for n in range(-1, res.max_level):
         for d in range(rank_degree + 1):
-            dim = module_dimension(res, n, d, hh)
+            dim = module_dimension(res, n, d, h)
             rank_out = (1 if d == 0 else 0) if n == -1 else ranks[n][d]
             rank_in = ranks[n + 1][d]
             ok = rank_out + rank_in == dim

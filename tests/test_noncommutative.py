@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import pytest
@@ -31,6 +32,8 @@ XYZ = parse_presentation(
 
 XYZX = XYZ.with_relations(
     [parse_poly(XYZ, "x^2"), parse_poly(XYZ, "x*y - z*x")])
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def xy_family(pres, top):
@@ -274,6 +277,20 @@ class TestReduceBasis:
         gb = nc_buchberger(pres, max_degree=6)
         red = nc_reduce_basis(gb)
         assert set(red.basis) == {parse_poly(XYZ, "x^2"), parse_poly(XYZ, "z")}
+
+    @pytest.mark.parametrize("degree", [8, 10, 12])
+    @pytest.mark.parametrize("source", [
+        "free3", "x2xy", "x2y2", "xyzx", "B1", "B2", "B3", "B4"])
+    def test_leading_words_unchanged(self, source, degree):
+        # Completion keeps leading words an antichain, so interreduction
+        # only rewrites tails: chains can be read off the raw basis.
+        if source.startswith("B"):
+            pres = make_bn(int(source[1:]))
+        else:
+            pres = parse_presentation((SAMPLES / f"{source}.alg").read_text())
+        gb = nc_buchberger(pres, max_degree=degree)
+        raw = [g.leading[0] for g in gb.basis]
+        assert raw == [g.leading[0] for g in nc_reduce_basis(gb).basis]
 
 
 class TestNormalWords:
