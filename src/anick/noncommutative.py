@@ -5,17 +5,21 @@ containing such a word as a subword gets rewritten by the rule's tail.
 Completion adjoins normal forms of S-polynomials until every ambiguity whose
 word has degree at most the requested bound resolves; the bound is recorded
 on the result as ``complete_to_degree`` since free-algebra bases may well be
-infinite.  Inclusion ambiguities never survive: inserting a new element drops
-and re-reduces every element whose leading word contains the new one, so the
-leading-word set stays an antichain under the subword relation.  That
-antichain is exactly the obstruction set the chain machinery consumes.
+infinite.  Pending ambiguities wait in a queue, each element's overlaps
+pushed once when it is inserted.  Inclusions are never queued: inserting an
+element drops and re-reduces every element whose leading word contains the
+new one, so the leading-word set stays an antichain under the subword
+relation.  That antichain is exactly the obstruction set the chain machinery
+consumes.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from .algebra import NONCOMMUTATIVE, AlgebraError, BoundError, Presentation
 
@@ -31,7 +35,7 @@ class NcGB:
 
 @dataclass(frozen=True)
 class Obstruction:
-    """One ambiguity between two basis elements.
+    """One ambiguity between basis[i] and basis[j] (indices, or serials).
 
     For ``kind == "overlap"``: lt(basis[i])·right == left·lt(basis[j]), both
     equal to ``ambiguity``, and the shared part is a proper suffix of the
@@ -66,19 +70,6 @@ def find_subword(haystack, needle):
     return out
 
 
-def nc_reduce_once(pres, f, g):
-    """One leading-word rewrite of f by g at the leftmost occurrence, or None."""
-    _require_noncommutative(pres)
-    fm, fc = f.leading
-    gm, gc = g.leading
-    hits = find_subword(fm, gm)
-    if not hits:
-        return None
-    pre, suf = hits[0]
-    piece = pres.mul(pres.monomial_poly(pre), pres.mul(g, pres.monomial_poly(suf)))
-    return pres.sub(f, pres.scale(fc / gc, piece))
-
-
 def nc_normal_form(pres, f, basis):
     """Total normal form: no monomial of the result contains any leading word.
 
@@ -110,6 +101,14 @@ def nc_normal_form(pres, f, basis):
     return pres.poly(out)
 
 
+def _overlaps(u, v):
+    """Each way a nonempty proper suffix of u is a proper prefix of v, as
+    (left, right, ambiguity) with u·right == left·v == ambiguity."""
+    for s in range(1, min(len(u), len(v))):
+        if u[len(u) - s:] == v[:s]:
+            yield u[:len(u) - s], v[s:], u + v[s:]
+
+
 def find_obstructions(pres, basis):
     """All overlap and inclusion ambiguities among the basis leading words.
 
@@ -123,12 +122,9 @@ def find_obstructions(pres, basis):
     out = []
     for i, u in enumerate(words):
         for j, v in enumerate(words):
-            for s in range(1, min(len(u), len(v))):
-                if u[len(u) - s:] == v[:s]:
-                    amb = u + v[s:]
-                    out.append(Obstruction(
-                        "overlap", i, j, u[:len(u) - s], v[s:], amb,
-                        pres.monomial_degree(amb)))
+            for left, right, amb in _overlaps(u, v):
+                out.append(Obstruction(
+                    "overlap", i, j, left, right, amb, pres.monomial_degree(amb)))
             if i != j and len(v) < len(u):
                 for pre, suf in find_subword(u, v):
                     out.append(Obstruction(
@@ -159,20 +155,15 @@ def nc_s_polynomial(pres, ob, basis):
     raise AlgebraError(f"unknown obstruction kind {ob.kind!r}")
 
 
-def _insert(pres, basis, h):
-    """Adjoin h, dropping and re-reducing anything its leading word divides."""
-    w = h.leading[0]
-    displaced = [e for e in basis if e.leading[0] != w and find_subword(e.leading[0], w)]
-    basis[:] = [e for e in basis if not (e.leading[0] != w and find_subword(e.leading[0], w))]
-    basis.append(h)
-    for e in displaced:
-        h2 = nc_normal_form(pres, e, basis)
-        if h2:
-            _insert(pres, basis, h2)
-
-
 def nc_buchberger(pres, gens=None, max_degree=8):
-    """Complete the relations (or gens) up to ambiguity degree max_degree."""
+    """Complete the relations (or gens) up to ambiguity degree max_degree.
+
+    ``live`` maps insertion serials to the elements still in the basis; drops
+    keep the rest in order, so serial order is index order.  ``queue`` holds
+    the unprocessed overlaps of degree <= max_degree keyed by (degree, i, j,
+    len(left)) on serials, the order ``find_obstructions`` lists them in;
+    entries of dropped elements are skipped when popped.
+    """
     _require_noncommutative(pres)
     if gens is None:
         gens = pres.relations
@@ -183,31 +174,39 @@ def nc_buchberger(pres, gens=None, max_degree=8):
             raise BoundError(
                 f"max_degree {max_degree} is below a generator of degree "
                 f"{pres.poly_degree(g)}")
-    basis = []
+    live = {}
+    queue = []
+    serials = count()
+
+    def push(i, j):
+        for left, right, amb in _overlaps(live[i].leading[0], live[j].leading[0]):
+            degree = pres.monomial_degree(amb)
+            if degree <= max_degree:
+                heapq.heappush(queue, (degree, i, j, len(left), left, right, amb))
+
+    def add(f):
+        h = nc_normal_form(pres, f, live.values())
+        if not h:
+            return
+        dropped = [k for k, e in live.items() if find_subword(e.leading[0], h.leading[0])]
+        displaced = [live.pop(k) for k in dropped]
+        n = next(serials)
+        live[n] = h
+        for k in live:
+            push(k, n)
+            if k != n:
+                push(n, k)
+        for e in displaced:
+            add(e)
+
     for g in gens:
-        h = nc_normal_form(pres, g, basis)
-        if h:
-            _insert(pres, basis, h)
-    done = set()
-    while True:
-        candidates = []
-        for ob in find_obstructions(pres, basis):
-            if ob.degree > max_degree:
-                continue
-            u = basis[ob.i].leading[0]
-            v = basis[ob.j].leading[0]
-            if (u, v, ob.kind, len(ob.left)) in done:
-                continue
-            candidates.append(ob)
-        if not candidates:
-            break
-        ob = candidates[0]
-        done.add((basis[ob.i].leading[0], basis[ob.j].leading[0], ob.kind, len(ob.left)))
-        s = nc_s_polynomial(pres, ob, basis)
-        h = nc_normal_form(pres, s, basis)
-        if h:
-            _insert(pres, basis, h)
-    return NcGB(pres, tuple(basis), max_degree)
+        add(g)
+    while queue:
+        degree, i, j, _, left, right, amb = heapq.heappop(queue)
+        if i in live and j in live:
+            ob = Obstruction("overlap", i, j, left, right, amb, degree)
+            add(nc_s_polynomial(pres, ob, live))
+    return NcGB(pres, tuple(live.values()), max_degree)
 
 
 def verify_diamond(gb):

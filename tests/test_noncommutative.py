@@ -2,6 +2,8 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anick.algebra import AlgebraError, BoundError
 from anick.noncommutative import (
@@ -13,7 +15,6 @@ from anick.noncommutative import (
     nc_buchberger,
     nc_normal_form,
     nc_reduce_basis,
-    nc_reduce_once,
     nc_s_polynomial,
     normal_words,
     verify_diamond,
@@ -34,6 +35,63 @@ XYZX = XYZ.with_relations(
     [parse_poly(XYZ, "x^2"), parse_poly(XYZ, "x*y - z*x")])
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+
+def reference_completion(pres, max_degree):
+    """Completion by re-listing: list every ambiguity of the basis, process
+    the first one not yet done, insert, and list them again.  The queue in
+    nc_buchberger must process the same ambiguities in the same order."""
+    def insert(basis, h):
+        w = h.leading[0]
+        displaced = [e for e in basis if e.leading[0] != w and find_subword(e.leading[0], w)]
+        basis[:] = [e for e in basis if not (e.leading[0] != w and find_subword(e.leading[0], w))]
+        basis.append(h)
+        for e in displaced:
+            h2 = nc_normal_form(pres, e, basis)
+            if h2:
+                insert(basis, h2)
+
+    def key(ob):
+        return (basis[ob.i].leading[0], basis[ob.j].leading[0], ob.kind, len(ob.left))
+
+    basis = []
+    for g in pres.relations:
+        h = nc_normal_form(pres, g, basis)
+        if h:
+            insert(basis, h)
+    done = set()
+    while True:
+        todo = [ob for ob in find_obstructions(pres, basis)
+                if ob.degree <= max_degree and key(ob) not in done]
+        if not todo:
+            return tuple(basis)
+        done.add(key(todo[0]))
+        h = nc_normal_form(pres, nc_s_polynomial(pres, todo[0], basis), basis)
+        if h:
+            insert(basis, h)
+
+
+@st.composite
+def small_presentations(draw, homogeneous=st.booleans(), max_degree=8):
+    """1-3 relations of degree <= 4 with no constant term, over 2-3
+    generators if graded and 2 if not, and a completion degree D <=
+    max_degree no lower than the relations.  Over 3 generators about one
+    ungraded draw in a few hundred makes completion's rational coefficients
+    grow to 10^4 digits and more, and completion then runs for 30 s to over
+    a minute."""
+    graded = draw(homogeneous)
+    pres = draw(st.sampled_from([FREE_XY, XYZ] if graded else [FREE_XY]))
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.integers(1, 4))
+        length = st.just(top) if graded else st.integers(1, top)
+        word = length.flatmap(lambda n: st.tuples(
+            *[st.integers(0, pres.ngens - 1)] * n))
+        terms = draw(st.dictionaries(
+            word, st.integers(-2, 2).filter(bool), min_size=2, max_size=3))
+        relations.append(pres.poly(terms))
+    top = max(pres.poly_degree(f) for f in relations)
+    return pres.with_relations(relations), draw(st.integers(max(top, 2), max_degree))
 
 
 def xy_family(pres, top):
@@ -57,29 +115,6 @@ class TestFindSubword:
     def test_empty_needle_rejected(self):
         with pytest.raises(AlgebraError):
             find_subword((0, 1), ())
-
-
-class TestReduceOnce:
-    def test_suffix_position(self):
-        f = parse_poly(FREE_XY, "x*x*y - x*y*x")
-        g = parse_poly(FREE_XY, "x^2 - x*y")
-        assert nc_reduce_once(FREE_XY, f, g) == parse_poly(FREE_XY, "x*y*y - x*y*x")
-
-    def test_degree_four(self):
-        f = parse_poly(FREE_XY, "x*x*y*y - x*y*y*x")
-        g = parse_poly(FREE_XY, "x^2 - x*y")
-        assert nc_reduce_once(FREE_XY, f, g) == parse_poly(FREE_XY, "x*y^3 - x*y*y*x")
-
-    def test_not_applicable(self):
-        f = parse_poly(FREE_XY, "x*y*x")
-        g = parse_poly(FREE_XY, "y^2")
-        assert nc_reduce_once(FREE_XY, f, g) is None
-
-    def test_leading_word_drops(self):
-        f = parse_poly(FREE_XY, "x*x*y - x*y*x")
-        g = parse_poly(FREE_XY, "x^2 - x*y")
-        r = nc_reduce_once(FREE_XY, f, g)
-        assert FREE_XY.compare(r.leading[0], f.leading[0]) == -1
 
 
 class TestNormalForm:
@@ -251,6 +286,34 @@ class TestCompletion:
             for j, v in enumerate(words):
                 if i != j:
                     assert not find_subword(u, v)
+
+
+class TestCompletionProperties:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_presentations())
+    def test_same_order_as_relisting_loop(self, case):
+        pres, degree = case
+        gb = nc_buchberger(pres, max_degree=degree)
+        assert gb.basis == reference_completion(pres, degree)
+        verify_diamond(gb)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(small_presentations(homogeneous=st.just(True)), st.randoms())
+    def test_graded_reduced_basis_ignores_relation_order(self, case, rng):
+        pres, degree = case
+        shuffled = list(pres.relations)
+        rng.shuffle(shuffled)
+        reduced = [set(nc_reduce_basis(nc_buchberger(p, max_degree=degree)).basis)
+                   for p in (pres, pres.with_relations(shuffled))]
+        assert reduced[0] == reduced[1]
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(small_presentations(homogeneous=st.just(True), max_degree=6))
+    def test_graded_truncation_stability(self, case):
+        pres, degree = case
+        low, high = (nc_reduce_basis(nc_buchberger(pres, max_degree=d)).basis
+                     for d in (degree, degree + 2))
+        assert set(low) == {f for f in high if pres.poly_degree(f) <= degree}
 
 
 class TestReduceBasis:
