@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraError, Presentation
-from .noncommutative import find_subword
+from .noncommutative import antichain_matcher
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,35 +39,14 @@ class ChainSet:
         return [c.word for c in self.levels.get(level, ())]
 
 
-def _validate_obstructions(pres, obstructions):
-    words = tuple(obstructions)
-    seen = set()
-    for w in words:
-        if not w:
-            raise AlgebraError("obstruction words must be nonempty")
-        if w in seen:
-            raise AlgebraError("duplicate obstruction word")
-        seen.add(w)
-    for u in words:
-        for v in words:
-            if u != v and find_subword(u, v):
-                raise AlgebraError(
-                    f"obstruction set is not an antichain: "
-                    f"{pres.format_monomial(v)} occurs in {pres.format_monomial(u)}")
-    return words
-
-
-def _occurrence_count(word, obstructions):
-    return sum(len(find_subword(word, u)) for u in obstructions)
-
-
 def enumerate_chains(pres, obstructions, max_level, max_degree):
     """All chains of level <= max_level and degree <= max_degree."""
     if max_level < -1:
         raise AlgebraError("max_level must be at least -1")
     if max_degree < 0:
         raise AlgebraError("max_degree must be nonnegative")
-    words = _validate_obstructions(pres, obstructions)
+    matcher = antichain_matcher(pres, obstructions)
+    words = matcher.words
     levels = {-1: (Chain(word=(), tail=(), level=-1, parent=None),)}
     if max_level >= 0:
         root = levels[-1][0]
@@ -88,7 +67,7 @@ def enumerate_chains(pres, obstructions, max_level, max_degree):
                     word = parent.word + t
                     if pres.monomial_degree(word) > max_degree:
                         continue
-                    if _occurrence_count(r + t, words) != 1:
+                    if len(matcher.hits(r + t)) != 1:
                         continue
                     if word in produced:
                         raise AlgebraError(
@@ -114,41 +93,39 @@ def chain_counts(cs):
     return out
 
 
-def chain_decompositions(pres, word, obstructions, level, _memo=None):
+def chain_decompositions(pres, word, obstructions, level):
     """All tail sequences decomposing the word as a chain of the level.
 
     There is at most one (asserted by enumeration); this independent
     recursive search exists to cross-check the constructive enumeration.
     """
-    if _memo is None:
-        _validate_obstructions(pres, obstructions)
-        _memo = {}
-    key = (word, level)
-    if key in _memo:
-        return _memo[key]
-    if level == -1:
-        result = [()] if word == () else []
-    elif level == 0:
-        result = [(word,)] if len(word) == 1 else []
-    else:
-        result = []
-        for cut in range(1, len(word)):
-            head, t = word[:cut], word[cut:]
-            for tails in chain_decompositions(pres, head, obstructions,
-                                              level - 1, _memo):
-                r = tails[-1]
-                rt = r + t
-                if _occurrence_count(rt, obstructions) != 1:
-                    continue
-                u, = [w for w in obstructions if find_subword(rt, w)]
-                pre, suf = find_subword(rt, u)[0]
-                if suf:
-                    continue
-                if len(pre) >= len(r):
-                    continue
-                result.append(tails + (t,))
-    _memo[key] = result
-    return result
+    matcher = antichain_matcher(pres, obstructions)
+    memo = {}
+
+    def decompose(word, level):
+        key = (word, level)
+        if key in memo:
+            return memo[key]
+        if level == -1:
+            result = [()] if word == () else []
+        elif level == 0:
+            result = [(word,)] if len(word) == 1 else []
+        else:
+            result = []
+            for cut in range(1, len(word)):
+                head, t = word[:cut], word[cut:]
+                for tails in decompose(head, level - 1):
+                    r = tails[-1]
+                    hits = matcher.hits(r + t)
+                    if len(hits) == 1:
+                        (k, start), = hits
+                        end = start + len(matcher.words[k])
+                        if start < len(r) and end == len(r + t):
+                            result.append(tails + (t,))
+        memo[key] = result
+        return result
+
+    return decompose(word, level)
 
 
 def is_chain(pres, word, obstructions, level):

@@ -46,18 +46,6 @@ def _require_commutative(pres):
         raise AlgebraError("commutative routine called on a noncommutative presentation")
 
 
-def comm_reduce_once(pres, f, g):
-    """Single leading-term reduction of f by g, or None when lt(g) does not
-    divide lt(f).  The result's leading monomial is strictly smaller."""
-    _require_commutative(pres)
-    fm, fc = f.leading
-    gm, gc = g.leading
-    if not divides(gm, fm):
-        return None
-    m = quotient(fm, gm)
-    return pres.sub(f, pres.scale(fc / gc, pres.mul(pres.monomial_poly(m), g)))
-
-
 def comm_normal_form(pres, f, basis):
     """Total normal form of f modulo the basis.
 

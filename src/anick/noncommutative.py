@@ -10,15 +10,16 @@ pushed once when it is inserted.  Inclusions are never queued: inserting an
 element drops and re-reduces every element whose leading word contains the
 new one, so the leading-word set stays an antichain under the subword
 relation.  That antichain is exactly the obstruction set the chain machinery
-consumes.
+consumes.  Every question of which leading words occur in a word, and where,
+goes through ``WordMatcher``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 
 from .algebra import NONCOMMUTATIVE, AlgebraError, BoundError, Presentation
@@ -35,16 +36,12 @@ class NcGB:
 
 @dataclass(frozen=True)
 class Obstruction:
-    """One ambiguity between basis[i] and basis[j] (indices, or serials).
-
-    For ``kind == "overlap"``: lt(basis[i])·right == left·lt(basis[j]), both
-    equal to ``ambiguity``, and the shared part is a proper suffix of the
-    first word and proper prefix of the second (self-overlaps allowed, i==j).
-    For ``kind == "inclusion"``: lt(basis[i]) == left·lt(basis[j])·right with
-    i != j, ``ambiguity`` the containing word.
+    """One overlap ambiguity between basis[i] and basis[j] (indices, or
+    serials): lt(basis[i])·right == left·lt(basis[j]) == ambiguity, and the
+    shared part is a proper suffix of the first word and a proper prefix of
+    the second (self-overlaps allowed, i == j).
     """
 
-    kind: str
     i: int
     j: int
     left: tuple
@@ -58,27 +55,102 @@ def _require_noncommutative(pres):
         raise AlgebraError("free-algebra routine called on a commutative presentation")
 
 
-def find_subword(haystack, needle):
-    """All factorizations haystack = prefix . needle . suffix, leftmost first."""
-    if not needle:
-        raise AlgebraError("empty needle")
-    n, k = len(haystack), len(needle)
-    out = []
-    for p in range(n - k + 1):
-        if haystack[p:p + k] == needle:
-            out.append((haystack[:p], haystack[p + k:]))
-    return out
+class WordMatcher:
+    """Where a fixed list of words ("tips") occurs inside other words.
+
+    ``hits(word)`` lists every occurrence as (k, start) with
+    word[start:start + len(words[k])] == words[k], in no particular order.
+    At each end position it looks up the suffix of each length that some
+    tip ending in that letter has, so its cost does not grow with the
+    number of tips.
+
+    ``step(state, letter)`` runs the automaton that recognizes words
+    avoiding every tip.  A state is the longest suffix read so far that is
+    a proper prefix of a tip, ``()`` at the start; ``None`` means a tip has
+    occurred.  Transitions are computed on first use and remembered, and
+    the prefix set is built on the first step, so construction costs only
+    the total tip length: completion needs a new matcher after every insert.
+    """
+
+    def __init__(self, words):
+        self.words = tuple(words)
+        self._index = {}
+        ends = {}
+        for k, w in enumerate(self.words):
+            if not w:
+                raise AlgebraError("tips must be nonempty words")
+            self._index.setdefault(w, []).append(k)
+            ends.setdefault(w[-1], set()).add(len(w))
+        self._ends = {letter: sorted(ns) for letter, ns in ends.items()}
+        self._prefixes = None
+        self._delta = {}
+
+    def hits(self, word):
+        get = self._index.get
+        out = []
+        for end, letter in enumerate(word, 1):
+            for n in self._ends.get(letter, ()):
+                if n > end:
+                    break
+                ks = get(word[end - n:end])
+                if ks is not None:
+                    out.extend((k, end - n) for k in ks)
+        return out
+
+    def step(self, state, letter):
+        key = (state, letter)
+        t = self._delta.get(key, key)
+        if t is not key:
+            return t
+        if self._prefixes is None:
+            self._prefixes = {w[:p] for w in self._index for p in range(1, len(w))}
+        # state holds no tip, so a tip in s must be a suffix of s
+        s = state + (letter,)
+        t = ()
+        for p in range(len(s) - 1, -1, -1):
+            if s[p:] in self._index:
+                t = None
+                break
+            if s[p:] in self._prefixes:
+                t = s[p:]
+        self._delta[key] = t
+        return t
+
+
+# Consecutive normal forms mostly reduce by the same basis: the resolution
+# always does, and completion does until an S-polynomial survives.  A matcher
+# depends on its words alone, so sharing one between callers is safe.
+_basis_matcher = lru_cache(maxsize=1)(WordMatcher)
+
+
+def antichain_matcher(pres, words):
+    """A matcher on the words, after checking that they are pairwise
+    distinct and that none occurs inside another."""
+    matcher = WordMatcher(words)
+    for k, w in enumerate(matcher.words):
+        for j, _ in matcher.hits(w):
+            if j != k:
+                v = matcher.words[j]
+                raise AlgebraError(
+                    f"duplicate word {pres.format_monomial(w)}" if v == w else
+                    f"words are not an antichain: {pres.format_monomial(v)} "
+                    f"occurs in {pres.format_monomial(w)}")
+    return matcher
 
 
 def nc_normal_form(pres, f, basis):
     """Total normal form: no monomial of the result contains any leading word.
 
     Monomials are processed largest first; each reducible one is rewritten by
-    the lowest-index basis element at its leftmost occurrence.  Rewriting only
-    creates strictly smaller monomials, so already-emitted normal monomials
-    are never revisited.
+    the lowest-index basis element at its leftmost occurrence, the least
+    (k, start) hit.  A basis that is not yet confluent, as during completion,
+    gives different results under other rules.  Rewriting only creates
+    strictly smaller monomials, so already-emitted normal monomials are
+    never revisited.
     """
     _require_noncommutative(pres)
+    basis = list(basis)
+    matcher = _basis_matcher(tuple(g.leading[0] for g in basis))
     work = dict(f.terms)
     out = {}
     while work:
@@ -86,18 +158,17 @@ def nc_normal_form(pres, f, basis):
         c = work.pop(m)
         if not c:
             continue
-        for g in basis:
-            gm, gc = g.leading
-            hits = find_subword(m, gm)
-            if hits:
-                pre, suf = hits[0]
-                scale = c / gc
-                for wm, wc in g.terms[1:]:
-                    mm = pre + wm + suf
-                    work[mm] = work.get(mm, Fraction(0)) - scale * wc
-                break
-        else:
+        hit = min(matcher.hits(m), default=None)
+        if hit is None:
             out[m] = out.get(m, Fraction(0)) + c
+            continue
+        k, p = hit
+        g = basis[k]
+        pre, suf = m[:p], m[p + len(g.leading[0]):]
+        scale = c / g.leading[1]
+        for wm, wc in g.terms[1:]:
+            mm = pre + wm + suf
+            work[mm] = work.get(mm, Fraction(0)) - scale * wc
     return pres.poly(out)
 
 
@@ -110,26 +181,20 @@ def _overlaps(u, v):
 
 
 def find_obstructions(pres, basis):
-    """All overlap and inclusion ambiguities among the basis leading words.
+    """All overlap ambiguities among the basis leading words, which must be
+    an antichain (completion keeps them one).
 
     Ordered by ambiguity degree, then the index pair, then the offset of the
     second word inside the ambiguity.
     """
     _require_noncommutative(pres)
-    words = [g.leading[0] for g in basis]
-    if len(set(words)) != len(words):
-        raise AlgebraError("basis leading words must be pairwise distinct")
+    words = antichain_matcher(pres, [g.leading[0] for g in basis]).words
     out = []
     for i, u in enumerate(words):
         for j, v in enumerate(words):
             for left, right, amb in _overlaps(u, v):
                 out.append(Obstruction(
-                    "overlap", i, j, left, right, amb, pres.monomial_degree(amb)))
-            if i != j and len(v) < len(u):
-                for pre, suf in find_subword(u, v):
-                    out.append(Obstruction(
-                        "inclusion", i, j, pre, suf, u,
-                        pres.monomial_degree(u)))
+                    i, j, left, right, amb, pres.monomial_degree(amb)))
     out.sort(key=lambda ob: (ob.degree, ob.i, ob.j, len(ob.left)))
     return out
 
@@ -140,19 +205,11 @@ def nc_s_polynomial(pres, ob, basis):
     g = basis[ob.j]
     fm, fc = f.leading
     gm, gc = g.leading
-    if ob.kind == "overlap":
-        if fm + ob.right != ob.ambiguity or ob.left + gm != ob.ambiguity:
-            raise AlgebraError("stale obstruction: basis changed")
-        sf = pres.mul(f, pres.monomial_poly(ob.right))
-        sg = pres.mul(pres.monomial_poly(ob.left), g)
-        return pres.sub(pres.scale(1 / fc, sf), pres.scale(1 / gc, sg))
-    if ob.kind == "inclusion":
-        if ob.left + gm + ob.right != fm or fm != ob.ambiguity:
-            raise AlgebraError("stale obstruction: basis changed")
-        inner = pres.mul(pres.monomial_poly(ob.left),
-                         pres.mul(g, pres.monomial_poly(ob.right)))
-        return pres.sub(pres.scale(1 / fc, f), pres.scale(1 / gc, inner))
-    raise AlgebraError(f"unknown obstruction kind {ob.kind!r}")
+    if fm + ob.right != ob.ambiguity or ob.left + gm != ob.ambiguity:
+        raise AlgebraError("stale obstruction: basis changed")
+    sf = pres.mul(f, pres.monomial_poly(ob.right))
+    sg = pres.mul(pres.monomial_poly(ob.left), g)
+    return pres.sub(pres.scale(1 / fc, sf), pres.scale(1 / gc, sg))
 
 
 def nc_buchberger(pres, gens=None, max_degree=8):
@@ -188,7 +245,8 @@ def nc_buchberger(pres, gens=None, max_degree=8):
         h = nc_normal_form(pres, f, live.values())
         if not h:
             return
-        dropped = [k for k, e in live.items() if find_subword(e.leading[0], h.leading[0])]
+        tip = WordMatcher([h.leading[0]])
+        dropped = [k for k, e in live.items() if tip.hits(e.leading[0])]
         displaced = [live.pop(k) for k in dropped]
         n = next(serials)
         live[n] = h
@@ -204,7 +262,7 @@ def nc_buchberger(pres, gens=None, max_degree=8):
     while queue:
         degree, i, j, _, left, right, amb = heapq.heappop(queue)
         if i in live and j in live:
-            ob = Obstruction("overlap", i, j, left, right, amb, degree)
+            ob = Obstruction(i, j, left, right, amb, degree)
             add(nc_s_polynomial(pres, ob, live))
     return NcGB(pres, tuple(live.values()), max_degree)
 
@@ -247,84 +305,21 @@ def nc_reduce_basis(gb):
     return NcGB(pres, tuple(monic), gb.complete_to_degree)
 
 
-class WordAutomaton:
-    """Recognizer for words avoiding a fixed set of forbidden subwords.
-
-    Aho-Corasick trie over the forbidden words with a full transition table;
-    stepping into any state whose suffix chain hits a forbidden word returns
-    the dead state -1.  State 0 is the start.
-    """
-
-    def __init__(self, ngens, words):
-        for w in words:
-            if not w:
-                raise AlgebraError("empty forbidden word")
-        self.ngens = ngens
-        edges = [{}]
-        terminal = [False]
-        for w in words:
-            s = 0
-            for letter in w:
-                if letter not in edges[s]:
-                    edges.append({})
-                    terminal.append(False)
-                    edges[s][letter] = len(edges) - 1
-                s = edges[s][letter]
-            terminal[s] = True
-        fail = [0] * len(edges)
-        order = deque(edges[0].values())
-        while order:
-            s = order.popleft()
-            terminal[s] = terminal[s] or terminal[fail[s]]
-            for letter, t in edges[s].items():
-                f = fail[s]
-                while f and letter not in edges[f]:
-                    f = fail[f]
-                fail[t] = edges[f][letter] if letter in edges[f] and edges[f][letter] != t else 0
-                order.append(t)
-        delta = [[0] * ngens for _ in edges]
-        for s in range(len(edges)):
-            for letter in range(ngens):
-                t = s
-                while t and letter not in edges[t]:
-                    t = fail[t]
-                t = edges[t].get(letter, 0)
-                delta[s][letter] = -1 if terminal[t] else t
-        self.delta = delta
-        self.nstates = len(edges)
-
-    def step(self, state, letter):
-        if state < 0:
-            return -1
-        return self.delta[state][letter]
-
-
 def count_normal_words(pres, words, max_degree):
     """Number of words of each degree <= max_degree avoiding the given
-    subwords; exact integers via automaton dynamic programming."""
+    subwords; exact integers by dynamic programming over matcher states."""
     _require_noncommutative(pres)
-    auto = WordAutomaton(pres.ngens, list(words))
+    matcher = WordMatcher(words)
     degrees = [pres.generator_degree(i) for i in range(pres.ngens)]
-    dp = [[0] * auto.nstates for _ in range(max_degree + 1)]
-    dp[0][0] = 1
-    counts = [0] * (max_degree + 1)
-    for d in range(max_degree + 1):
-        counts[d] = sum(dp[d])
-        if d == max_degree:
-            break
-        row = dp[d]
-        for s in range(auto.nstates):
-            c = row[s]
-            if not c:
-                continue
-            for letter in range(pres.ngens):
-                nd = d + degrees[letter]
-                if nd > max_degree:
-                    continue
-                t = auto.delta[s][letter]
-                if t >= 0:
-                    dp[nd][t] += c
-    return counts
+    dp = [{} for _ in range(max_degree + 1)]
+    dp[0][()] = 1
+    for d, row in enumerate(dp):
+        for state, c in row.items():
+            for letter, deg in enumerate(degrees):
+                t = matcher.step(state, letter) if d + deg <= max_degree else None
+                if t is not None:
+                    dp[d + deg][t] = dp[d + deg].get(t, 0) + c
+    return [sum(row.values()) for row in dp]
 
 
 def normal_words(gb, max_degree):
@@ -336,7 +331,7 @@ def normal_words(gb, max_degree):
             f"normal words requested to degree {max_degree} but the basis is "
             f"only certified to degree {gb.complete_to_degree}")
     pres = gb.presentation
-    auto = WordAutomaton(pres.ngens, [g.leading[0] for g in gb.basis])
+    matcher = WordMatcher(g.leading[0] for g in gb.basis)
     out = {d: [] for d in range(max_degree + 1)}
 
     def rec(word, state, deg):
@@ -345,12 +340,11 @@ def normal_words(gb, max_degree):
             nd = deg + pres.generator_degree(letter)
             if nd > max_degree:
                 continue
-            ns = auto.step(state, letter)
-            if ns < 0:
-                continue
-            rec(word + (letter,), ns, nd)
+            ns = matcher.step(state, letter)
+            if ns is not None:
+                rec(word + (letter,), ns, nd)
 
-    rec((), 0, 0)
+    rec((), (), 0)
     for d in out:
         out[d].sort(key=pres.term_key, reverse=True)
     return out

@@ -29,8 +29,8 @@ from .algebra import AlgebraError, BoundError
 from .chains import enumerate_chains
 from .linalg import sparse_rank
 from .noncommutative import (
+    WordMatcher,
     count_normal_words,
-    find_subword,
     nc_buchberger,
     nc_normal_form,
     normal_words,
@@ -74,8 +74,8 @@ class AnickResolution:
             for n, chains in self.levels.items()}
         self._gen_chain = {c.word[0]: k for k, c in enumerate(self.levels[0])}
         self._basis = list(gb.basis)
-        self._lead = [g.leading[0] for g in self._basis]
-        self.hilbert = count_normal_words(pres, self._lead, max_degree)
+        self._tips = WordMatcher(g.leading[0] for g in self._basis)
+        self.hilbert = count_normal_words(pres, self._tips.words, max_degree)
         self._nf_cache = {}
         self._normal_cache = {}
         self.split_checks = 0
@@ -106,7 +106,7 @@ class AnickResolution:
     def _is_normal(self, word):
         cached = self._normal_cache.get(word)
         if cached is None:
-            cached = not any(find_subword(word, lt) for lt in self._lead)
+            cached = not self._tips.hits(word)
             self._normal_cache[word] = cached
         return cached
 

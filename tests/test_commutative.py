@@ -10,7 +10,6 @@ from anick.commutative import (
     comm_normal_form,
     comm_normal_monomials,
     comm_reduce_basis,
-    comm_reduce_once,
     comm_s_polynomial,
     divides,
     exp_lcm,
@@ -39,25 +38,6 @@ class TestExponentOps:
     def test_quotient_lcm(self):
         assert quotient((3, 4), (1, 2)) == (2, 2)
         assert exp_lcm((2, 1), (1, 3)) == (2, 3)
-
-
-class TestReduceOnce:
-    def test_cubic_example(self):
-        f, g = polys(XY, "x^3 - y^2", "x^3 - x + 1")
-        assert comm_reduce_once(XY, f, g) == parse_poly(XY, "x - y^2 - 1")
-
-    def test_quotient_monomial(self):
-        f, g = polys(X12, "x1^3 + x2^3", "x1^2 + x2^2")
-        assert comm_reduce_once(X12, f, g) == parse_poly(X12, "x2^3 - x1*x2^2")
-
-    def test_not_applicable(self):
-        f, g = polys(XY, "x*y", "x^2")
-        assert comm_reduce_once(XY, f, g) is None
-
-    def test_leading_strictly_drops(self):
-        f, g = polys(X12, "x1^3 + x2^3", "x1^2 + x2^2")
-        r = comm_reduce_once(X12, f, g)
-        assert X12.compare(r.leading[0], f.leading[0]) == -1
 
 
 class TestNormalForm:

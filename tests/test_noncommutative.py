@@ -2,16 +2,15 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anick.algebra import AlgebraError, BoundError
 from anick.noncommutative import (
     NcGB,
-    WordAutomaton,
+    WordMatcher,
     count_normal_words,
     find_obstructions,
-    find_subword,
     nc_buchberger,
     nc_normal_form,
     nc_reduce_basis,
@@ -37,14 +36,21 @@ XYZX = XYZ.with_relations(
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
+def occurrences(word, tip):
+    """Every factorization word = pre . tip . suf, by slicing; the oracle
+    the matcher is tested against, so it shares no code with it."""
+    return [(word[:p], word[p + len(tip):]) for p in range(len(word) - len(tip) + 1)
+            if word[p:p + len(tip)] == tip]
+
+
 def reference_completion(pres, max_degree):
     """Completion by re-listing: list every ambiguity of the basis, process
     the first one not yet done, insert, and list them again.  The queue in
     nc_buchberger must process the same ambiguities in the same order."""
     def insert(basis, h):
         w = h.leading[0]
-        displaced = [e for e in basis if e.leading[0] != w and find_subword(e.leading[0], w)]
-        basis[:] = [e for e in basis if not (e.leading[0] != w and find_subword(e.leading[0], w))]
+        displaced = [e for e in basis if e.leading[0] != w and occurrences(e.leading[0], w)]
+        basis[:] = [e for e in basis if not (e.leading[0] != w and occurrences(e.leading[0], w))]
         basis.append(h)
         for e in displaced:
             h2 = nc_normal_form(pres, e, basis)
@@ -52,7 +58,7 @@ def reference_completion(pres, max_degree):
                 insert(basis, h2)
 
     def key(ob):
-        return (basis[ob.i].leading[0], basis[ob.j].leading[0], ob.kind, len(ob.left))
+        return (basis[ob.i].leading[0], basis[ob.j].leading[0], len(ob.left))
 
     basis = []
     for g in pres.relations:
@@ -102,19 +108,58 @@ def xy_family(pres, top):
     return out
 
 
+# Up to five tips of length <= 4, duplicates and non-antichains included,
+# and a word of length <= 10, over 2-3 letters.
+tips_and_word = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4).map(tuple),
+             max_size=5),
+    st.lists(st.integers(0, n - 1), max_size=10).map(tuple)))
+
+
 class TestFindSubword:
+    """Finding which tips occur in a word, and where: WordMatcher.hits."""
+
     def test_overlapping_occurrences(self):
-        assert find_subword((0, 0, 0), (0, 0)) == [((), (0,)), ((0,), ())]
+        assert sorted(WordMatcher([(0, 0)]).hits((0, 0, 0))) == [(0, 0), (0, 1)]
 
     def test_absent(self):
-        assert find_subword((0, 1, 0), (1, 1)) == []
+        assert WordMatcher([(1, 1)]).hits((0, 1, 0)) == []
 
     def test_leftmost_first(self):
-        assert find_subword((0, 1, 1, 0), (0, 1)) == [((), (1, 0))]
+        assert min(WordMatcher([(0, 1)]).hits((0, 1, 1, 0, 1))) == (0, 0)
 
     def test_empty_needle_rejected(self):
         with pytest.raises(AlgebraError):
-            find_subword((0, 1), ())
+            WordMatcher([(0, 1), ()])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tips_and_word)
+    @example(([(0, 0)], (0, 0, 0)))
+    @example(([(1, 1)], (0, 1, 0)))
+    @example(([(0, 1)], (0, 1, 1, 0, 1)))
+    @example(([(0, 1), (0, 1), (1,), (0, 1, 1)], (0, 1, 1, 0)))
+    def test_matches_slicing(self, case):
+        tips, word = case
+        expected = sorted((k, len(pre)) for k, tip in enumerate(tips)
+                          for pre, _ in occurrences(word, tip))
+        assert sorted(WordMatcher(tips).hits(word)) == expected
+
+
+class TestRewriteRule:
+    """nc_normal_form rewrites with the lowest-index element at its leftmost
+    occurrence, not at the leftmost occurrence of any element: before the
+    basis is confluent the two give different normal forms."""
+
+    ABCD = parse_presentation(
+        "algebra R ; kind noncommutative ; generators a b c d ;"
+        " order deglex a > b > c > d ;")
+
+    def test_lowest_index_element_wins(self):
+        pres = self.ABCD
+        g0, g1 = parse_poly(pres, "b*c - d^2"), parse_poly(pres, "a*b - d*c")
+        f = parse_poly(pres, "a*b*c")
+        assert nc_normal_form(pres, f, [g0, g1]) == parse_poly(pres, "a*d^2")
+        assert nc_normal_form(pres, f, [g1, g0]) == parse_poly(pres, "d*c^2")
 
 
 class TestNormalForm:
@@ -161,8 +206,7 @@ class TestNormalForm:
                 reducible = []
                 for m, c in f.terms:
                     for g in basis:
-                        occs = find_subword(m, g.leading[0])
-                        for pre, suf in occs:
+                        for pre, suf in occurrences(m, g.leading[0]):
                             reducible.append((m, c, g, pre, suf))
                 if not reducible:
                     return f
@@ -184,7 +228,6 @@ class TestObstructions:
         obs = find_obstructions(FREE_XY, basis)
         assert len(obs) == 1
         ob = obs[0]
-        assert ob.kind == "overlap"
         assert ob.ambiguity == FREE_XY.word("x", "x", "x")
         assert ob.degree == 3
 
@@ -201,13 +244,17 @@ class TestObstructions:
         ambs = {ob.ambiguity for ob in obs}
         assert ambs == {XYZ.word("x", "x", "x")}
 
-    def test_inclusion_reported(self):
+    def test_non_antichain_rejected(self):
         basis = [parse_poly(XYZ, "y*x*x*z"), parse_poly(XYZ, "x^2")]
-        obs = find_obstructions(XYZ, basis)
-        kinds = {ob.kind for ob in obs}
-        assert "inclusion" in kinds
-        inc = [ob for ob in obs if ob.kind == "inclusion"][0]
-        assert inc.left == XYZ.word("y") and inc.right == XYZ.word("z")
+        with pytest.raises(AlgebraError):
+            find_obstructions(XYZ, basis)
+        with pytest.raises(AlgebraError):
+            verify_diamond(NcGB(XYZ, tuple(basis), 4))
+
+    def test_duplicate_leading_words_rejected(self):
+        basis = [parse_poly(XYZ, "x*y"), parse_poly(XYZ, "x*y + z^2")]
+        with pytest.raises(AlgebraError):
+            find_obstructions(XYZ, basis)
 
     def test_sorted_by_degree(self):
         gb = nc_buchberger(X2XY, max_degree=8)
@@ -285,7 +332,7 @@ class TestCompletion:
         for i, u in enumerate(words):
             for j, v in enumerate(words):
                 if i != j:
-                    assert not find_subword(u, v)
+                    assert not occurrences(u, v)
 
 
 class TestCompletionProperties:
@@ -397,29 +444,29 @@ class TestNormalWords:
 
 
 class TestAutomaton:
-    def test_overlapping_pattern(self):
-        auto = WordAutomaton(2, [(0, 0)])
-        s = auto.step(0, 0)
-        assert s >= 0
-        assert auto.step(s, 0) == -1
-        assert auto.step(s, 1) >= 0
+    """The normal-word automaton: WordMatcher.step."""
 
-    def test_matches_brute_force(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            pats = set()
-            while len(pats) < 3:
-                pats.add(tuple(rng.randrange(2) for _ in range(rng.randint(1, 3))))
-            pats = list(pats)
-            auto = WordAutomaton(2, pats)
-            for n in range(6):
-                for code in range(2 ** n):
-                    w = tuple((code >> k) & 1 for k in range(n))
-                    s = 0
-                    for letter in w:
-                        s = auto.step(s, letter)
-                        if s < 0:
-                            break
-                    has = any(w[p:p + len(q)] == q
-                              for q in pats for p in range(len(w) - len(q) + 1))
-                    assert (s < 0) == has
+    def test_overlapping_pattern(self):
+        m = WordMatcher([(0, 0)])
+        s = m.step((), 0)
+        assert s == (0,)
+        assert m.step(s, 0) is None
+        assert m.step(s, 1) == ()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tips_and_word)
+    @example(([(0, 0)], (0, 0)))
+    @example(([(0, 0)], (0, 1, 0)))
+    @example(([(1,), (0, 1, 1)], (0, 0, 1)))
+    @example(([(0, 1, 0), (1, 0, 1)], (0, 1, 1, 0, 1)))
+    def test_matches_brute_force(self, case):
+        tips, word = case
+        m = WordMatcher(tips)
+        state = ()
+        for letter in word:
+            state = m.step(state, letter)
+            if state is None:
+                break
+        has = any(occurrences(word, tip) for tip in tips)
+        assert (state is None) == has
+        assert (state is None) == bool(m.hits(word))
