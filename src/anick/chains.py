@@ -5,10 +5,12 @@ the 0-chains are the generators, each its own tail.  An n-chain extends an
 (n-1)-chain g with tail r by a nonempty tail t such that r.t contains exactly
 one occurrence of a word of F, that occurrence ends at the last letter of
 r.t, and it starts strictly inside r (the tails must interlock; a tail
-starting cleanly after r would let unrelated words slip in).  Tails are
-forced by where an F-word can straddle the boundary, so enumeration walks
-parents and F-words directly.  Each chain word's decomposition into tails is
-unique; the enumeration asserts this.
+starting cleanly after r would let unrelated words slip in).  A tail t is
+therefore the rest of an F-word whose proper prefix is a suffix of r.  The
+enumeration indexes every F-word's rests by that prefix once, and for each
+parent looks up the suffixes of its tail.  Each chain carries its degree, so
+the degree bound is applied before any chain word is built.  Each chain
+word's decomposition into tails is unique; the enumeration asserts this.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from .algebra import AlgebraError, Presentation
 from .noncommutative import antichain_matcher
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Chain:
     word: tuple
+    degree: int
     tail: tuple = ()
     level: int = -1
     parent: object = None
@@ -47,33 +50,36 @@ def enumerate_chains(pres, obstructions, max_level, max_degree):
         raise AlgebraError("max_degree must be nonnegative")
     matcher = antichain_matcher(pres, obstructions)
     words = matcher.words
-    levels = {-1: (Chain(word=(), tail=(), level=-1, parent=None),)}
+    levels = {-1: (Chain(word=(), degree=0, tail=(), level=-1, parent=None),)}
     if max_level >= 0:
         root = levels[-1][0]
-        gens = [Chain(word=(i,), tail=(i,), level=0, parent=root)
+        gens = [Chain(word=(i,), degree=pres.generator_degree(i), tail=(i,),
+                      level=0, parent=root)
                 for i in range(pres.ngens)
                 if pres.generator_degree(i) <= max_degree]
         gens.sort(key=lambda c: pres.term_key(c.word), reverse=True)
         levels[0] = tuple(gens)
+    # each proper nonempty prefix v[:s] of an F-word -> the rests v[s:]
+    rests = {}
+    for v in words:
+        for s in range(1, len(v)):
+            rests.setdefault(v[:s], []).append((v[s:], pres.monomial_degree(v[s:])))
     for n in range(1, max_level + 1):
         produced = {}
         for parent in levels.get(n - 1, ()):
             r = parent.tail
-            for v in words:
-                for s in range(1, min(len(r), len(v) - 1) + 1):
-                    if r[len(r) - s:] != v[:s]:
+            for s in range(1, len(r) + 1):
+                for t, dt in rests.get(r[len(r) - s:], ()):
+                    degree = parent.degree + dt
+                    if degree > max_degree or len(matcher.hits(r + t)) != 1:
                         continue
-                    t = v[s:]
                     word = parent.word + t
-                    if pres.monomial_degree(word) > max_degree:
-                        continue
-                    if len(matcher.hits(r + t)) != 1:
-                        continue
                     if word in produced:
                         raise AlgebraError(
                             f"chain word {pres.format_monomial(word)} admits two "
                             f"decompositions at level {n}")
-                    produced[word] = Chain(word=word, tail=t, level=n, parent=parent)
+                    produced[word] = Chain(word=word, degree=degree, tail=t,
+                                           level=n, parent=parent)
         chains = sorted(produced.values(),
                         key=lambda c: pres.term_key(c.word), reverse=True)
         levels[n] = tuple(chains)
@@ -82,13 +88,11 @@ def enumerate_chains(pres, obstructions, max_level, max_degree):
 
 def chain_counts(cs):
     """Number of chains per (level, degree)."""
-    pres = cs.presentation
     out = {}
     for n, chains in sorted(cs.levels.items()):
         row = {}
         for c in chains:
-            d = pres.monomial_degree(c.word)
-            row[d] = row.get(d, 0) + 1
+            row[c.degree] = row.get(c.degree, 0) + 1
         out[n] = row
     return out
 

@@ -67,8 +67,7 @@ class AnickResolution:
         self.levels = {}
         for n in range(-1, max_level + 1):
             self.levels[n] = tuple(
-                c for c in chain_set.levels.get(n, ())
-                if pres.monomial_degree(c.word) <= max_degree)
+                c for c in chain_set.levels.get(n, ()) if c.degree <= max_degree)
         self._word_index = {
             n: {c.word: k for k, c in enumerate(chains)}
             for n, chains in self.levels.items()}
@@ -115,7 +114,7 @@ class AnickResolution:
         return self.presentation.term_key(self.levels[n][ci].word + word)
 
     def chain_degree(self, n, ci):
-        return self.presentation.monomial_degree(self.levels[n][ci].word)
+        return self.levels[n][ci].degree
 
     def element_degree(self, n, elem):
         pres = self.presentation
@@ -261,13 +260,12 @@ def module_dimension(res, n, degree, h):
 
 def euler_horizon(res):
     """Largest degree where levels beyond max_level provably cannot reach."""
-    pres = res.presentation
     horizon = res.max_degree
     for n in range(0, res.max_level + 1):
         if not res.levels[n]:
             return horizon
     last = res.levels[res.max_level]
-    return min(horizon, min(pres.monomial_degree(c.word) for c in last))
+    return min(horizon, min(c.degree for c in last))
 
 
 def _block_columns(res, n, degree, words_by_degree):
@@ -403,14 +401,12 @@ def tor_dimensions(res):
     resolution is minimal this is just the chain count table.  Row i needs
     M_{i+1}, so the table stops one level below the built resolution.
     """
-    pres = res.presentation
     tensored = tensor_with_k(res)
 
     def level_degrees(n):
         out = {}
         for c in res.levels[n]:
-            d = pres.monomial_degree(c.word)
-            out[d] = out.get(d, 0) + 1
+            out[c.degree] = out.get(c.degree, 0) + 1
         return out
 
     def graded_rank(n):

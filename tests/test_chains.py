@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anick.algebra import AlgebraError
 from anick.chains import chain_counts, chain_decompositions, enumerate_chains, is_chain
@@ -352,3 +354,54 @@ class TestDecompositionOracle:
             for c in cs.levels[n]:
                 decomps = chain_decompositions(pres, c.word, F, n)
                 assert len(decomps) == 1
+
+
+@st.composite
+def weighted_antichains(draw):
+    """A presentation on 2-3 generators, some of weight 2, with an antichain
+    of up to 4 words of length 2-4, plus a level and a degree bound."""
+    weights = draw(st.lists(st.sampled_from((1, 2)), min_size=2, max_size=3))
+    names = "uvw"[:len(weights)]
+    gens = " ".join(n if w == 1 else f"{n}:{w}" for n, w in zip(names, weights))
+    pres = parse_presentation(
+        f"algebra R ; kind noncommutative ; generators {gens} ;"
+        f" order deglex {' > '.join(names)} ;")
+    letters = st.integers(0, len(weights) - 1)
+    drawn = draw(st.lists(st.lists(letters, min_size=2, max_size=4).map(tuple),
+                          min_size=2, max_size=4))
+    F = []
+    for v in sorted(set(drawn), key=len):
+        if not any(v[p:p + len(f)] == f for f in F for p in range(len(v))):
+            F.append(v)
+    return pres, tuple(F), draw(st.integers(2, 4)), draw(st.integers(4, 8))
+
+
+def words_up_to_degree(pres, max_degree):
+    out = [()]
+    for w in out:
+        for i in range(pres.ngens):
+            if pres.monomial_degree(w) + pres.generator_degree(i) <= max_degree:
+                out.append(w + (i,))
+    return out
+
+
+class TestEnumerationProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(weighted_antichains())
+    @example((parse_presentation(
+        "algebra R ; kind noncommutative ; generators u:2 v ; order deglex u > v ;"),
+        ((0, 1, 0), (0, 0), (1, 1)), 4, 9))
+    def test_matches_brute_force_search(self, case):
+        """Every level equals the words that the recursive decomposition
+        search accepts, each chain carries its word's degree, and each level
+        is in descending term order."""
+        pres, F, max_level, max_degree = case
+        cs = enumerate_chains(pres, F, max_level, max_degree)
+        words = words_up_to_degree(pres, max_degree)
+        for n in range(-1, max_level + 1):
+            chains = cs.levels[n]
+            assert {c.word for c in chains} == {
+                w for w in words if is_chain(pres, w, F, n)[0]}
+            assert all(c.degree == pres.monomial_degree(c.word) for c in chains)
+            keys = [pres.term_key(c.word) for c in chains]
+            assert keys == sorted(keys, reverse=True)
