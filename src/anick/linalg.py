@@ -1,13 +1,17 @@
-"""Exact rational linear algebra: sparse rank and small dense solves.
+"""Exact linear algebra: sparse rank over Q and mod p, small dense solves.
 
-Rows are dicts mapping column keys to nonzero Fractions.  Rank runs
+Rows are dicts mapping column keys to ints or Fractions.  Rank runs
 incremental row echelon with the smallest column as pivot, so column keys
-must be mutually comparable (ints, tuples of ints).
+must be mutually comparable (ints, tuples of ints).  ``sparse_rank`` is exact
+over Q.  ``sparse_rank_mod_p`` ranks the reduction mod a prime, which bounds
+the rational rank from below; its docstring says when that bound is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+PRIME = (1 << 61) - 1
 
 
 def sparse_rank(rows):
@@ -26,6 +30,49 @@ def sparse_rank(rows):
             factor = row[c]
             for pc, pv in pivots[c].items():
                 acc = row.get(pc, Fraction(0)) - factor * pv
+                if acc:
+                    row[pc] = acc
+                else:
+                    row.pop(pc, None)
+    return rank
+
+
+def sparse_rank_mod_p(rows, p=PRIME):
+    """Rank over F_p of the rows reduced mod the prime p, or None when p
+    divides the denominator of an entry (the reduction is undefined).
+
+    Entries are ints or Fractions.  Reduction mod p is a ring map on the
+    p-integral rationals, and a minor that vanishes over Q still vanishes
+    mod p, so the result never exceeds the rank over Q.  It is exact only
+    once something bounds the rational rank from above: for a complex,
+    rank_in + rank_out <= dim at each spot, and a mod-p sum that reaches dim
+    forces both ranks to be the rational ones.
+    """
+    pivots = {}
+    rank = 0
+    for raw in rows:
+        row = {}
+        for c, v in raw.items():
+            if type(v) is not int:
+                v = Fraction(v)
+                den = v.denominator % p
+                if not den:
+                    return None
+                v = v.numerator * pow(den, -1, p)
+            v %= p
+            if v:
+                row[c] = v
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {k: v * inv % p for k, v in row.items()}
+                rank += 1
+                break
+            factor = row[c]
+            for pc, pv in pivot.items():
+                acc = (row.get(pc, 0) - factor * pv) % p
                 if acc:
                     row[pc] = acc
                 else:

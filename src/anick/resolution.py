@@ -16,6 +16,14 @@ and both facts are asserted rather than assumed.  Values of d on free
 generators are memoized; d on c (x) a follows by right multiplication and
 normal-form reduction.
 
+Coefficients are ints wherever they are integral.  A monic basis with
+integer coefficients gives integral normal forms, since each reduction step
+subtracts an integer multiple of a basis element.  Then every d_n and i_n is
+integral too: the head coefficient of d_n(g (x) 1) is 1, so each alpha that
+i_n takes off a leading pair is an integer.  This is a per-term fast path,
+not a second mode: a normal-form coefficient that is not an integer stays a
+Fraction, and the arithmetic stays exact for any basis.
+
 Everything downstream lives here too: the d.d = 0 and splitting checks,
 graded exactness ranks, the Euler identity, tensoring with the base field,
 Tor dimensions, and the minimality test.
@@ -23,11 +31,9 @@ Tor dimensions, and the minimality test.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import AlgebraError, BoundError
 from .chains import enumerate_chains
-from .linalg import sparse_rank
+from .linalg import PRIME, sparse_rank, sparse_rank_mod_p
 from .noncommutative import (
     WordMatcher,
     count_normal_words,
@@ -79,7 +85,7 @@ class AnickResolution:
         self._normal_cache = {}
         self.split_checks = 0
         self.split_failures = []
-        self.diff = {0: [{(0, c.word): Fraction(1)} for c in self.levels[0]]}
+        self.diff = {0: [{(0, c.word): 1} for c in self.levels[0]]}
         for n in range(1, max_level + 1):
             rows = []
             for c in self.levels[n]:
@@ -89,7 +95,8 @@ class AnickResolution:
     # -- plumbing ----------------------------------------------------------
 
     def _nf_word(self, word):
-        """Normal form of a single word as a terms tuple."""
+        """Normal form of a single word as a terms tuple, integral
+        coefficients as ints."""
         cached = self._nf_cache.get(word)
         if cached is None:
             pres = self.presentation
@@ -97,8 +104,13 @@ class AnickResolution:
                 raise BoundError(
                     f"reduction of degree {pres.monomial_degree(word)} exceeds "
                     f"the certified degree {self.gb.complete_to_degree}")
-            cached = nc_normal_form(
-                pres, pres.monomial_poly(word), self._basis).terms
+            if not self._tips.hits(word):
+                cached = ((word, 1),)
+            else:
+                cached = tuple(
+                    (m, int(c) if c.denominator == 1 else c)
+                    for m, c in nc_normal_form(
+                        pres, pres.monomial_poly(word), self._basis).terms)
             self._nf_cache[word] = cached
         return cached
 
@@ -135,7 +147,7 @@ class AnickResolution:
             for (cj, u), val in self.diff[n][ci].items():
                 for m, beta in self._nf_word(u + w):
                     key = (cj, m)
-                    acc = out.get(key, Fraction(0)) + coeff * val * beta
+                    acc = out.get(key, 0) + coeff * val * beta
                     if acc:
                         out[key] = acc
                     else:
@@ -153,7 +165,7 @@ class AnickResolution:
                     "splitting a level -1 element with a constant term: "
                     "not in the augmentation kernel")
             key = (self._gen_chain[w[0]], w[1:])
-            acc = out.get(key, Fraction(0)) + coeff
+            acc = out.get(key, 0) + coeff
             if acc:
                 out[key] = acc
             else:
@@ -167,10 +179,11 @@ class AnickResolution:
         out = {}
         last_key = None
         while work:
-            lead = max(work, key=lambda k: self._pair_key(m - 1, k))
-            lead_key = self._pair_key(m - 1, lead)
-            ties = [k for k in work
-                    if k != lead and self._pair_key(m - 1, k) == lead_key]
+            keys = {k: self._pair_key(m - 1, k) for k in work}
+            lead = max(keys, key=keys.__getitem__)
+            lead_key = keys[lead]
+            ties = [k for k, key in keys.items()
+                    if k != lead and key == lead_key]
             if ties:
                 raise AlgebraError("leading pair of a kernel element is ambiguous")
             if last_key is not None and lead_key >= last_key:
@@ -196,8 +209,8 @@ class AnickResolution:
             if (gi, cw) in out:
                 raise AlgebraError("splitting revisited a chain generator")
             out[(gi, cw)] = alpha
-            for k, v in self.apply_d(m, {(gi, cw): Fraction(1)}).items():
-                acc = work.get(k, Fraction(0)) - alpha * v
+            for k, v in self.apply_d(m, {(gi, cw): 1}).items():
+                acc = work.get(k, 0) - alpha * v
                 if acc:
                     work[k] = acc
                 else:
@@ -215,13 +228,13 @@ class AnickResolution:
 
     def _build_d(self, n, chain):
         pi = self._word_index[n - 1][chain.parent.word]
-        head = {(pi, chain.tail): Fraction(1)}
+        head = {(pi, chain.tail): 1}
         v = self.apply_d(n - 1, head)
         result = dict(head)
         if v:
             correction = self.split(n - 1, v)
             for k, val in correction.items():
-                acc = result.get(k, Fraction(0)) - val
+                acc = result.get(k, 0) - val
                 if acc:
                     result[k] = acc
                 else:
@@ -278,7 +291,7 @@ def _block_columns(res, n, degree, words_by_degree):
             continue
         for w in words_by_degree[degree - dc]:
             labels.append((ci, w))
-            cols.append(res.apply_d(n, {(ci, w): Fraction(1)}))
+            cols.append(res.apply_d(n, {(ci, w): 1}))
     return labels, cols
 
 
@@ -304,6 +317,17 @@ def verify_resolution(res, rank_budget=4000, rank_degree=None):
     degree is capped: explicitly by rank_degree, else by the largest degree
     whose cumulative block columns fit in rank_budget.  The other three
     checks always run to the full built degree.
+
+    Ranks are taken mod PRIME first, and every reported rank is still the
+    rank over Q.  A mod-p rank never exceeds the rational one.  Once
+    d.d = 0 holds on the generators, it holds on all of C (x) A by right
+    A-linearity, so im d_{n+1} lies in ker d_n and over Q
+    rank_in + rank_out <= dim at every block.  Where the mod-p ranks already
+    sum to dim, both are therefore the rational ranks and the block is
+    exact.  A matrix that no such block certifies, or whose reduction mod p
+    is undefined, has its columns built again and ranked exactly; their
+    count is report["exactness"]["exact_fallbacks"].  When d.d = 0 fails,
+    every rank is exact from the start.
     """
     report = {"ok": True}
 
@@ -338,26 +362,40 @@ def verify_resolution(res, rank_budget=4000, rank_degree=None):
         rank_degree = block_rank_degree(res, rank_budget)
     rank_degree = min(rank_degree, res.max_degree)
     words = normal_words(res.gb, rank_degree)
-    ranks = {}
+    degrees = range(rank_degree + 1)
+    modular = report["dd_zero"]["ok"]
+    # level -1 is the augmentation: rank 1 in degree 0, exact as it stands
+    ranks = {(-1, d): 1 if d == 0 else 0 for d in degrees}
     for n in range(0, res.max_level + 1):
-        ranks[n] = {}
-        for d in range(rank_degree + 1):
+        for d in degrees:
             _, cols = _block_columns(res, n, d, words)
-            ranks[n][d] = sparse_rank(cols)
+            ranks[n, d] = (sparse_rank_mod_p(cols, PRIME) if modular
+                           else sparse_rank(cols))
+    exact = {(-1, d) for d in degrees} if modular else set(ranks)
+    if modular:
+        for n in range(-1, res.max_level):
+            for d in degrees:
+                rank_out, rank_in = ranks[n, d], ranks[n + 1, d]
+                if (rank_out is not None and rank_in is not None and
+                        rank_out + rank_in == module_dimension(res, n, d, h)):
+                    exact.update(((n, d), (n + 1, d)))
+    fallbacks = [key for key in ranks if key not in exact]
+    for n, d in fallbacks:
+        ranks[n, d] = sparse_rank(_block_columns(res, n, d, words)[1])
     blocks = []
     exact_ok = True
     for n in range(-1, res.max_level):
-        for d in range(rank_degree + 1):
+        for d in degrees:
             dim = module_dimension(res, n, d, h)
-            rank_out = (1 if d == 0 else 0) if n == -1 else ranks[n][d]
-            rank_in = ranks[n + 1][d]
+            rank_out, rank_in = ranks[n, d], ranks[n + 1, d]
             ok = rank_out + rank_in == dim
             exact_ok = exact_ok and ok
             blocks.append({"level": n, "degree": d, "dim": dim,
                            "rank_out": rank_out, "rank_in": rank_in,
                            "ok": ok})
-    report["exactness"] = {"degree": rank_degree, "blocks": blocks,
-                           "ok": exact_ok}
+    report["exactness"] = {
+        "degree": rank_degree, "blocks": blocks, "ok": exact_ok,
+        "exact_fallbacks": len(fallbacks)}
     report["ok"] = all(report[k]["ok"] for k in
                        ("dd_zero", "splitting", "euler", "exactness"))
     return report

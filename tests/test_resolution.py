@@ -1,15 +1,19 @@
 """Resolution differentials, splittings, verification, Tor, minimality."""
 
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+from anick import resolution
 from anick.algebra import AlgebraError, BoundError
 from anick.chains import enumerate_chains
-from anick.noncommutative import nc_buchberger
+from anick.linalg import sparse_rank
+from anick.noncommutative import nc_buchberger, normal_words
 from anick.presentation import make_bn, parse_presentation, parse_poly
 from anick.resolution import (
     AnickResolution,
+    _block_columns,
     block_rank_degree,
     build_resolution,
     euler_horizon,
@@ -37,6 +41,23 @@ def presentation_free(names="x y z"):
     return parse_presentation(
         f"algebra free; kind noncommutative; generators {gens}; "
         f"order deglex {order};")
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+
+def presentation_sample(name):
+    return parse_presentation((SAMPLES / f"{name}.alg").read_text())
+
+
+def presentation_non_monic():
+    return parse_presentation("""
+        algebra nonmonic;
+        kind noncommutative;
+        generators x y;
+        order deglex x > y;
+        relations 2*x^2 - 3*x*y;
+    """)
 
 
 _CACHE = {}
@@ -486,3 +507,89 @@ class TestTensorMatrices:
         assert res.presentation.format_monomial(res.levels[3][col].word) \
             == "c1*c2*a2*b2*a1"
         assert tensored[3][(row, col)] == Fraction(-1)
+
+
+def exactness_verdicts(report):
+    return (report["dd_zero"]["ok"], report["exactness"]["blocks"],
+            report["exactness"]["ok"], report["ok"])
+
+
+class TestModularExactness:
+    @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_small_prime_gives_the_same_report(self, monkeypatch, name, p):
+        res = build_resolution(presentation_sample(name), 3, 8)
+        want = verify_resolution(res)
+        assert want["ok"]
+        assert want["exactness"]["exact_fallbacks"] == 0
+        monkeypatch.setattr(resolution, "PRIME", p)
+        assert exactness_verdicts(verify_resolution(res)) == \
+            exactness_verdicts(want)
+
+    @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
+    def test_ranks_that_fall_short_mod_p_fall_back(self, monkeypatch, name):
+        # doubling the top differential keeps d.d = 0 and every rank over Q,
+        # but zeroes its matrices mod 2, so the blocks it enters fall short
+        res = build_resolution(presentation_sample(name), 3, 8)
+        want = verify_resolution(res)
+        res.diff[3] = [{k: 2 * v for k, v in row.items()}
+                       for row in res.diff[3]]
+        monkeypatch.setattr(resolution, "PRIME", 2)
+        got = verify_resolution(res)
+        assert got["exactness"]["exact_fallbacks"] > 0
+        assert exactness_verdicts(got) == exactness_verdicts(want)
+
+    def test_prime_dividing_a_denominator_falls_back(self, monkeypatch):
+        res = build_resolution(presentation_non_monic(), 3, 8)
+        want = verify_resolution(res)
+        assert want["ok"]
+        monkeypatch.setattr(resolution, "PRIME", 2)
+        got = verify_resolution(res)
+        assert got["exactness"]["exact_fallbacks"] > 0
+        assert exactness_verdicts(got) == exactness_verdicts(want)
+
+    @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
+    def test_sign_flip_matches_exact_ranks(self, monkeypatch, name):
+        # mod 2 the flip is invisible, so only an exact rank can see it
+        res = build_resolution(presentation_sample(name), 3, 8)
+        row = dict(res.diff[2][0])
+        key = next(iter(row))
+        row[key] = -row[key]
+        res.diff[2][0] = row
+        monkeypatch.setattr(resolution, "PRIME", 2)
+        got = verify_resolution(res)
+        assert not got["dd_zero"]["ok"]
+        monkeypatch.setattr(resolution, "sparse_rank_mod_p",
+                            lambda rows, p: sparse_rank(rows))
+        assert exactness_verdicts(got) == \
+            exactness_verdicts(verify_resolution(res))
+
+
+def diff_coefficients(res):
+    return [v for rows in res.diff.values() for row in rows
+            for v in row.values()]
+
+
+class TestIntegrality:
+    @pytest.mark.parametrize("name", ["free3", "x2xy", "x2y2", "xyzx",
+                                      "B1", "B2", "B3"])
+    def test_monic_integral_basis_gives_int_differentials(self, name):
+        pres = (make_bn(int(name[1:])) if name.startswith("B")
+                else presentation_sample(name))
+        coeffs = diff_coefficients(build_resolution(pres, 3, 6))
+        assert coeffs
+        assert all(type(v) is int for v in coeffs)
+
+    def test_non_monic_presentation_stays_exact(self):
+        res = build_resolution(presentation_non_monic(), 3, 8)
+        assert Fraction(-3, 2) in diff_coefficients(res)
+        report = verify_resolution(res)
+        assert report["ok"]
+        words = normal_words(res.gb, report["exactness"]["degree"])
+        for block in report["exactness"]["blocks"]:
+            n, d = block["level"], block["degree"]
+            _, cols = _block_columns(res, n + 1, d, words)
+            assert block["rank_in"] == sparse_rank(cols)
+            if n >= 0:
+                _, cols = _block_columns(res, n, d, words)
+                assert block["rank_out"] == sparse_rank(cols)
