@@ -216,6 +216,16 @@ class Presentation:
             return exps
         return (self.monomial_degree(m), exps)
 
+    def heap_key(self, word):
+        """Min-heap key of a noncommutative word: larger word, smaller key.
+
+        Every generator has degree >= 1, so no word is a proper prefix of
+        another of the same degree; rank tuples then differ at some letter,
+        and this key orders words exactly opposite to term_key.
+        """
+        return (-sum(map(self._degrees.__getitem__, word)),
+                tuple(map(self._rank.__getitem__, word)))
+
     def compare(self, a, b):
         """-1, 0 or 1 as a is smaller than, equal to, or larger than b."""
         ka, kb = self.term_key(a), self.term_key(b)

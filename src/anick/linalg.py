@@ -3,37 +3,66 @@
 Rows are dicts mapping column keys to ints or Fractions.  Rank runs
 incremental row echelon with the smallest column as pivot, so column keys
 must be mutually comparable (ints, tuples of ints).  ``sparse_rank`` is exact
-over Q.  ``sparse_rank_mod_p`` ranks the reduction mod a prime, which bounds
-the rational rank from below; its docstring says when that bound is exact.
+over Q without rational arithmetic: each row is scaled to ints by the lcm of
+its denominators and eliminated fraction-free.  ``sparse_rank_mod_p`` ranks
+the reduction mod a prime, which bounds the rational rank from below; its
+docstring says when that bound is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 PRIME = (1 << 61) - 1
 
 
+def _integral_row(raw):
+    """The row's nonzero entries times the lcm of their denominators, as
+    ints: a nonzero multiple of the row, so spans over Q are unchanged."""
+    row = {c: v for c, v in raw.items() if v}
+    if all(type(v) is int for v in row.values()):
+        return row
+    row = {c: Fraction(v) for c, v in row.items()}
+    scale = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (scale // v.denominator) for c, v in row.items()}
+
+
 def sparse_rank(rows):
-    """Rank of the matrix whose rows are given as {column: value} dicts."""
+    """Rank over Q of the matrix whose rows are given as {column: value}
+    dicts, by fraction-free elimination in ints.
+
+    Each row is first scaled to ints.  A row whose smallest column c holds
+    a pivot becomes a*row - b*pivot, with a/b = pivot[c]/row[c] in lowest
+    terms, and is divided by the gcd of its entries.  Both steps multiply
+    by a nonzero rational or add a multiple of a pivot row, so the rank is
+    exactly the rank over Q.
+    """
     pivots = {}
     rank = 0
     for raw in rows:
-        row = {c: Fraction(v) for c, v in raw.items() if v}
+        row = _integral_row(raw)
         while row:
             c = min(row)
-            if c not in pivots:
-                inv = 1 / row[c]
-                pivots[c] = {k: v * inv for k, v in row.items()}
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
                 rank += 1
                 break
-            factor = row[c]
-            for pc, pv in pivots[c].items():
-                acc = row.get(pc, Fraction(0)) - factor * pv
+            a, b = pivot[c], row[c]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {k: v * a for k, v in row.items()}
+            for pc, pv in pivot.items():
+                acc = row.get(pc, 0) - b * pv
                 if acc:
                     row[pc] = acc
                 else:
                     row.pop(pc, None)
+            content = gcd(*row.values())
+            if content > 1:
+                row = {k: v // content for k, v in row.items()}
     return rank
 
 

@@ -12,9 +12,11 @@ differential and its splitting are mutually recursive:
 where in the last line (f, s) is the leading pair of u under the order
 "f (x) s < g (x) t iff fs < gt", and fs = (word of an n-chain g) . (normal
 word c) -- that factorization exists and is unique for kernel leading words,
-and both facts are asserted rather than assumed.  Values of d on free
-generators are memoized; d on c (x) a follows by right multiplication and
-normal-form reduction.
+and both facts are asserted rather than assumed.  The pending pairs of u sit
+in a heap, each keyed once as it enters, and g is found by looking up the
+prefixes of fs in a per-level index of chain words, one for each chain word
+length present at level n.  Values of d on free generators are memoized; d
+on c (x) a follows by right multiplication and normal-form reduction.
 
 Coefficients are ints wherever they are integral.  A monic basis with
 integer coefficients gives integral normal forms, since each reduction step
@@ -26,10 +28,12 @@ Fraction, and the arithmetic stays exact for any basis.
 
 Everything downstream lives here too: the d.d = 0 and splitting checks,
 graded exactness ranks, the Euler identity, tensoring with the base field,
-Tor dimensions, and the minimality test.
+Tor dimensions (exact integer ranks), and the minimality test.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .algebra import AlgebraError, BoundError
 from .chains import enumerate_chains
@@ -77,6 +81,9 @@ class AnickResolution:
         self._word_index = {
             n: {c.word: k for k, c in enumerate(chains)}
             for n, chains in self.levels.items()}
+        self._chain_lengths = {
+            n: sorted({len(c.word) for c in chains})
+            for n, chains in self.levels.items()}
         self._gen_chain = {c.word[0]: k for k, c in enumerate(self.levels[0])}
         self._basis = list(gb.basis)
         self._tips = WordMatcher(g.leading[0] for g in self._basis)
@@ -120,10 +127,6 @@ class AnickResolution:
             cached = not self._tips.hits(word)
             self._normal_cache[word] = cached
         return cached
-
-    def _pair_key(self, n, key):
-        ci, word = key
-        return self.presentation.term_key(self.levels[n][ci].word + word)
 
     def chain_degree(self, n, ci):
         return self.levels[n][ci].degree
@@ -173,29 +176,43 @@ class AnickResolution:
         return out
 
     def _isplit(self, m, elem):
-        """Splitting i_m for m >= 1: level m-1 kernel elements to level m."""
+        """Splitting i_m for m >= 1: level m-1 kernel elements to level m.
+
+        Pending pairs sit in a heap under Presentation.heap_key of their
+        word, keyed once when they enter; a pair that has left the work
+        dict is skipped when it surfaces.  The lead's word is factored by
+        looking up its prefixes in the level-m word index, one per chain
+        word length present at that level.
+        """
         pres = self.presentation
+        below = self.levels[m - 1]
+        index = self._word_index[m]
+        lengths = self._chain_lengths[m]
         work = {k: v for k, v in elem.items() if v}
+        heap = [(pres.heap_key(below[ci].word + s), (ci, s)) for ci, s in work]
+        heapq.heapify(heap)
         out = {}
         last_key = None
         while work:
-            keys = {k: self._pair_key(m - 1, k) for k in work}
-            lead = max(keys, key=keys.__getitem__)
-            lead_key = keys[lead]
-            ties = [k for k, key in keys.items()
-                    if k != lead and key == lead_key]
-            if ties:
+            lead_key, lead = heapq.heappop(heap)
+            if lead not in work:
+                continue
+            while heap and (heap[0][1] == lead or heap[0][1] not in work):
+                heapq.heappop(heap)
+            if heap and heap[0][0] == lead_key:
                 raise AlgebraError("leading pair of a kernel element is ambiguous")
-            if last_key is not None and lead_key >= last_key:
+            if last_key is not None and lead_key <= last_key:
                 raise AlgebraError("splitting recursion failed to descend")
             last_key = lead_key
             ci, s = lead
             alpha = work[lead]
-            w = self.levels[m - 1][ci].word + s
+            w = below[ci].word + s
             candidates = []
-            for gi, g in enumerate(self.levels[m]):
-                k = len(g.word)
-                if len(w) >= k and w[:k] == g.word and self._is_normal(w[k:]):
+            for k in lengths:
+                if k > len(w):
+                    break
+                gi = index.get(w[:k])
+                if gi is not None and self._is_normal(w[k:]):
                     candidates.append((gi, w[k:]))
             if not candidates:
                 raise AlgebraError(
@@ -211,10 +228,15 @@ class AnickResolution:
             out[(gi, cw)] = alpha
             for k, v in self.apply_d(m, {(gi, cw): 1}).items():
                 acc = work.get(k, 0) - alpha * v
-                if acc:
-                    work[k] = acc
-                else:
+                if not acc:
                     work.pop(k, None)
+                    continue
+                if k not in work:
+                    heapq.heappush(
+                        heap, (pres.heap_key(below[k[0]].word + k[1]), k))
+                work[k] = acc
+            if lead in work:
+                heapq.heappush(heap, (lead_key, lead))
         return out
 
     def split(self, m, elem):

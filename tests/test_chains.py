@@ -405,3 +405,15 @@ class TestEnumerationProperties:
             assert all(c.degree == pres.monomial_degree(c.word) for c in chains)
             keys = [pres.term_key(c.word) for c in chains]
             assert keys == sorted(keys, reverse=True)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(weighted_antichains())
+    def test_levels_are_prefix_free(self, case):
+        """No chain word is a proper prefix of another of its level, so a
+        word has at most one (chain).(rest) factorization per level."""
+        pres, F, max_level, max_degree = case
+        cs = enumerate_chains(pres, F, max_level, max_degree)
+        for chains in cs.levels.values():
+            level = {c.word for c in chains}
+            assert not any(c.word[:k] in level
+                           for c in chains for k in range(len(c.word)))

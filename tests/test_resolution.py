@@ -1,9 +1,12 @@
 """Resolution differentials, splittings, verification, Tor, minimality."""
 
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anick import resolution
 from anick.algebra import AlgebraError, BoundError
@@ -593,3 +596,176 @@ class TestIntegrality:
             if n >= 0:
                 _, cols = _block_columns(res, n, d, words)
                 assert block["rank_out"] == sparse_rank(cols)
+
+
+def reference_split(res, m, elem):
+    """Splitting i_m for m >= 1 by scanning: key every pending pair on each
+    step, take the largest, and try every m-chain of the level as a prefix
+    of its word, with normality checked by slicing.  res.split must return
+    the same element and raise the same errors."""
+    pres = res.presentation
+
+    def pair_key(pair):
+        ci, s = pair
+        return pres.term_key(res.levels[m - 1][ci].word + s)
+
+    work = {k: v for k, v in elem.items() if v}
+    out = {}
+    last_key = None
+    while work:
+        keys = {k: pair_key(k) for k in work}
+        lead = max(keys, key=keys.__getitem__)
+        lead_key = keys[lead]
+        if any(k != lead and key == lead_key for k, key in keys.items()):
+            raise AlgebraError("leading pair of a kernel element is ambiguous")
+        if last_key is not None and lead_key >= last_key:
+            raise AlgebraError("splitting recursion failed to descend")
+        last_key = lead_key
+        ci, s = lead
+        alpha = work[lead]
+        w = res.levels[m - 1][ci].word + s
+        candidates = [(gi, w[len(g.word):])
+                      for gi, g in enumerate(res.levels[m])
+                      if w[:len(g.word)] == g.word
+                      and is_normal_by_slicing(res, w[len(g.word):])]
+        if not candidates:
+            raise AlgebraError(
+                f"kernel leading word {pres.format_monomial(w)} admits no "
+                f"(chain).(normal word) factorization at level {m}")
+        if len(candidates) > 1:
+            raise AlgebraError(
+                f"kernel leading word {pres.format_monomial(w)} admits "
+                f"{len(candidates)} chain factorizations at level {m}")
+        gi, cw = candidates[0]
+        if (gi, cw) in out:
+            raise AlgebraError("splitting revisited a chain generator")
+        out[(gi, cw)] = alpha
+        for k, v in res.apply_d(m, {(gi, cw): 1}).items():
+            acc = work.get(k, 0) - alpha * v
+            if acc:
+                work[k] = acc
+            else:
+                work.pop(k, None)
+    return out
+
+
+def outcome(split, *args):
+    try:
+        return split(*args)
+    except AlgebraError as exc:
+        return ("error", str(exc))
+
+
+def is_normal_by_slicing(res, word):
+    return not any(word[p:p + len(g.leading[0])] == g.leading[0]
+                   for g in res.gb.basis for p in range(len(word)))
+
+
+def random_normal_word(res, rng, degree):
+    """A random normal word of the degree, grown letter by letter, or None
+    when a draw gets stuck."""
+    pres = res.presentation
+    word = ()
+    while pres.monomial_degree(word) < degree:
+        options = [word + (i,) for i in range(pres.ngens)
+                   if pres.monomial_degree(word + (i,)) <= degree
+                   and is_normal_by_slicing(res, word + (i,))]
+        if not options:
+            return None
+        word = rng.choice(options)
+    return word
+
+
+def assert_splits_match_reference(res, rng, kernel_samples):
+    """Split every row of every d_n, and kernel_samples images d_n(x) of
+    random homogeneous x per level, both ways."""
+    for n in range(1, res.max_level + 1):
+        for row in res.diff[n]:
+            assert outcome(res.split, n, row) == \
+                outcome(reference_split, res, n, row)
+    for n in range(1, res.max_level + 1):
+        chains = list(enumerate(res.levels[n]))
+        for _ in range(kernel_samples if chains else 0):
+            d = rng.randint(min(c.degree for _, c in chains), res.max_degree)
+            x = {}
+            for ci, c in rng.sample(chains, min(len(chains), 4)):
+                w = random_normal_word(res, rng, d - c.degree)
+                if c.degree <= d and w is not None:
+                    x[(ci, w)] = rng.choice((-2, -1, 1, 3))
+            u = res.apply_d(n, x)
+            assert outcome(res.split, n, u) == \
+                outcome(reference_split, res, n, u)
+
+
+XY = presentation_free("x y")
+XYZ = presentation_free("x y z")
+
+
+@st.composite
+def graded_presentations(draw):
+    """2-4 homogeneous relations of degree 2-3 with 1-3 terms over 2-3
+    generators, a level 2-4 and a degree 4-7."""
+    pres = draw(st.sampled_from([XY, XYZ]))
+    relations = []
+    for _ in range(draw(st.integers(2, 4))):
+        word = st.integers(2, 3).flatmap(lambda n: st.tuples(
+            *[st.integers(0, pres.ngens - 1)] * n))
+        terms = draw(st.dictionaries(
+            word, st.integers(-2, 2).filter(bool), min_size=1, max_size=3))
+        top = max(len(w) for w in terms)
+        relations.append(pres.poly(
+            {w: c for w, c in terms.items() if len(w) == top}))
+    return (pres.with_relations(relations), draw(st.integers(2, 4)),
+            draw(st.integers(4, 7)))
+
+
+class TestSplitOracle:
+    """The heap and prefix index in _isplit against the chain scan."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(graded_presentations(), st.randoms(use_true_random=False))
+    def test_random_graded_presentations(self, case, rng):
+        pres, level, degree = case
+        res = build_resolution(pres, level, degree)
+        assert_splits_match_reference(res, rng, kernel_samples=5)
+
+    @pytest.mark.parametrize("name, level, degree", [
+        ("x2xy", 4, 10), ("xyzx", 4, 9), ("B1", 4, 10), ("B2", 4, 9)])
+    def test_samples_and_bn(self, name, level, degree):
+        pres = (make_bn(int(name[1:])) if name.startswith("B")
+                else presentation_sample(name))
+        res = build_resolution(pres, level, degree)
+        assert_splits_match_reference(res, random.Random(name),
+                                      kernel_samples=50)
+
+
+class TestSplitErrors:
+    def test_no_factorization(self):
+        # a lone generator is no (1-chain).(normal word)
+        res = resolution_xfam()
+        x = chain_index(res, 0, "x")
+        with pytest.raises(AlgebraError, match="no .*factorization"):
+            res.split(1, {(x, ()): 1})
+
+    def test_failure_to_descend(self):
+        # x (x) xx has the non-normal word xx: d_1(xx (x) x) leads with
+        # x (x) nf(xx) = x (x) xy, so the lead x (x) xx is never cancelled
+        res = resolution_xfam()
+        x = chain_index(res, 0, "x")
+        elem = {(x, res.presentation.word("x", "x")): 1}
+        with pytest.raises(AlgebraError, match="failed to descend"):
+            res.split(1, elem)
+        assert outcome(reference_split, res, 1, elem) == \
+            outcome(res.split, 1, elem)
+
+    def test_ambiguous_lead_on_a_repeated_chain_word(self):
+        # the chain words of one level are prefix-free (a property in
+        # test_chains), so two pairs never share a word, a word has at most
+        # one chain factorization, and with descent no generator is
+        # revisited; a tie needs a level with a copy of a chain
+        res = build_resolution(presentation_xfam(), 2, 6)
+        res.levels[0] = res.levels[0] + (res.levels[0][0],)
+        yx = res.presentation.word("y", "x")
+        elem = {(0, yx): 1, (len(res.levels[0]) - 1, yx): 1}
+        with pytest.raises(AlgebraError, match="ambiguous"):
+            res.split(1, elem)
