@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, Presentation
+from .algebra import AlgebraError
 from .noncommutative import antichain_matcher
 
 
@@ -26,14 +26,11 @@ class Chain:
     word: tuple
     degree: int
     tail: tuple = ()
-    level: int = -1
     parent: object = None
 
 
 @dataclass
 class ChainSet:
-    presentation: Presentation
-    obstructions: tuple
     levels: dict
     max_level: int
     max_degree: int
@@ -50,11 +47,11 @@ def enumerate_chains(pres, obstructions, max_level, max_degree):
         raise AlgebraError("max_degree must be nonnegative")
     matcher = antichain_matcher(pres, obstructions)
     words = matcher.words
-    levels = {-1: (Chain(word=(), degree=0, tail=(), level=-1, parent=None),)}
+    levels = {-1: (Chain(word=(), degree=0, tail=(), parent=None),)}
     if max_level >= 0:
         root = levels[-1][0]
         gens = [Chain(word=(i,), degree=pres.generator_degree(i), tail=(i,),
-                      level=0, parent=root)
+                      parent=root)
                 for i in range(pres.ngens)
                 if pres.generator_degree(i) <= max_degree]
         gens.sort(key=lambda c: pres.term_key(c.word), reverse=True)
@@ -79,11 +76,11 @@ def enumerate_chains(pres, obstructions, max_level, max_degree):
                             f"chain word {pres.format_monomial(word)} admits two "
                             f"decompositions at level {n}")
                     produced[word] = Chain(word=word, degree=degree, tail=t,
-                                           level=n, parent=parent)
+                                           parent=parent)
         chains = sorted(produced.values(),
                         key=lambda c: pres.term_key(c.word), reverse=True)
         levels[n] = tuple(chains)
-    return ChainSet(pres, words, levels, max_level, max_degree)
+    return ChainSet(levels, max_level, max_degree)
 
 
 def chain_counts(cs):

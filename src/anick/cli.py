@@ -6,7 +6,7 @@ text by default, or JSON with ``--format json``; JSON output is byte-stable
 across runs and thread hints.
 
 Exit codes: 0 success, 2 input error (parse errors carry line and column),
-3 degree or level bound violation, 1 internal failure.
+3 a bound violation or an uncertified basis, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import COMMUTATIVE, BoundError
+from .algebra import COMMUTATIVE, AlgebraError, BoundError
 from .chains import chain_counts, enumerate_chains
 from .commutative import comm_buchberger, comm_normal_form, comm_reduce_basis
 from .hilbert import (
@@ -27,7 +27,7 @@ from .hilbert import (
 from .noncommutative import nc_buchberger, nc_normal_form, nc_reduce_basis
 from .presentation import ParseError, make_bn, parse_poly, parse_presentation
 from .resolution import (
-    build_resolution,
+    AnickResolution,
     is_minimal,
     tor_dimensions,
     verify_resolution,
@@ -78,7 +78,9 @@ def load_presentation(args):
     if args.input == "-":
         return parse_presentation(sys.stdin.read())
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        # undecodable bytes reach the parser, which reports their position
+        with open(args.input, "r", encoding="utf-8",
+                  errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {args.input}: {exc.strerror}")
@@ -100,6 +102,23 @@ def require_noncommutative(pres, command):
                          f"{pres.name} is commutative")
 
 
+def require_graded(pres):
+    try:
+        pres.require_graded()
+    except AlgebraError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def certified_basis(pres, args):
+    """The basis completed to --max-degree, if it is certified there."""
+    gb = nc_buchberger(pres, max_degree=args.max_degree)
+    if not gb.certified:
+        raise BoundError(
+            f"{pres.name} is not graded and its basis has overlaps past degree "
+            f"{args.max_degree}; nothing is certified (raise --max-degree)")
+    return gb
+
+
 def _series_json(coeffs):
     out = []
     for c in coeffs:
@@ -116,7 +135,7 @@ def cmd_gb(pres, args):
         basis = comm_reduce_basis(comm_buchberger(pres)).basis
         degree = None
     else:
-        gb = nc_buchberger(pres, max_degree=args.max_degree)
+        gb = certified_basis(pres, args)
         basis = nc_reduce_basis(gb).basis
         degree = gb.complete_to_degree
     data = {
@@ -142,7 +161,7 @@ def cmd_nf(pres, args):
         basis = comm_reduce_basis(comm_buchberger(pres)).basis
         nf = comm_normal_form(pres, f, basis)
     else:
-        gb = nc_buchberger(pres, max_degree=args.max_degree)
+        gb = certified_basis(pres, args)
         degree = pres.poly_degree(f)
         if degree > gb.complete_to_degree:
             raise BoundError(
@@ -165,7 +184,7 @@ def cmd_nf(pres, args):
 
 def cmd_chains(pres, args):
     require_noncommutative(pres, "chains")
-    gb = nc_buchberger(pres, max_degree=args.max_degree)
+    gb = certified_basis(pres, args)
     cs = enumerate_chains(pres, [g.leading[0] for g in gb.basis],
                           args.max_level, args.max_degree)
     counts = chain_counts(cs)
@@ -201,7 +220,7 @@ def cmd_hilbert(pres, args):
             comm_reduce_basis(comm_buchberger(pres)), args.max_degree)
         chain_series = None
     else:
-        gb = nc_buchberger(pres, max_degree=args.max_degree)
+        gb = certified_basis(pres, args)
         series = hilbert_from_normal_words(gb, args.max_degree)
         cs = enumerate_chains(pres, [g.leading[0] for g in gb.basis],
                               max(args.max_level, args.max_degree),
@@ -247,7 +266,7 @@ def _report_json(report):
                     "failures": [list(f) for f in dd["failures"]],
                     "ok": dd["ok"]},
         "splitting": {"checked": split["checked"],
-                      "failure_count": len(split["failures"]),
+                      "failure_count": split["failure_count"],
                       "ok": split["ok"]},
         "euler": dict(euler),
         "exactness": {
@@ -260,7 +279,8 @@ def _report_json(report):
 
 def cmd_anick(pres, args):
     require_noncommutative(pres, "anick")
-    res = build_resolution(pres, args.max_level, args.max_degree)
+    require_graded(pres)
+    res = AnickResolution(pres, args.max_level, args.max_degree)
     report = verify_resolution(res)
     matrices = {}
     for n in range(1, res.max_level + 1):
@@ -306,7 +326,8 @@ def cmd_anick(pres, args):
 
 def cmd_tor(pres, args):
     require_noncommutative(pres, "tor")
-    res = build_resolution(pres, args.max_level + 1, args.max_degree)
+    require_graded(pres)
+    res = AnickResolution(pres, args.max_level + 1, args.max_degree)
     table = tor_dimensions(res)
     minimal, witness = is_minimal(res)
     data = {

@@ -97,7 +97,6 @@ def hilbert_from_chains(cs, max_degree):
         raise BoundError(
             f"chain set enumerated to degree {cs.max_degree}; "
             f"need {max_degree}")
-    pres = cs.presentation
     counts = chain_counts(cs)
     horizon = None
     for n in range(0, cs.max_level + 1):

@@ -33,6 +33,16 @@ class NcGB:
     basis: tuple
     complete_to_degree: int
 
+    @property
+    def certified(self):
+        """Graded input is complete to complete_to_degree; inhomogeneous
+        input only when no overlap of two tips exceeds it, since then every
+        ambiguity resolved and the basis is complete (diamond lemma)."""
+        pres = self.presentation
+        return all(pres.is_homogeneous(f) for f in pres.relations) or all(
+            ob.degree <= self.complete_to_degree
+            for ob in find_obstructions(pres, self.basis))
+
 
 @dataclass(frozen=True)
 class Obstruction:
@@ -212,8 +222,8 @@ def nc_s_polynomial(pres, ob, basis):
     return pres.sub(pres.scale(1 / fc, sf), pres.scale(1 / gc, sg))
 
 
-def nc_buchberger(pres, gens=None, max_degree=8):
-    """Complete the relations (or gens) up to ambiguity degree max_degree.
+def nc_buchberger(pres, max_degree=8):
+    """Complete the relations up to ambiguity degree max_degree.
 
     ``live`` maps insertion serials to the elements still in the basis; drops
     keep the rest in order, so serial order is index order.  ``queue`` holds
@@ -222,11 +232,7 @@ def nc_buchberger(pres, gens=None, max_degree=8):
     entries of dropped elements are skipped when popped.
     """
     _require_noncommutative(pres)
-    if gens is None:
-        gens = pres.relations
-    for g in gens:
-        if not g:
-            raise AlgebraError("zero polynomial among the generators")
+    for g in pres.relations:
         if pres.poly_degree(g) > max_degree:
             raise BoundError(
                 f"max_degree {max_degree} is below a generator of degree "
@@ -257,7 +263,7 @@ def nc_buchberger(pres, gens=None, max_degree=8):
         for e in displaced:
             add(e)
 
-    for g in gens:
+    for g in pres.relations:
         add(g)
     while queue:
         degree, i, j, _, left, right, amb = heapq.heappop(queue)

@@ -1,5 +1,9 @@
 """The resolution of the base field over a presented graded algebra.
 
+``AnickResolution(presentation, max_level, max_degree)`` completes the
+relations, enumerates the chains on the leading words and builds the
+differentials, all to its own bounds.
+
 Modules are C_n (x) A with C_n the free span of the n-chains; elements are
 dicts mapping (chain index, normal word) to a rational coefficient.  The
 differential and its splitting are mutually recursive:
@@ -36,7 +40,7 @@ from __future__ import annotations
 import heapq
 
 from .algebra import AlgebraError, BoundError
-from .chains import enumerate_chains
+from .chains import chain_counts, enumerate_chains
 from .linalg import PRIME, sparse_rank, sparse_rank_mod_p
 from .noncommutative import (
     WordMatcher,
@@ -52,52 +56,34 @@ class AnickResolution:
 
     Every internal splitting is audited for d(i(u)) = u; failures are
     collected, not raised, so a verification report can show them.
-    ``hilbert`` holds the algebra's normal-word counts to ``max_degree``.
-    Build one with :func:`build_resolution`.
+    ``counts`` holds the chains per (level, degree) and ``hilbert`` the
+    algebra's normal-word counts to ``max_degree``.
     """
 
-    def __init__(self, presentation, gb, chain_set, max_level, max_degree):
+    def __init__(self, presentation, max_level, max_degree):
         presentation.require_graded()
-        if gb.presentation is not presentation and gb.presentation != presentation:
-            raise AlgebraError("basis belongs to a different presentation")
-        if max_degree > gb.complete_to_degree:
-            raise BoundError(
-                f"resolution to degree {max_degree} needs a basis certified "
-                f"that far; have {gb.complete_to_degree}")
-        if chain_set.max_level < max_level or chain_set.max_degree < max_degree:
-            raise BoundError(
-                f"chain set covers level {chain_set.max_level}, degree "
-                f"{chain_set.max_degree}; need level {max_level}, degree {max_degree}")
         self.presentation = presentation
-        self.gb = gb
-        self.chain_set = chain_set
+        self.gb = gb = nc_buchberger(presentation, max_degree=max_degree)
+        chain_set = enumerate_chains(
+            presentation, [g.leading[0] for g in gb.basis], max_level, max_degree)
         self.max_level = max_level
         self.max_degree = max_degree
-        pres = presentation
-        self.levels = {}
-        for n in range(-1, max_level + 1):
-            self.levels[n] = tuple(
-                c for c in chain_set.levels.get(n, ()) if c.degree <= max_degree)
+        self.levels = chain_set.levels
+        self.counts = chain_counts(chain_set)
         self._word_index = {
             n: {c.word: k for k, c in enumerate(chains)}
             for n, chains in self.levels.items()}
         self._chain_lengths = {
             n: sorted({len(c.word) for c in chains})
             for n, chains in self.levels.items()}
-        self._gen_chain = {c.word[0]: k for k, c in enumerate(self.levels[0])}
-        self._basis = list(gb.basis)
-        self._tips = WordMatcher(g.leading[0] for g in self._basis)
-        self.hilbert = count_normal_words(pres, self._tips.words, max_degree)
+        self._tips = WordMatcher(g.leading[0] for g in gb.basis)
+        self.hilbert = count_normal_words(presentation, self._tips.words, max_degree)
         self._nf_cache = {}
-        self._normal_cache = {}
         self.split_checks = 0
         self.split_failures = []
         self.diff = {0: [{(0, c.word): 1} for c in self.levels[0]]}
         for n in range(1, max_level + 1):
-            rows = []
-            for c in self.levels[n]:
-                rows.append(self._build_d(n, c))
-            self.diff[n] = rows
+            self.diff[n] = [self._build_d(n, c) for c in self.levels[n]]
 
     # -- plumbing ----------------------------------------------------------
 
@@ -117,23 +103,13 @@ class AnickResolution:
                 cached = tuple(
                     (m, int(c) if c.denominator == 1 else c)
                     for m, c in nc_normal_form(
-                        pres, pres.monomial_poly(word), self._basis).terms)
+                        pres, pres.monomial_poly(word), self.gb.basis).terms)
             self._nf_cache[word] = cached
         return cached
 
-    def _is_normal(self, word):
-        cached = self._normal_cache.get(word)
-        if cached is None:
-            cached = not self._tips.hits(word)
-            self._normal_cache[word] = cached
-        return cached
-
-    def chain_degree(self, n, ci):
-        return self.levels[n][ci].degree
-
     def element_degree(self, n, elem):
         pres = self.presentation
-        degs = {self.chain_degree(n, ci) + pres.monomial_degree(w)
+        degs = {self.levels[n][ci].degree + pres.monomial_degree(w)
                 for ci, w in elem}
         if len(degs) > 1:
             raise AlgebraError("inhomogeneous element")
@@ -167,7 +143,7 @@ class AnickResolution:
                 raise AlgebraError(
                     "splitting a level -1 element with a constant term: "
                     "not in the augmentation kernel")
-            key = (self._gen_chain[w[0]], w[1:])
+            key = (self._word_index[0][w[:1]], w[1:])
             acc = out.get(key, 0) + coeff
             if acc:
                 out[key] = acc
@@ -212,7 +188,7 @@ class AnickResolution:
                 if k > len(w):
                     break
                 gi = index.get(w[:k])
-                if gi is not None and self._is_normal(w[k:]):
+                if gi is not None and not self._tips.hits(w[k:]):
                     candidates.append((gi, w[k:]))
             if not candidates:
                 raise AlgebraError(
@@ -265,56 +241,32 @@ class AnickResolution:
         return result
 
 
-def build_resolution(presentation, max_level, max_degree):
-    """The resolution to the given level and degree: completion to
-    max_degree, chains on the leading words of the basis, differentials.
-
-    This is the one path from a presentation to a resolution; the
-    d(i(u)) = u splitting audit always runs.
-    """
-    gb = nc_buchberger(presentation, max_degree=max_degree)
-    chain_set = enumerate_chains(
-        presentation, [g.leading[0] for g in gb.basis], max_level, max_degree)
-    return AnickResolution(presentation, gb, chain_set, max_level, max_degree)
-
-
 # -- verification ------------------------------------------------------------
 
 
 def module_dimension(res, n, degree, h):
-    """dim of the degree-d part of C_n (x) A, from the algebra's counts."""
-    if n == -1:
-        return h[degree] if degree < len(h) else 0
-    total = 0
-    for ci in range(len(res.levels[n])):
-        dc = res.chain_degree(n, ci)
-        if dc <= degree:
-            total += h[degree - dc]
-    return total
+    """dim of the degree-d part of C_n (x) A, from the chain counts and the
+    algebra's counts h."""
+    return sum(k * h[degree - dc] for dc, k in res.counts[n].items()
+               if dc <= degree)
 
 
 def euler_horizon(res):
     """Largest degree where levels beyond max_level provably cannot reach."""
-    horizon = res.max_degree
-    for n in range(0, res.max_level + 1):
-        if not res.levels[n]:
-            return horizon
-    last = res.levels[res.max_level]
-    return min(horizon, min(c.degree for c in last))
+    if all(res.counts[n] for n in range(res.max_level + 1)):
+        return min(res.max_degree, min(res.counts[res.max_level]))
+    return res.max_degree
 
 
 def _block_columns(res, n, degree, words_by_degree):
     """Columns of (d_n)_degree as sparse vectors, one per basis pair."""
     cols = []
-    labels = []
-    for ci in range(len(res.levels[n])):
-        dc = res.chain_degree(n, ci)
-        if dc > degree:
+    for ci, c in enumerate(res.levels[n]):
+        if c.degree > degree:
             continue
-        for w in words_by_degree[degree - dc]:
-            labels.append((ci, w))
+        for w in words_by_degree[degree - c.degree]:
             cols.append(res.apply_d(n, {(ci, w): 1}))
-    return labels, cols
+    return cols
 
 
 def block_rank_degree(res, budget):
@@ -332,13 +284,12 @@ def block_rank_degree(res, budget):
     return max(chosen, 0)
 
 
-def verify_resolution(res, rank_budget=4000, rank_degree=None):
+def verify_resolution(res, rank_budget=4000):
     """Full audit: d.d = 0, splitting, Euler identity, graded exactness.
 
     Exactness ranks cost memory quadratic in the graded dimensions, so their
-    degree is capped: explicitly by rank_degree, else by the largest degree
-    whose cumulative block columns fit in rank_budget.  The other three
-    checks always run to the full built degree.
+    degree is the largest whose cumulative block columns fit in rank_budget.
+    The other three checks always run to the full built degree.
 
     Ranks are taken mod PRIME first, and every reported rank is still the
     rank over Q.  A mod-p rank never exceeds the rational one.  Once
@@ -364,6 +315,7 @@ def verify_resolution(res, rank_budget=4000, rank_degree=None):
                          "ok": not failures}
 
     report["splitting"] = {"checked": res.split_checks,
+                           "failure_count": len(res.split_failures),
                            "failures": res.split_failures[:4],
                            "ok": not res.split_failures}
 
@@ -380,9 +332,7 @@ def verify_resolution(res, rank_budget=4000, rank_degree=None):
     report["euler"] = {"degree": horizon, "failures": euler_failures,
                        "ok": not euler_failures}
 
-    if rank_degree is None:
-        rank_degree = block_rank_degree(res, rank_budget)
-    rank_degree = min(rank_degree, res.max_degree)
+    rank_degree = block_rank_degree(res, rank_budget)
     words = normal_words(res.gb, rank_degree)
     degrees = range(rank_degree + 1)
     modular = report["dd_zero"]["ok"]
@@ -390,7 +340,7 @@ def verify_resolution(res, rank_budget=4000, rank_degree=None):
     ranks = {(-1, d): 1 if d == 0 else 0 for d in degrees}
     for n in range(0, res.max_level + 1):
         for d in degrees:
-            _, cols = _block_columns(res, n, d, words)
+            cols = _block_columns(res, n, d, words)
             ranks[n, d] = (sparse_rank_mod_p(cols, PRIME) if modular
                            else sparse_rank(cols))
     exact = {(-1, d) for d in degrees} if modular else set(ranks)
@@ -403,7 +353,7 @@ def verify_resolution(res, rank_budget=4000, rank_degree=None):
                     exact.update(((n, d), (n + 1, d)))
     fallbacks = [key for key in ranks if key not in exact]
     for n, d in fallbacks:
-        ranks[n, d] = sparse_rank(_block_columns(res, n, d, words)[1])
+        ranks[n, d] = sparse_rank(_block_columns(res, n, d, words))
     blocks = []
     exact_ok = True
     for n in range(-1, res.max_level):
@@ -463,24 +413,18 @@ def tor_dimensions(res):
     """
     tensored = tensor_with_k(res)
 
-    def level_degrees(n):
-        out = {}
-        for c in res.levels[n]:
-            out[c.degree] = out.get(c.degree, 0) + 1
-        return out
-
     def graded_rank(n):
         if n < 0 or n > res.max_level:
             return {}
         cols = {}
         for (cj, ci), coeff in tensored[n].items():
-            d = res.chain_degree(n, ci)
+            d = res.levels[n][ci].degree
             cols.setdefault(d, {}).setdefault(ci, {})[cj] = coeff
         return {d: sparse_rank(by_col.values()) for d, by_col in cols.items()}
 
     table = {}
     for i in range(-1, res.max_level):
-        counts = level_degrees(i)
+        counts = res.counts[i]
         rank_i = graded_rank(i)
         rank_next = graded_rank(i + 1)
         row = {}

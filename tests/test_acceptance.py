@@ -19,7 +19,7 @@ from anick.hilbert import (
 from anick.noncommutative import nc_buchberger, verify_diamond
 from anick.presentation import make_bn, parse_poly, parse_presentation
 from anick.resolution import (
-    build_resolution,
+    AnickResolution,
     is_minimal,
     tensor_with_k,
     tor_dimensions,
@@ -233,28 +233,28 @@ def test_criterion_5_hilbert_pipelines(capsys):
 
 def res_x2xy_wide():
     return cached("x2xy-4-12",
-                  lambda: build_resolution(pres_x2xy(), 4, 12))
+                  lambda: AnickResolution(pres_x2xy(), 4, 12))
 
 
 def res_x2xy_deep():
     return cached("x2xy-3-14",
-                  lambda: build_resolution(pres_x2xy(), 3, 14))
+                  lambda: AnickResolution(pres_x2xy(), 3, 14))
 
 
 def res_b1_wide():
-    return cached("b1-5-16", lambda: build_resolution(make_bn(1), 5, 16))
+    return cached("b1-5-16", lambda: AnickResolution(make_bn(1), 5, 16))
 
 
 def res_b1_tor():
-    return cached("b1-6-12", lambda: build_resolution(make_bn(1), 6, 12))
+    return cached("b1-6-12", lambda: AnickResolution(make_bn(1), 6, 12))
 
 
 def res_b2():
-    return cached("b2-3-12", lambda: build_resolution(make_bn(2), 3, 12))
+    return cached("b2-3-12", lambda: AnickResolution(make_bn(2), 3, 12))
 
 
 def res_b2_deep():
-    return cached("b2-4-12", lambda: build_resolution(make_bn(2), 4, 12))
+    return cached("b2-4-12", lambda: AnickResolution(make_bn(2), 4, 12))
 
 
 def test_criterion_6_resolution_verification(capsys):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output shapes, exit codes, determinism."""
 
+import io
 import json
 import pathlib
 
@@ -178,7 +179,6 @@ class TestTor:
 
 class TestPlumbing:
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr(
             "sys.stdin",
             io.StringIO("algebra t; kind noncommutative; generators x y; "
@@ -199,11 +199,58 @@ class TestPlumbing:
         assert code == 2
         assert "column" in err
 
+    def test_undecodable_file_reads_like_stdin(self, capsys, monkeypatch,
+                                               tmp_path):
+        # stdin decodes undecodable bytes to surrogates, which the parser
+        # rejects by position; a file must exit the same way
+        raw = b"algebra t; kind noncommutative; generators x\xff y;"
+        path = tmp_path / "bad.alg"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, "gb", path)
+        assert code == 2
+        assert "column" in err
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(raw.decode("utf-8", "surrogateescape")))
+        assert run(capsys, "gb", "-") == (code, out, err)
+
     def test_bad_flag_values(self, capsys):
         for flags in (["--max-degree", 0], ["--max-level", 0],
                       ["--threads", 0]):
             code, out, err = run(capsys, "gb", SAMPLES / "x2xy.alg", *flags)
             assert code == 2
+
+
+class TestUngraded:
+    """y*x*y = 1: completion ends at degree 6 with x*y - y*x and y^2*x - 1;
+    at degree 4 the basis still has overlaps to resolve."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "u.alg"
+        path.write_text("algebra u; kind noncommutative; generators x y; "
+                        "order deglex x > y; relations y*x*y = 1;")
+        return path
+
+    def test_overlaps_past_the_bound_exit_3(self, capsys, path):
+        for argv in (["gb"], ["nf", path, "x*y - y*x"], ["chains"],
+                     ["hilbert"]):
+            code, out, err = run(capsys, argv[0], path, *argv[2:],
+                                 "--max-degree", 4)
+            assert code == 3
+            assert out == ""
+            assert "not graded" in err
+
+    def test_member_once_complete(self, capsys, path):
+        data = run_json(capsys, "nf", path, "x*y - y*x", "--max-degree", 8)
+        assert data["member"] is True
+        assert data["certified"] is True
+
+    def test_resolution_commands_exit_2(self, capsys, path):
+        for command in ("anick", "tor"):
+            code, out, err = run(capsys, command, path)
+            assert code == 2
+            assert err == ("anick: presentation 'u' is not graded: "
+                           "relation y*x*y - 1 is inhomogeneous\n")
 
 
 class TestDeterminism:

@@ -2,7 +2,7 @@ import pathlib
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anick.algebra import AlgebraError, BoundError
@@ -361,6 +361,18 @@ class TestCompletionProperties:
         low, high = (nc_reduce_basis(nc_buchberger(pres, max_degree=d)).basis
                      for d in (degree, degree + 2))
         assert set(low) == {f for f in high if pres.poly_degree(f) <= degree}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_presentations(homogeneous=st.just(False), max_degree=6))
+    def test_certified_ungraded_basis_is_final(self, case):
+        # an inhomogeneous basis is certified only when completion has
+        # nothing left to do, so two more degrees must not change it; an
+        # ungraded draw can still come out homogeneous
+        pres, degree = case
+        low, high = (nc_buchberger(pres, max_degree=d) for d in (degree, degree + 2))
+        assume(not all(pres.is_homogeneous(f) for f in pres.relations))
+        assume(low.certified)
+        assert set(nc_reduce_basis(low).basis) == set(nc_reduce_basis(high).basis)
 
 
 class TestReduceBasis:

@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anick import resolution
-from anick.algebra import AlgebraError, BoundError
-from anick.chains import enumerate_chains
+from anick.algebra import AlgebraError
+from anick.cli import _report_json
 from anick.linalg import sparse_rank
-from anick.noncommutative import nc_buchberger, normal_words
+from anick.noncommutative import normal_words
 from anick.presentation import make_bn, parse_presentation, parse_poly
 from anick.resolution import (
     AnickResolution,
     _block_columns,
     block_rank_degree,
-    build_resolution,
     euler_horizon,
     is_minimal,
     module_dimension,
@@ -47,6 +46,7 @@ def presentation_free(names="x y z"):
 
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+README = SAMPLES.parent / "README.md"
 
 
 def presentation_sample(name):
@@ -69,14 +69,14 @@ _CACHE = {}
 def resolution_xfam(max_level=4, max_degree=12):
     key = ("xfam", max_level, max_degree)
     if key not in _CACHE:
-        _CACHE[key] = build_resolution(presentation_xfam(), max_level, max_degree)
+        _CACHE[key] = AnickResolution(presentation_xfam(), max_level, max_degree)
     return _CACHE[key]
 
 
 def resolution_bn(n, max_level, max_degree=12):
     key = ("bn", n, max_level, max_degree)
     if key not in _CACHE:
-        _CACHE[key] = build_resolution(make_bn(n), max_level, max_degree)
+        _CACHE[key] = AnickResolution(make_bn(n), max_level, max_degree)
     return _CACHE[key]
 
 
@@ -382,7 +382,7 @@ class TestB2Differentials:
 class TestFreeAlgebra:
     def test_tor_stops_after_generators(self):
         pres = presentation_free("x y z")
-        res = build_resolution(pres, max_level=3, max_degree=6)
+        res = AnickResolution(pres, max_level=3, max_degree=6)
         tor = tor_dimensions(res)
         assert tor[-1] == {0: 1}
         assert tor[0] == {1: 3}
@@ -405,7 +405,7 @@ class TestStructuralInvariants:
             for n in range(1, res.max_level + 1):
                 for ci, row in enumerate(res.diff[n]):
                     assert res.element_degree(n - 1, row) == \
-                        res.chain_degree(n, ci)
+                        res.levels[n][ci].degree
 
     def test_split_inverts_d_on_kernel(self):
         # d-images lie in the kernel one level down, so they are valid
@@ -437,22 +437,6 @@ class TestStructuralInvariants:
 
 
 class TestBounds:
-    def test_degree_beyond_certificate(self):
-        pres = presentation_xfam()
-        gb = nc_buchberger(pres, max_degree=6)
-        F = [g.leading[0] for g in gb.basis]
-        cs = enumerate_chains(pres, F, 3, 10)
-        with pytest.raises(BoundError):
-            AnickResolution(pres, gb, cs, 3, 10)
-
-    def test_chain_set_too_shallow(self):
-        pres = presentation_xfam()
-        gb = nc_buchberger(pres, max_degree=8)
-        F = [g.leading[0] for g in gb.basis]
-        cs = enumerate_chains(pres, F, 2, 8)
-        with pytest.raises(BoundError):
-            AnickResolution(pres, gb, cs, 3, 8)
-
     def test_euler_horizon_tracks_last_level(self):
         res = resolution_bn(1, 5)
         assert euler_horizon(res) == 8  # shallowest level-5 chain
@@ -475,7 +459,7 @@ class TestBounds:
 class TestNegativeControls:
     def test_corrupted_differential_fails_verification(self):
         pres = presentation_xfam()
-        res = build_resolution(pres, max_level=3, max_degree=8)
+        res = AnickResolution(pres, max_level=3, max_degree=8)
         ci = chain_index(res, 2, "x x x")
         target = chain_index(res, 1, "x x")
         res.diff[2][ci] = dict(res.diff[2][ci])
@@ -486,7 +470,7 @@ class TestNegativeControls:
 
     def test_dropped_term_breaks_exactness(self):
         pres = presentation_xfam()
-        res = build_resolution(pres, max_level=3, max_degree=8)
+        res = AnickResolution(pres, max_level=3, max_degree=8)
         ci = chain_index(res, 2, "x x x")
         row = dict(res.diff[2][ci])
         key = (chain_index(res, 1, "x y x"), ())
@@ -495,6 +479,20 @@ class TestNegativeControls:
         res.diff[2][ci] = row
         report = verify_resolution(res)
         assert not report["ok"]
+
+
+    def test_every_splitting_failure_is_counted(self):
+        # with d_0 doubled, d(i_0(u)) = 2u, so every level-0 split fails
+        res = AnickResolution(presentation_sample("x2xy"), 3, 6)
+        assert res.split_failures == []
+        res.diff[0] = [{k: 2 * v for k, v in row.items()} for row in res.diff[0]]
+        words = normal_words(res.gb, 3)
+        for w in (words[1] + words[2] + words[3])[:6]:
+            res.split(0, {(0, w): 1})
+        report = verify_resolution(res)
+        assert report["splitting"]["failure_count"] == 6
+        assert len(report["splitting"]["failures"]) == 4
+        assert _report_json(report)["splitting"]["failure_count"] == 6
 
 
 class TestTensorMatrices:
@@ -521,7 +519,7 @@ class TestModularExactness:
     @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
     @pytest.mark.parametrize("p", [2, 3])
     def test_small_prime_gives_the_same_report(self, monkeypatch, name, p):
-        res = build_resolution(presentation_sample(name), 3, 8)
+        res = AnickResolution(presentation_sample(name), 3, 8)
         want = verify_resolution(res)
         assert want["ok"]
         assert want["exactness"]["exact_fallbacks"] == 0
@@ -533,7 +531,7 @@ class TestModularExactness:
     def test_ranks_that_fall_short_mod_p_fall_back(self, monkeypatch, name):
         # doubling the top differential keeps d.d = 0 and every rank over Q,
         # but zeroes its matrices mod 2, so the blocks it enters fall short
-        res = build_resolution(presentation_sample(name), 3, 8)
+        res = AnickResolution(presentation_sample(name), 3, 8)
         want = verify_resolution(res)
         res.diff[3] = [{k: 2 * v for k, v in row.items()}
                        for row in res.diff[3]]
@@ -543,7 +541,7 @@ class TestModularExactness:
         assert exactness_verdicts(got) == exactness_verdicts(want)
 
     def test_prime_dividing_a_denominator_falls_back(self, monkeypatch):
-        res = build_resolution(presentation_non_monic(), 3, 8)
+        res = AnickResolution(presentation_non_monic(), 3, 8)
         want = verify_resolution(res)
         assert want["ok"]
         monkeypatch.setattr(resolution, "PRIME", 2)
@@ -554,7 +552,7 @@ class TestModularExactness:
     @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
     def test_sign_flip_matches_exact_ranks(self, monkeypatch, name):
         # mod 2 the flip is invisible, so only an exact rank can see it
-        res = build_resolution(presentation_sample(name), 3, 8)
+        res = AnickResolution(presentation_sample(name), 3, 8)
         row = dict(res.diff[2][0])
         key = next(iter(row))
         row[key] = -row[key]
@@ -579,22 +577,22 @@ class TestIntegrality:
     def test_monic_integral_basis_gives_int_differentials(self, name):
         pres = (make_bn(int(name[1:])) if name.startswith("B")
                 else presentation_sample(name))
-        coeffs = diff_coefficients(build_resolution(pres, 3, 6))
+        coeffs = diff_coefficients(AnickResolution(pres, 3, 6))
         assert coeffs
         assert all(type(v) is int for v in coeffs)
 
     def test_non_monic_presentation_stays_exact(self):
-        res = build_resolution(presentation_non_monic(), 3, 8)
+        res = AnickResolution(presentation_non_monic(), 3, 8)
         assert Fraction(-3, 2) in diff_coefficients(res)
         report = verify_resolution(res)
         assert report["ok"]
         words = normal_words(res.gb, report["exactness"]["degree"])
         for block in report["exactness"]["blocks"]:
             n, d = block["level"], block["degree"]
-            _, cols = _block_columns(res, n + 1, d, words)
+            cols = _block_columns(res, n + 1, d, words)
             assert block["rank_in"] == sparse_rank(cols)
             if n >= 0:
-                _, cols = _block_columns(res, n, d, words)
+                cols = _block_columns(res, n, d, words)
                 assert block["rank_out"] == sparse_rank(cols)
 
 
@@ -726,7 +724,7 @@ class TestSplitOracle:
     @given(graded_presentations(), st.randoms(use_true_random=False))
     def test_random_graded_presentations(self, case, rng):
         pres, level, degree = case
-        res = build_resolution(pres, level, degree)
+        res = AnickResolution(pres, level, degree)
         assert_splits_match_reference(res, rng, kernel_samples=5)
 
     @pytest.mark.parametrize("name, level, degree", [
@@ -734,7 +732,7 @@ class TestSplitOracle:
     def test_samples_and_bn(self, name, level, degree):
         pres = (make_bn(int(name[1:])) if name.startswith("B")
                 else presentation_sample(name))
-        res = build_resolution(pres, level, degree)
+        res = AnickResolution(pres, level, degree)
         assert_splits_match_reference(res, random.Random(name),
                                       kernel_samples=50)
 
@@ -763,9 +761,21 @@ class TestSplitErrors:
         # test_chains), so two pairs never share a word, a word has at most
         # one chain factorization, and with descent no generator is
         # revisited; a tie needs a level with a copy of a chain
-        res = build_resolution(presentation_xfam(), 2, 6)
+        res = AnickResolution(presentation_xfam(), 2, 6)
         res.levels[0] = res.levels[0] + (res.levels[0][0],)
         yx = res.presentation.word("y", "x")
         elem = {(0, yx): 1, (len(res.levels[0]) - 1, yx): 1}
         with pytest.raises(AlgebraError, match="ambiguous"):
             res.split(1, elem)
+
+
+def test_readme_library_example(capsys):
+    """The README's library example runs and prints what its comments say."""
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    promised = [line.split("# ", 1)[1] for line in code.splitlines()
+                if line.startswith("print(")]
+    assert len(promised) == 2
+    assert printed == promised
