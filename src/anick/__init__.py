@@ -21,7 +21,6 @@ from .algebra import (
     AlgebraError,
     BoundError,
     Generator,
-    MonomialOrder,
     Polynomial,
     Presentation,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "AlgebraError",
     "BoundError",
     "Generator",
-    "MonomialOrder",
     "Polynomial",
     "Presentation",
 ]

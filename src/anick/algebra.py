@@ -8,6 +8,11 @@ exponent vector with one entry per generator.  Scalars are
 A :class:`Presentation` fixes the algebra kind, the named graded generators,
 an admissible monomial order and a list of relations, and acts as the
 arithmetic context for everything built on top of it.
+
+Generators are numbered in order of the term order, largest first: index 0
+is the largest letter.  So within one degree two words compare as plain
+tuples (the smaller tuple is the larger word), and an exponent vector lists
+the largest generator's exponent first.
 """
 
 from __future__ import annotations
@@ -37,20 +42,6 @@ class Generator:
     index: int
     name: str
     degree: int = 1
-
-
-@dataclass(frozen=True)
-class MonomialOrder:
-    """Admissible monomial order.
-
-    ``kind`` is ``"deglex"`` (degree first, then letter-by-letter precedence)
-    or ``"lex"`` (commutative algebras only, since lex does not well-order the
-    free monoid).  ``precedence`` lists generator indices from largest to
-    smallest.
-    """
-
-    kind: str
-    precedence: tuple
 
 
 class Polynomial:
@@ -100,6 +91,11 @@ class Polynomial:
 class Presentation:
     """A presented algebra over the rationals.
 
+    ``order`` is ``"deglex"`` (degree first, then letter by letter) or
+    ``"lex"`` (commutative algebras only, since lex does not well-order the
+    free monoid).  Generator ``i`` must have index ``i``, and the list runs
+    from the largest generator under the order to the smallest.
+
     Instances are immutable after construction.  ``relations`` may be empty
     (a free or polynomial algebra).  Use :meth:`with_relations` to attach
     relations parsed against a relation-free presentation.
@@ -119,21 +115,15 @@ class Presentation:
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate generator name")
-        if order.kind not in (DEGLEX, LEX):
-            raise AlgebraError(f"unknown order kind {order.kind!r}")
-        if order.kind == LEX and kind == NONCOMMUTATIVE:
+        if order not in (DEGLEX, LEX):
+            raise AlgebraError(f"unknown order kind {order!r}")
+        if order == LEX and kind == NONCOMMUTATIVE:
             raise AlgebraError("lex does not well-order the free monoid; use deglex")
-        if sorted(order.precedence) != list(range(len(generators))):
-            raise AlgebraError("order precedence must list every generator exactly once")
         self.name = name
         self.kind = kind
         self.generators = generators
         self.order = order
         self._degrees = tuple(g.degree for g in generators)
-        rank = [0] * len(generators)
-        for r, i in enumerate(order.precedence):
-            rank[i] = r
-        self._rank = tuple(rank)
         self._by_name = {g.name: g.index for g in generators}
         relations = tuple(relations)
         for rel in relations:
@@ -208,23 +198,20 @@ class Presentation:
     def term_key(self, m):
         """Sort key: larger monomial under the active order, larger key."""
         if self.kind == NONCOMMUTATIVE:
-            rank = self._rank
-            return (self.monomial_degree(m), tuple(-rank[i] for i in m))
-        prec = self.order.precedence
-        exps = tuple(m[i] for i in prec)
-        if self.order.kind == LEX:
-            return exps
-        return (self.monomial_degree(m), exps)
+            return (self.monomial_degree(m), tuple(-i for i in m))
+        if self.order == LEX:
+            return m
+        return (self.monomial_degree(m), m)
 
     def heap_key(self, word):
         """Min-heap key of a noncommutative word: larger word, smaller key.
 
         Every generator has degree >= 1, so no word is a proper prefix of
-        another of the same degree; rank tuples then differ at some letter,
-        and this key orders words exactly opposite to term_key.
+        another of the same degree; such words differ at some letter, where
+        the larger word has the smaller index, so this key orders words
+        exactly opposite to term_key.
         """
-        return (-sum(map(self._degrees.__getitem__, word)),
-                tuple(map(self._rank.__getitem__, word)))
+        return (-sum(map(self._degrees.__getitem__, word)), word)
 
     def compare(self, a, b):
         """-1, 0 or 1 as a is smaller than, equal to, or larger than b."""
@@ -320,11 +307,9 @@ class Presentation:
                 parts.append(name if j - i == 1 else f"{name}^{j - i}")
                 i = j
         else:
-            for idx in self.order.precedence:
-                e = m[idx]
+            for g, e in zip(self.generators, m):
                 if e:
-                    name = self.generators[idx].name
-                    parts.append(name if e == 1 else f"{name}^{e}")
+                    parts.append(g.name if e == 1 else f"{g.name}^{e}")
         return "*".join(parts)
 
     def format_poly(self, f):

@@ -54,8 +54,7 @@ def enumerate_chains(pres, obstructions, max_level, max_degree):
                       parent=root)
                 for i in range(pres.ngens)
                 if pres.generator_degree(i) <= max_degree]
-        gens.sort(key=lambda c: pres.term_key(c.word), reverse=True)
-        levels[0] = tuple(gens)
+        levels[0] = tuple(sorted(gens, key=lambda c: (-c.degree, c.word)))
     # each proper nonempty prefix v[:s] of an F-word -> the rests v[s:]
     rests = {}
     for v in words:
@@ -77,9 +76,9 @@ def enumerate_chains(pres, obstructions, max_level, max_degree):
                             f"decompositions at level {n}")
                     produced[word] = Chain(word=word, degree=degree, tail=t,
                                            parent=parent)
-        chains = sorted(produced.values(),
-                        key=lambda c: pres.term_key(c.word), reverse=True)
-        levels[n] = tuple(chains)
+        # each level lists its chains largest first
+        levels[n] = tuple(sorted(produced.values(),
+                                 key=lambda c: (-c.degree, c.word)))
     return ChainSet(levels, max_level, max_degree)
 
 

@@ -112,7 +112,7 @@ def require_graded(pres):
 def certified_basis(pres, args):
     """The basis completed to --max-degree, if it is certified there."""
     gb = nc_buchberger(pres, max_degree=args.max_degree)
-    if not gb.certified:
+    if gb.certified_degree < args.max_degree:
         raise BoundError(
             f"{pres.name} is not graded and its basis has overlaps past degree "
             f"{args.max_degree}; nothing is certified (raise --max-degree)")
@@ -163,10 +163,10 @@ def cmd_nf(pres, args):
     else:
         gb = certified_basis(pres, args)
         degree = pres.poly_degree(f)
-        if degree > gb.complete_to_degree:
+        if degree > gb.certified_degree:
             raise BoundError(
                 f"input has degree {degree}; the basis is only certified to "
-                f"degree {gb.complete_to_degree} (raise --max-degree)")
+                f"degree {gb.certified_degree} (raise --max-degree)")
         nf = nc_normal_form(pres, f, gb.basis)
     data = {
         "algebra": pres.name,

@@ -72,10 +72,10 @@ def series_inverse(a):
 def hilbert_from_normal_words(gb, max_degree):
     """Coefficient d = number of normal words of degree d."""
     if isinstance(gb, NcGB):
-        if max_degree > gb.complete_to_degree:
+        if max_degree > gb.certified_degree:
             raise BoundError(
                 f"series requested to degree {max_degree} but the basis is "
-                f"certified only to degree {gb.complete_to_degree}")
+                f"certified only to degree {gb.certified_degree}")
         counts = count_normal_words(
             gb.presentation, [f.leading[0] for f in gb.basis], max_degree)
         return series(counts)

@@ -17,9 +17,10 @@ goes through ``WordMatcher``.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import count
 
 from .algebra import NONCOMMUTATIVE, AlgebraError, BoundError, Presentation
@@ -33,15 +34,20 @@ class NcGB:
     basis: tuple
     complete_to_degree: int
 
-    @property
-    def certified(self):
-        """Graded input is complete to complete_to_degree; inhomogeneous
-        input only when no overlap of two tips exceeds it, since then every
-        ambiguity resolved and the basis is complete (diamond lemma)."""
+    @cached_property
+    def certified_degree(self):
+        """The basis is certified complete in every degree up to this one:
+        complete_to_degree for graded input.  Inhomogeneous input is complete
+        outright (``inf``) when no overlap of two tips exceeds that bound,
+        since every ambiguity then resolved (diamond lemma), else nothing is
+        certified (-1)."""
         pres = self.presentation
-        return all(pres.is_homogeneous(f) for f in pres.relations) or all(
-            ob.degree <= self.complete_to_degree
-            for ob in find_obstructions(pres, self.basis))
+        if all(pres.is_homogeneous(f) for f in pres.relations):
+            return self.complete_to_degree
+        if all(ob.degree <= self.complete_to_degree
+               for ob in find_obstructions(pres, self.basis)):
+            return math.inf
+        return -1
 
 
 @dataclass(frozen=True)
@@ -164,7 +170,7 @@ def nc_normal_form(pres, f, basis):
     work = dict(f.terms)
     out = {}
     while work:
-        m = max(work, key=pres.term_key)
+        m = min(work, key=pres.heap_key)
         c = work.pop(m)
         if not c:
             continue
@@ -332,10 +338,10 @@ def normal_words(gb, max_degree):
     """The normal words themselves, grouped by degree, each group sorted
     descending under the order.  Requires the certificate to cover
     max_degree."""
-    if max_degree > gb.complete_to_degree:
+    if max_degree > gb.certified_degree:
         raise BoundError(
             f"normal words requested to degree {max_degree} but the basis is "
-            f"only certified to degree {gb.complete_to_degree}")
+            f"only certified to degree {gb.certified_degree}")
     pres = gb.presentation
     matcher = WordMatcher(g.leading[0] for g in gb.basis)
     out = {d: [] for d in range(max_degree + 1)}
@@ -351,6 +357,6 @@ def normal_words(gb, max_degree):
                 rec(word + (letter,), ns, nd)
 
     rec((), (), 0)
-    for d in out:
-        out[d].sort(key=pres.term_key, reverse=True)
+    for words in out.values():
+        words.sort()
     return out

@@ -17,9 +17,11 @@ whitespace is free.  Comments run from ``#`` to end of line.
         c0*c1 ;
         b1*a0 ;
 
-``generators`` entries may carry a weight as ``name:3``.  The ``relations``
-section is optional.  A relation may be written as an equation ``lhs = rhs``,
-which stands for ``lhs - rhs``.
+``generators`` entries may carry a weight as ``name:3``; their order on
+that line does not matter.  The ``order`` chain lists every generator once,
+largest first, and numbers them: the i-th name in the chain becomes
+generator index i.  The ``relations`` section is optional.  A relation may
+be written as an equation ``lhs = rhs``, which stands for ``lhs - rhs``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .algebra import (
     LEX,
     AlgebraError,
     Generator,
-    MonomialOrder,
     Presentation,
 )
 
@@ -164,15 +165,13 @@ def parse_presentation(text):
     p.expect_punct(";")
 
     p.expect_name("generators")
-    gens = []
-    seen = set()
+    weights = {}
     while not p.at_punct(";"):
         tok = p.next()
         if tok.kind != "name":
             p.fail("expected a generator name", tok)
-        if tok.value in seen:
+        if tok.value in weights:
             p.fail(f"duplicate generator {tok.value!r}", tok)
-        seen.add(tok.value)
         degree = 1
         if p.at_punct(":"):
             p.next()
@@ -180,24 +179,23 @@ def parse_presentation(text):
             if dtok.kind != "int" or dtok.value < 1:
                 p.fail("generator weight must be a positive integer", dtok)
             degree = dtok.value
-        gens.append(Generator(len(gens), tok.value, degree))
+        weights[tok.value] = degree
     p.expect_punct(";")
-    if not gens:
+    if not weights:
         p.fail("no generators declared")
-    index_of = {g.name: g.index for g in gens}
 
     p.expect_name("order")
     order_tok = p.expect_name()
     if order_tok.value not in (DEGLEX, LEX):
         p.fail(f"order must be deglex or lex, got {order_tok.value!r}", order_tok)
-    precedence = []
+    chain = []
     while not p.at_punct(";"):
         tok = p.next()
         if tok.kind != "name":
             p.fail("expected a generator name in the order chain", tok)
-        if tok.value not in index_of:
+        if tok.value not in weights:
             p.fail(f"unknown generator {tok.value!r} in order", tok)
-        precedence.append(index_of[tok.value])
+        chain.append(tok.value)
         if p.at_punct(">"):
             p.next()
             if p.at_punct(";"):
@@ -205,10 +203,10 @@ def parse_presentation(text):
         elif not p.at_punct(";"):
             p.fail("expected '>' or ';' in order chain")
     p.expect_punct(";")
-    if sorted(precedence) != list(range(len(gens))):
+    if sorted(chain) != sorted(weights):
         p.fail("order chain must mention every generator exactly once", order_tok)
-
-    pres = Presentation(name_tok.value, kind, gens, MonomialOrder(order_tok.value, tuple(precedence)))
+    gens = [Generator(i, nm, weights[nm]) for i, nm in enumerate(chain)]
+    pres = Presentation(name_tok.value, kind, gens, order_tok.value)
 
     relations = []
     if p.peek().kind == "name" and p.peek().value == "relations":
@@ -315,8 +313,8 @@ def serialize_presentation(pres):
     for g in pres.generators:
         gparts.append(g.name if g.degree == 1 else f"{g.name}:{g.degree}")
     lines.append(f"generators {' '.join(gparts)} ;")
-    chain = " > ".join(pres.generators[i].name for i in pres.order.precedence)
-    lines.append(f"order {pres.order.kind} {chain} ;")
+    chain = " > ".join(g.name for g in pres.generators)
+    lines.append(f"order {pres.order} {chain} ;")
     if pres.relations:
         lines.append("relations")
         for rel in pres.relations:
@@ -332,16 +330,9 @@ def make_bn(n):
     """
     if n < 1:
         raise AlgebraError("make_bn needs n >= 1")
-    gens = []
-    for i in range(n + 1):
-        for letter in ("a", "b", "c"):
-            gens.append(Generator(len(gens), f"{letter}{i}"))
-    precedence = []
-    for i in range(n, -1, -1):
-        base = 3 * i
-        precedence.extend((base, base + 1, base + 2))
-    pres = Presentation(f"B{n}", NONCOMMUTATIVE, gens,
-                        MonomialOrder(DEGLEX, tuple(precedence)))
+    names = [f"{letter}{i}" for i in range(n, -1, -1) for letter in "abc"]
+    gens = [Generator(k, nm) for k, nm in enumerate(names)]
+    pres = Presentation(f"B{n}", NONCOMMUTATIVE, gens, DEGLEX)
 
     def w(*names):
         return pres.monomial_poly(pres.word(*names))
@@ -375,9 +366,7 @@ def free_product(p, q):
             name += "'"
         taken.add(name)
         gens.append(Generator(len(gens), name, g.degree))
-    precedence = tuple(p.order.precedence) + tuple(i + shift for i in q.order.precedence)
-    out = Presentation(f"{p.name}_star_{q.name}", NONCOMMUTATIVE, gens,
-                       MonomialOrder(DEGLEX, precedence))
+    out = Presentation(f"{p.name}_star_{q.name}", NONCOMMUTATIVE, gens, DEGLEX)
     relations = list(p.relations)
     for rel in q.relations:
         relations.append(out.poly({tuple(i + shift for i in m): c for m, c in rel.terms}))

@@ -9,52 +9,42 @@ from anick.algebra import (
     LEX,
     AlgebraError,
     Generator,
-    MonomialOrder,
     Presentation,
 )
 
 
-def free_xy(precedence=(0, 1)):
+def free_xy(names=("x", "y")):
+    """Free algebra on x and y, generators listed largest first."""
     return Presentation(
         "F", NONCOMMUTATIVE,
-        [Generator(0, "x"), Generator(1, "y")],
-        MonomialOrder(DEGLEX, precedence))
+        [Generator(i, nm) for i, nm in enumerate(names)], DEGLEX)
 
 
-def comm_xy(kind=DEGLEX, precedence=(0, 1)):
+def comm_xy(kind=DEGLEX, names=("x", "y")):
     return Presentation(
         "P", COMMUTATIVE,
-        [Generator(0, "x"), Generator(1, "y")],
-        MonomialOrder(kind, precedence))
+        [Generator(i, nm) for i, nm in enumerate(names)], kind)
 
 
 class TestConstruction:
     def test_sparse_indices_rejected(self):
         with pytest.raises(AlgebraError):
             Presentation("A", NONCOMMUTATIVE,
-                         [Generator(0, "x"), Generator(2, "y")],
-                         MonomialOrder(DEGLEX, (0, 1)))
+                         [Generator(0, "x"), Generator(2, "y")], DEGLEX)
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(AlgebraError):
             Presentation("A", NONCOMMUTATIVE,
-                         [Generator(0, "x"), Generator(1, "x")],
-                         MonomialOrder(DEGLEX, (0, 1)))
+                         [Generator(0, "x"), Generator(1, "x")], DEGLEX)
 
     def test_zero_degree_rejected(self):
         with pytest.raises(AlgebraError):
-            Presentation("A", NONCOMMUTATIVE, [Generator(0, "x", 0)],
-                         MonomialOrder(DEGLEX, (0,)))
-
-    def test_bad_precedence_rejected(self):
-        with pytest.raises(AlgebraError):
-            free_xy(precedence=(0, 0))
+            Presentation("A", NONCOMMUTATIVE, [Generator(0, "x", 0)], DEGLEX)
 
     def test_lex_noncommutative_rejected(self):
         with pytest.raises(AlgebraError):
             Presentation("A", NONCOMMUTATIVE,
-                         [Generator(0, "x"), Generator(1, "y")],
-                         MonomialOrder(LEX, (0, 1)))
+                         [Generator(0, "x"), Generator(1, "y")], LEX)
 
     def test_zero_relation_rejected(self):
         p = free_xy()
@@ -70,12 +60,13 @@ class TestDeglexWords:
         assert p.compare(x3, y2) == 1
 
     def test_tie_broken_left_to_right(self):
-        # with x > y: x^3 > x*y^2 ; flipping precedence flips the comparison
-        p = free_xy(precedence=(0, 1))
+        # with x > y: x^3 > x*y^2 ; listing y first flips the comparison
+        p = free_xy(("x", "y"))
         x3 = p.word("x", "x", "x")
         xy2 = p.word("x", "y", "y")
         assert p.compare(x3, xy2) == 1
-        q = free_xy(precedence=(1, 0))
+        q = free_xy(("y", "x"))
+        assert [g.name for g in q.generators] == ["y", "x"]
         assert q.compare(q.word("x", "x", "x"), q.word("x", "y", "y")) == -1
 
     def test_prefix_is_smaller(self):
@@ -85,8 +76,7 @@ class TestDeglexWords:
     def test_weighted_degrees(self):
         p = Presentation(
             "W", NONCOMMUTATIVE,
-            [Generator(0, "x", 3), Generator(1, "y", 1)],
-            MonomialOrder(DEGLEX, (0, 1)))
+            [Generator(0, "x", 3), Generator(1, "y", 1)], DEGLEX)
         assert p.monomial_degree(p.word("x", "y")) == 4
         assert p.compare(p.word("x"), p.word("y", "y")) == 1
 
@@ -144,7 +134,7 @@ class TestPolynomialArithmetic:
         p = free_xy()
         f = p.poly({p.word("x", "x", "x"): 1, p.word("x", "y", "y"): -1})
         assert f.leading == (p.word("x", "x", "x"), Fraction(1))
-        q = free_xy(precedence=(1, 0))
+        q = free_xy(("y", "x"))
         g = q.poly({q.word("x", "x", "x"): 1, q.word("x", "y", "y"): -1})
         assert g.leading == (q.word("x", "y", "y"), Fraction(-1))
 
@@ -180,7 +170,8 @@ class TestFormatting:
         assert p.format_monomial(p.word("x", "y", "y", "x")) == "x*y^2*x"
 
     def test_commutative_follows_precedence(self):
-        p = comm_xy(precedence=(1, 0))
+        p = comm_xy(names=("y", "x"))
+        assert [g.name for g in p.generators] == ["y", "x"]
         assert p.format_monomial(p.word("x", "x", "y")) == "y*x^2"
 
     def test_signs_and_coefficients(self):

@@ -1,12 +1,17 @@
 """End-to-end command-line behavior: output shapes, exit codes, determinism."""
 
+import contextlib
 import io
 import json
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anick.cli import main
+from anick.presentation import parse_presentation, serialize_presentation
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
@@ -245,6 +250,14 @@ class TestUngraded:
         assert data["member"] is True
         assert data["certified"] is True
 
+    def test_complete_basis_reduces_past_the_bound(self, capsys, path):
+        # the basis is complete outright at degree 8, so a degree-10 input
+        # reduces there exactly as it does at degree 10
+        outs = [run(capsys, "nf", path, "x^5*y^5", "--max-degree", d)
+                for d in (8, 10)]
+        assert outs[0] == outs[1] == (
+            0, "normal form: y*x^3\nideal membership: not a member\n", "")
+
     def test_resolution_commands_exit_2(self, capsys, path):
         for command in ("anick", "tor"):
             code, out, err = run(capsys, command, path)
@@ -282,3 +295,87 @@ class TestDeterminism:
                 assert code == 0
                 outs.append(out)
             assert outs[0] == outs[1]
+
+
+def _term(word, names, commutative):
+    if commutative:
+        return "*".join(n if e == 1 else f"{n}^{e}"
+                        for n, e in zip(names, word) if e)
+    return "*".join(names[i] for i in word)
+
+
+@st.composite
+def generator_line_shuffles(draw):
+    """A small presentation as two texts that differ only in the order of
+    the generators line: 2-3 generators of weight 1-2, 1-2 relations of 1-3
+    terms, graded or not, deglex or (commutative only) lex.  Also a
+    monomial for nf."""
+    commutative = draw(st.booleans())
+    names = ["x", "y", "z"][:draw(st.integers(2, 3))]
+    weights = [draw(st.integers(1, 2)) for _ in names]
+    order = draw(st.sampled_from(["deglex", "lex"])) if commutative else "deglex"
+    if commutative:
+        word = st.tuples(*[st.integers(0, 2)] * len(names)).filter(any)
+    else:
+        word = st.lists(st.integers(0, len(names) - 1), min_size=1,
+                        max_size=3).map(tuple)
+
+    def degree(w):
+        return (sum(map(int.__mul__, w, weights)) if commutative
+                else sum(weights[i] for i in w))
+
+    graded = draw(st.booleans())
+    relations = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = draw(st.dictionaries(word, st.integers(-2, 2).filter(bool),
+                                     min_size=1, max_size=3))
+        top = degree(next(iter(terms)))
+        text = ""
+        for w, c in terms.items():
+            if graded and degree(w) != top:
+                continue
+            body = f"{abs(c)}*{_term(w, names, commutative)}"
+            text += (f"-{body}" if c < 0 else body) if not text else (
+                f" - {body}" if c < 0 else f" + {body}")
+        relations.append(text)
+    kind = "commutative" if commutative else "noncommutative"
+
+    def text(perm):
+        gens = " ".join(names[k] if weights[k] == 1 else
+                        f"{names[k]}:{weights[k]}" for k in perm)
+        return (f"algebra R; kind {kind}; generators {gens}; "
+                f"order {order} {' > '.join(names)}; "
+                f"relations {'; '.join(relations)};")
+
+    perm = draw(st.permutations(range(len(names))))
+    poly = _term(draw(word), names, commutative)
+    return text(range(len(names))), text(perm), poly
+
+
+class TestGeneratorLineOrder:
+    """The order chain alone numbers the generators, so the order of the
+    generators line changes nothing a command prints."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(generator_line_shuffles())
+    def test_shuffled_generators_line_changes_nothing(self, case):
+        listed, shuffled, poly = case
+        pres = parse_presentation(listed)
+        assert parse_presentation(shuffled) == pres
+        assert parse_presentation(serialize_presentation(pres)) == pres
+        bounds = ["--max-degree", "5", "--max-level", "2"]
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = []
+            for k, text in enumerate((listed, shuffled)):
+                path = pathlib.Path(tmp) / f"{k}.alg"
+                path.write_text(text)
+                outs = []
+                for argv in (["gb"], ["nf", poly], ["chains"], ["hilbert"],
+                             ["anick"], ["tor"]):
+                    stdout = io.StringIO()
+                    with contextlib.redirect_stdout(stdout), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        code = main([argv[0], str(path), *argv[1:], *bounds])
+                    outs.append((argv[0], code, stdout.getvalue()))
+                runs.append(outs)
+        assert runs[0] == runs[1]

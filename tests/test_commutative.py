@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anick.algebra import AlgebraError
 from anick.commutative import (
@@ -176,3 +178,59 @@ class TestNormalMonomials:
             brute = [(i, d - i) for i in range(d + 1)
                      if not any(divides(l, (i, d - i)) for l in lead)]
             assert sorted(normal[d]) == sorted(brute)
+
+
+@st.composite
+def sympy_cases(draw):
+    """Presentation text over 2-3 generators listed in a shuffled order on
+    the generators line, with its order kind, the names in order-chain
+    order and the relation texts.  Weights are 1-2 under lex, which ignores
+    them, and 1 under deglex, since sympy's grlex is unweighted."""
+    names = ["x", "y", "z"][:draw(st.integers(2, 3))]
+    order = draw(st.sampled_from(["deglex", "lex"]))
+    top = 2 if order == "lex" else 1
+    weights = [draw(st.integers(1, top)) for _ in names]
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * len(names)),
+            st.integers(-3, 3).filter(bool), min_size=1, max_size=3))
+        parts = []
+        for exps, c in terms.items():
+            mono = "*".join(n if e == 1 else f"{n}^{e}"
+                            for n, e in zip(names, exps) if e)
+            body = f"{abs(c)}*{mono}" if mono else str(abs(c))
+            sign = "-" if c < 0 else "+"
+            parts.append(f"{sign} {body}")
+        relations.append(" ".join(parts).lstrip("+ "))
+    perm = draw(st.permutations(range(len(names))))
+    gens = " ".join(names[k] if weights[k] == 1 else f"{names[k]}:{weights[k]}"
+                    for k in perm)
+    text = (f"algebra S; kind commutative; generators {gens}; "
+            f"order {order} {' > '.join(names)}; "
+            f"relations {'; '.join(relations)};")
+    return text, order, names, relations
+
+
+class TestSympyOracle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(sympy_cases())
+    def test_reduced_basis_matches_sympy(self, case):
+        sympy = pytest.importorskip("sympy")
+        text, order, names, relations = case
+        pres = parse_presentation(text)
+        gens = sympy.symbols(names)
+        sympy_order = "grlex" if order == "deglex" else "lex"
+
+        def to_sympy(s):
+            return sympy.Poly(sympy.sympify(s.replace("^", "**")), *gens,
+                              domain="QQ")
+
+        ours = comm_reduce_basis(comm_buchberger(pres)).basis
+        theirs = sympy.groebner([to_sympy(r).as_expr() for r in relations],
+                                *gens, order=sympy_order, domain="QQ")
+        rendered = [to_sympy(pres.format_poly(g)) for g in ours]
+        assert ({frozenset(p.terms()) for p in rendered}
+                == {frozenset(p.terms()) for p in theirs.polys})
+        assert ([p.monoms(order=sympy_order)[0] for p in rendered]
+                == [g.leading[0] for g in ours])

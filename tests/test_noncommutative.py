@@ -1,3 +1,4 @@
+import math
 import pathlib
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from anick.algebra import AlgebraError, BoundError
+from anick.hilbert import hilbert_from_normal_words
 from anick.noncommutative import (
     NcGB,
     WordMatcher,
@@ -371,7 +373,7 @@ class TestCompletionProperties:
         pres, degree = case
         low, high = (nc_buchberger(pres, max_degree=d) for d in (degree, degree + 2))
         assume(not all(pres.is_homogeneous(f) for f in pres.relations))
-        assume(low.certified)
+        assume(low.certified_degree > degree)
         assert set(nc_reduce_basis(low).basis) == set(nc_reduce_basis(high).basis)
 
 
@@ -453,6 +455,29 @@ class TestNormalWords:
         counts = count_normal_words(pres, [], 6)
         # degree 6 words: uuu, vv
         assert counts == [1, 0, 1, 1, 1, 2, 2]
+
+
+class TestUngradedCertificate:
+    """y*x*y = 1 over x > y: at degree 4 the self-overlap y*x*y*x*y (degree
+    5) is still pending, so nothing is certified; by degree 8 completion has
+    finished and the basis is complete in every degree."""
+
+    YXY = FREE_XY.with_relations([parse_poly(FREE_XY, "y*x*y - 1")])
+
+    def test_pending_overlap_certifies_nothing(self):
+        gb = nc_buchberger(self.YXY, max_degree=4)
+        assert gb.certified_degree == -1
+        with pytest.raises(BoundError):
+            hilbert_from_normal_words(gb, 4)
+        with pytest.raises(BoundError):
+            normal_words(gb, 4)
+
+    def test_complete_basis_certifies_every_degree(self):
+        gb = nc_buchberger(self.YXY, max_degree=8)
+        assert gb.certified_degree == math.inf
+        assert list(hilbert_from_normal_words(gb, 12)) == [1, 2] + [3] * 11
+        words = normal_words(gb, 10)
+        assert [len(words[d]) for d in range(5)] == [1, 2, 3, 3, 3]
 
 
 class TestAutomaton:
