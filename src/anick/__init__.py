@@ -7,7 +7,7 @@ algebras, commutative or free noncommutative.  The main entry points:
   ``B_n`` family and free products),
 - :mod:`anick.commutative` / :mod:`anick.noncommutative` -- Groebner bases,
   normal forms, normal words,
-- :mod:`anick.chains` -- chain enumeration on the obstruction set,
+- :mod:`anick.chains` -- chains and chain counts on the obstruction set,
 - :mod:`anick.resolution` -- the resolution, its verification, and Tor,
 - :mod:`anick.hilbert` -- Hilbert series by several independent routes,
 - :mod:`anick.cli` -- the ``anick`` command.

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import COMMUTATIVE, AlgebraError, BoundError
-from .chains import chain_counts, enumerate_chains
+from .chains import OneLetterTipError, chain_counts, enumerate_chains
 from .commutative import comm_buchberger, comm_normal_form, comm_reduce_basis
 from .hilbert import (
     hilbert_from_chains,
@@ -185,9 +185,9 @@ def cmd_nf(pres, args):
 def cmd_chains(pres, args):
     require_noncommutative(pres, "chains")
     gb = certified_basis(pres, args)
-    cs = enumerate_chains(pres, [g.leading[0] for g in gb.basis],
-                          args.max_level, args.max_degree)
-    counts = chain_counts(cs)
+    tips = [g.leading[0] for g in gb.basis]
+    cs = enumerate_chains(pres, tips, args.max_level, args.max_degree)
+    counts = chain_counts(pres, tips, args.max_level, args.max_degree)
     levels = {}
     for n in range(-1, cs.max_level + 1):
         levels[str(n)] = {
@@ -222,10 +222,11 @@ def cmd_hilbert(pres, args):
     else:
         gb = certified_basis(pres, args)
         series = hilbert_from_normal_words(gb, args.max_degree)
-        cs = enumerate_chains(pres, [g.leading[0] for g in gb.basis],
-                              max(args.max_level, args.max_degree),
-                              args.max_degree)
-        chain_series = hilbert_from_chains(cs, args.max_degree)
+        try:
+            chain_series = hilbert_from_chains(
+                pres, [g.leading[0] for g in gb.basis], args.max_degree)
+        except OneLetterTipError:
+            chain_series = None
     agree = None if chain_series is None else list(series) == list(chain_series)
     candidate = rational_form(series)
     data = {
@@ -377,7 +378,7 @@ def main(argv=None):
         check_args(args)
         pres = load_presentation(args)
         result = COMMANDS[args.command](pres, args)
-    except ParseError as exc:
+    except (ParseError, OneLetterTipError) as exc:
         print(f"anick: {exc}", file=sys.stderr)
         return 2
     except BoundError as exc:

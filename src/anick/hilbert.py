@@ -86,35 +86,17 @@ def hilbert_from_normal_words(gb, max_degree):
     raise AlgebraError("expected an NcGB or CommGB")
 
 
-def hilbert_from_chains(cs, max_degree):
+def hilbert_from_chains(pres, obstructions, max_degree):
     """Inverse of the alternating chain sum, truncated at max_degree.
 
-    Levels contribute while their minimal chain degree stays within range;
-    the enumeration must have been run deep enough that some built level
-    (or an empty one) starts beyond max_degree.
+    Weights are at least 1 and tails are nonempty, so a chain of level n
+    has degree at least n + 1: the levels up to max_degree hold every chain
+    within range, and those are the levels counted.
     """
-    if cs.max_degree < max_degree:
-        raise BoundError(
-            f"chain set enumerated to degree {cs.max_degree}; "
-            f"need {max_degree}")
-    counts = chain_counts(cs)
-    horizon = None
-    for n in range(0, cs.max_level + 1):
-        row = counts.get(n, {})
-        if not row or min(row) > max_degree:
-            horizon = n
-            break
-    if horizon is None:
-        raise BoundError(
-            f"chain levels up to {cs.max_level} all reach degree "
-            f"<= {max_degree}; enumerate more levels")
     q = [Fraction(0)] * (max_degree + 1)
-    q[0] = Fraction(1)
-    for n in range(0, horizon):
-        sign = 1 if n % 2 else -1
-        for d, k in counts[n].items():
-            if d <= max_degree:
-                q[d] += sign * k
+    for n, row in chain_counts(pres, obstructions, max_degree, max_degree).items():
+        for d, k in row.items():
+            q[d] += k if n % 2 else -k
     return series_inverse(tuple(q))
 
 

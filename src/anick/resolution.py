@@ -64,19 +64,18 @@ class AnickResolution:
         presentation.require_graded()
         self.presentation = presentation
         self.gb = gb = nc_buchberger(presentation, max_degree=max_degree)
-        chain_set = enumerate_chains(
-            presentation, [g.leading[0] for g in gb.basis], max_level, max_degree)
+        tips = [g.leading[0] for g in gb.basis]
         self.max_level = max_level
         self.max_degree = max_degree
-        self.levels = chain_set.levels
-        self.counts = chain_counts(chain_set)
+        self.levels = enumerate_chains(presentation, tips, max_level, max_degree).levels
+        self.counts = chain_counts(presentation, tips, max_level, max_degree)
         self._word_index = {
             n: {c.word: k for k, c in enumerate(chains)}
             for n, chains in self.levels.items()}
         self._chain_lengths = {
             n: sorted({len(c.word) for c in chains})
             for n, chains in self.levels.items()}
-        self._tips = WordMatcher(g.leading[0] for g in gb.basis)
+        self._tips = WordMatcher(tips)
         self.hilbert = count_normal_words(presentation, self._tips.words, max_degree)
         self._nf_cache = {}
         self.split_checks = 0

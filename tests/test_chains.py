@@ -5,7 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anick.algebra import AlgebraError
-from anick.chains import chain_counts, chain_decompositions, enumerate_chains, is_chain
+from anick.chains import (
+    OneLetterTipError,
+    chain_counts,
+    chain_decompositions,
+    enumerate_chains,
+    is_chain,
+)
 from anick.noncommutative import nc_buchberger
 from anick.presentation import make_bn, parse_poly, parse_presentation
 
@@ -106,8 +112,7 @@ class TestCompositionChains:
             assert level_words(cs, n) == expected
 
     def test_counts_by_degree(self):
-        cs = enumerate_chains(self.pres, self.F, 3, 9)
-        counts = chain_counts(cs)
+        counts = chain_counts(self.pres, self.F, 3, 9)
         # degree d words x y^(k1) x ... y^(kn) x: compositions of d-n-1
         # into n nonnegative parts
         for n in range(1, 4):
@@ -303,7 +308,7 @@ class TestChainSetShape:
         cs = enumerate_chains(FREE_XY, ((0, 0),), 1, 4)
         assert cs.words(-1) == [()]
         assert set(cs.words(0)) == {(0,), (1,)}
-        counts = chain_counts(cs)
+        counts = chain_counts(FREE_XY, ((0, 0),), 1, 4)
         assert counts[-1] == {0: 1}
         assert counts[0] == {1: 2}
 
@@ -311,6 +316,16 @@ class TestChainSetShape:
         cs = enumerate_chains(FREE_XY, (), 3, 6)
         for n in range(1, 4):
             assert cs.words(n) == []
+
+    def test_one_letter_tip_rejected(self):
+        # a tip x has no rest, so it would leave x without chains; neither
+        # consumer of the tail graph answers, at any bound
+        for F in (((0,),), ((0,), (1, 1))):
+            for max_level in (-1, 0, 3):
+                with pytest.raises(OneLetterTipError, match="leading word x;"):
+                    enumerate_chains(FREE_XY, F, max_level, 6)
+                with pytest.raises(OneLetterTipError, match="leading word x;"):
+                    chain_counts(FREE_XY, F, max_level, 6)
 
     def test_non_antichain_rejected(self):
         with pytest.raises(AlgebraError):
@@ -417,3 +432,24 @@ class TestEnumerationProperties:
             level = {c.word for c in chains}
             assert not any(c.word[:k] in level
                            for c in chains for k in range(len(c.word)))
+
+
+def tally(cs):
+    """Number of chains per (level, degree), counted from the words."""
+    out = {}
+    for n, chains in sorted(cs.levels.items()):
+        row = out[n] = {}
+        for c in chains:
+            row[c.degree] = row.get(c.degree, 0) + 1
+    return out
+
+
+class TestCountProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(weighted_antichains())
+    def test_counts_match_enumeration(self, case):
+        """Counting paths of the tail graph gives the tally of the
+        enumerated chains, empty rows and the (-1)-row included."""
+        pres, F, max_level, max_degree = case
+        cs = enumerate_chains(pres, F, max_level, max_degree)
+        assert chain_counts(pres, F, max_level, max_degree) == tally(cs)

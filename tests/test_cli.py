@@ -266,6 +266,38 @@ class TestUngraded:
                            "relation y*x*y - 1 is inhomogeneous\n")
 
 
+class TestOneLetterTip:
+    """A relation linear in the generators leaves the one-letter tip x; the
+    algebra is k[y] (with y of weight 2 in the weighted case), whose Tor_1
+    has dimension 1, so no chain set on that tip is right."""
+
+    @pytest.fixture(params=[("x y", "x - y", 1), ("x:2 y:2", "2*x - y", 2)],
+                        ids=["unweighted", "weighted"])
+    def case(self, request, tmp_path):
+        gens, relation, weight = request.param
+        path = tmp_path / "r.alg"
+        path.write_text(f"algebra R; kind noncommutative; generators {gens}; "
+                        f"order deglex x > y; relations {relation};")
+        return path, weight
+
+    def test_chain_commands_exit_2(self, capsys, case):
+        path, _ = case
+        for argv in (["chains"], ["anick"], ["tor", "--max-level", 2]):
+            code, out, err = run(capsys, argv[0], path, *argv[1:])
+            assert code == 2
+            assert out == ""
+            assert err == ("anick: presentation 'R' has the one-letter leading "
+                           "word x; chains need the redundant generator x "
+                           "removed\n")
+
+    def test_hilbert_keeps_normal_words(self, capsys, case):
+        path, weight = case
+        data = run_json(capsys, "hilbert", path, "--max-degree", 8)
+        assert data["normal_words"] == [int(d % weight == 0) for d in range(9)]
+        assert data["chain_inverse"] is None
+        assert data["agree"] is None
+
+
 class TestDeterminism:
     CASES = [
         ("gb", str(SAMPLES / "x2xy.alg"), "--max-degree", "8"),
