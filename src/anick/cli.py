@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import COMMUTATIVE, AlgebraError, BoundError
-from .chains import OneLetterTipError, chain_counts, enumerate_chains
+from .chains import OneLetterTipError, TailGraph, chain_counts, enumerate_chains
 from .commutative import comm_buchberger, comm_normal_form, comm_reduce_basis
 from .hilbert import (
     hilbert_from_chains,
@@ -186,8 +186,9 @@ def cmd_chains(pres, args):
     require_noncommutative(pres, "chains")
     gb = certified_basis(pres, args)
     tips = [g.leading[0] for g in gb.basis]
-    cs = enumerate_chains(pres, tips, args.max_level, args.max_degree)
-    counts = chain_counts(pres, tips, args.max_level, args.max_degree)
+    graph = TailGraph(pres, tips, args.max_level, args.max_degree)
+    cs = enumerate_chains(graph)
+    counts = chain_counts(graph)
     levels = {}
     for n in range(-1, cs.max_level + 1):
         levels[str(n)] = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import AlgebraError, BoundError
-from .chains import chain_counts
+from .chains import TailGraph, chain_counts
 from .commutative import CommGB, comm_normal_monomials
 from .linalg import dense_solve
 from .noncommutative import NcGB, count_normal_words
@@ -94,7 +94,8 @@ def hilbert_from_chains(pres, obstructions, max_degree):
     within range, and those are the levels counted.
     """
     q = [Fraction(0)] * (max_degree + 1)
-    for n, row in chain_counts(pres, obstructions, max_degree, max_degree).items():
+    graph = TailGraph(pres, obstructions, max_degree, max_degree)
+    for n, row in chain_counts(graph).items():
         for d, k in row.items():
             q[d] += k if n % 2 else -k
     return series_inverse(tuple(q))
@@ -109,24 +110,6 @@ def free_product_series(ha, hb):
     one = series_one(len(ha) - 1)
     q = series_sub(series_add(series_inverse(ha), series_inverse(hb)), one)
     return series_inverse(q)
-
-
-def generator_product_series(degrees, max_degree, exterior=False):
-    """Product over generators of (1 - t^deg)^-1, or (1 + t^deg) for the
-    exterior variant."""
-    out = series_one(max_degree)
-    for w in degrees:
-        if w < 1:
-            raise AlgebraError("generator degrees must be >= 1")
-        factor = [Fraction(0)] * (max_degree + 1)
-        factor[0] = Fraction(1)
-        if w <= max_degree:
-            factor[w] = Fraction(1) if exterior else Fraction(-1)
-        factor = tuple(factor)
-        if not exterior:
-            factor = series_inverse(factor)
-        out = series_mul(out, factor)
-    return out
 
 
 def rational_form(s, max_den_degree=6):

@@ -279,23 +279,6 @@ def nc_buchberger(pres, max_degree=8):
     return NcGB(pres, tuple(live.values()), max_degree)
 
 
-def verify_diamond(gb):
-    """Re-check the certificate: every ambiguity of degree <= the bound
-    resolves to zero.  Returns the number of ambiguities checked."""
-    pres = gb.presentation
-    basis = list(gb.basis)
-    checked = 0
-    for ob in find_obstructions(pres, basis):
-        if ob.degree > gb.complete_to_degree:
-            continue
-        s = nc_s_polynomial(pres, ob, basis)
-        if nc_normal_form(pres, s, basis):
-            raise AlgebraError(
-                f"ambiguity {pres.format_monomial(ob.ambiguity)} does not resolve")
-        checked += 1
-    return checked
-
-
 def nc_reduce_basis(gb):
     """Monic interreduced form of the basis; certificate carries over."""
     pres = gb.presentation

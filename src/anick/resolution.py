@@ -32,15 +32,19 @@ Fraction, and the arithmetic stays exact for any basis.
 
 Everything downstream lives here too: the d.d = 0 and splitting checks,
 graded exactness ranks, the Euler identity, tensoring with the base field,
-Tor dimensions (exact integer ranks), and the minimality test.
+Tor dimensions (exact integer ranks), and the minimality test.  Exactness
+ranks take three routes in turn, each only for the blocks the one before
+leaves open: a lower bound read off the leading terms of d_n, which builds
+no column; ranks mod a prime; and exact ranks over Q.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import cache
 
 from .algebra import AlgebraError, BoundError
-from .chains import chain_counts, enumerate_chains
+from .chains import TailGraph, chain_counts, enumerate_chains
 from .linalg import PRIME, sparse_rank, sparse_rank_mod_p
 from .noncommutative import (
     WordMatcher,
@@ -67,8 +71,9 @@ class AnickResolution:
         tips = [g.leading[0] for g in gb.basis]
         self.max_level = max_level
         self.max_degree = max_degree
-        self.levels = enumerate_chains(presentation, tips, max_level, max_degree).levels
-        self.counts = chain_counts(presentation, tips, max_level, max_degree)
+        graph = TailGraph(presentation, tips, max_level, max_degree)
+        self.levels = enumerate_chains(graph).levels
+        self.counts = chain_counts(graph)
         self._word_index = {
             n: {c.word: k for k, c in enumerate(chains)}
             for n, chains in self.levels.items()}
@@ -268,6 +273,67 @@ def _block_columns(res, n, degree, words_by_degree):
     return cols
 
 
+def leading_term_ranks(res, max_degree):
+    """Lower bounds L[n][e] <= rank (d_n)_e for -1 <= n <= max_level and
+    e <= max_degree, read off leading terms; None when the differentials
+    lack the triangular shape that the bound rests on.
+
+    The shape, from Anick's exactness proof (Skoldberg reads it as a Morse
+    matching), is checked on each chain g of level n with parent p and
+    tail t: (a) t is a normal word and d_n(g) holds p (x) t with
+    coefficient 1; (b) every other term f (x) s of d_n(g) has f.s < g.word
+    in the term order; (c) no tail of a child of p is a prefix of another.
+    If t.w is a normal word, the column of g (x) w then holds p (x) t.w
+    with coefficient 1, and every other term f (x) m has f.m < g.word.w,
+    since normal forms only lower words and the order respects
+    multiplication.  By (c), p and t.w determine g and w, so these columns
+    have pairwise distinct leading pairs.  In a vanishing combination of
+    them, a pair of the largest leading word occurs in no other column, so
+    its coefficient vanishes: the columns are independent.  L[n][e] counts
+    them, the pairs (g, w) with g of level n, deg g + deg w = e and no tip
+    in t.w: the words of degree e - deg g that the tip matcher reads from
+    its state after t without completing a tip.  L[-1][e] = [e = 0] is the
+    rank of the augmentation.  L[n] + L[n+1] counts each basis pair f (x) m
+    of C_n (x) A once: with tail(f).m normal, or as the chain of f and the
+    shortest prefix of m that completes a tip, with the rest of m.
+    """
+    pres, tips = res.presentation, res._tips
+    for n in range(res.max_level + 1):
+        below, index = res.levels[n - 1], res._word_index[n - 1]
+        siblings = {}
+        for g, column in zip(res.levels[n], res.diff[n]):
+            head = (index[g.parent.word], g.tail)
+            key = pres.heap_key(g.word)
+            if column.get(head) != 1 or tips.hits(g.tail) or any(
+                    pres.heap_key(below[cj].word + u) <= key
+                    for cj, u in column if (cj, u) != head):
+                return None
+            siblings.setdefault(head[0], []).append(g.tail)
+        for tails in siblings.values():
+            tails.sort()
+            if any(b[:len(a)] == a for a, b in zip(tails, tails[1:])):
+                return None
+    letters = [(x, pres.generator_degree(x)) for x in range(pres.ngens)]
+
+    @cache
+    def avoiding(state, e):
+        """Words of degree e read from state without completing a tip."""
+        return (e == 0) + sum(
+            avoiding(t, e - dx) for x, dx in letters
+            if dx <= e and (t := tips.step(state, x)) is not None)
+
+    bounds = {-1: [1] + [0] * max_degree}
+    for n in range(res.max_level + 1):
+        row = bounds[n] = [0] * (max_degree + 1)
+        for g in res.levels[n]:
+            state = ()
+            for x in g.tail:
+                state = tips.step(state, x)
+            for e in range(g.degree, max_degree + 1):
+                row[e] += avoiding(state, e - g.degree)
+    return bounds
+
+
 def block_rank_degree(res, budget):
     """Largest degree whose cumulative column count stays within budget."""
     h = res.hilbert
@@ -290,16 +356,25 @@ def verify_resolution(res, rank_budget=4000):
     degree is the largest whose cumulative block columns fit in rank_budget.
     The other three checks always run to the full built degree.
 
-    Ranks are taken mod PRIME first, and every reported rank is still the
-    rank over Q.  A mod-p rank never exceeds the rational one.  Once
-    d.d = 0 holds on the generators, it holds on all of C (x) A by right
-    A-linearity, so im d_{n+1} lies in ker d_n and over Q
-    rank_in + rank_out <= dim at every block.  Where the mod-p ranks already
-    sum to dim, both are therefore the rational ranks and the block is
-    exact.  A matrix that no such block certifies, or whose reduction mod p
-    is undefined, has its columns built again and ranked exactly; their
-    count is report["exactness"]["exact_fallbacks"].  When d.d = 0 fails,
-    every rank is exact from the start.
+    Every reported rank is the rank over Q.  Once d.d = 0 holds on the
+    generators, it holds on all of C (x) A by right A-linearity, so
+    im d_{n+1} lies in ker d_n and over Q rank_in + rank_out <= dim at
+    every block.  Where two lower bounds on the ranks already sum to dim,
+    both are therefore the rational ranks and the block is exact.  The
+    bounds come by three routes, in order, each taken only for the matrices
+    the route before leaves unsettled:
+
+    1. ``leading_term_ranks``, which builds no column;
+    2. ranks mod PRIME, which never exceed the rational ones, on the
+       columns of each matrix left; report["exactness"]["ranked_blocks"]
+       counts these matrices;
+    3. exact ranks, for a matrix that no block certifies mod p or whose
+       reduction mod p is undefined; report["exactness"]["exact_fallbacks"]
+       counts these.
+
+    When d.d = 0 fails, no block is certified by bounds, and every matrix
+    goes straight to route 3.  Route 1 settles every block where its checks
+    pass, so routes 2 and 3 serve only differentials that fail them.
     """
     report = {"ok": True}
 
@@ -332,41 +407,43 @@ def verify_resolution(res, rank_budget=4000):
                        "ok": not euler_failures}
 
     rank_degree = block_rank_degree(res, rank_budget)
-    words = normal_words(res.gb, rank_degree)
     degrees = range(rank_degree + 1)
-    modular = report["dd_zero"]["ok"]
-    # level -1 is the augmentation: rank 1 in degree 0, exact as it stands
+    dims = {(n, d): module_dimension(res, n, d, h)
+            for n in range(-1, res.max_level) for d in degrees}
+    # rational ranks only; level -1 is the augmentation, rank 1 in degree 0
     ranks = {(-1, d): 1 if d == 0 else 0 for d in degrees}
-    for n in range(0, res.max_level + 1):
-        for d in degrees:
-            cols = _block_columns(res, n, d, words)
-            ranks[n, d] = (sparse_rank_mod_p(cols, PRIME) if modular
-                           else sparse_rank(cols))
-    exact = {(-1, d) for d in degrees} if modular else set(ranks)
+
+    def settle(lower):
+        """Adopt both ranks of each block whose lower bounds sum to dim."""
+        for (n, d), dim in dims.items():
+            out = ranks.get((n, d), lower.get((n, d)))
+            into = ranks.get((n + 1, d), lower.get((n + 1, d)))
+            if out is not None and into is not None and out + into == dim:
+                ranks[n, d], ranks[n + 1, d] = out, into
+
+    words = cache(lambda: normal_words(res.gb, rank_degree))
+    modular = report["dd_zero"]["ok"]
+    bounds = leading_term_ranks(res, rank_degree) if modular else None
+    if bounds is not None:
+        settle({(n, d): row[d] for n, row in bounds.items() for d in degrees})
+    ranked = [(n, d) for n in range(res.max_level + 1) for d in degrees
+              if (n, d) not in ranks]
     if modular:
-        for n in range(-1, res.max_level):
-            for d in degrees:
-                rank_out, rank_in = ranks[n, d], ranks[n + 1, d]
-                if (rank_out is not None and rank_in is not None and
-                        rank_out + rank_in == module_dimension(res, n, d, h)):
-                    exact.update(((n, d), (n + 1, d)))
-    fallbacks = [key for key in ranks if key not in exact]
-    for n, d in fallbacks:
-        ranks[n, d] = sparse_rank(_block_columns(res, n, d, words))
+        settle({key: sparse_rank_mod_p(_block_columns(res, *key, words()), PRIME)
+                for key in ranked})
+    fallbacks = [key for key in ranked if key not in ranks]
+    for key in fallbacks:
+        ranks[key] = sparse_rank(_block_columns(res, *key, words()))
     blocks = []
-    exact_ok = True
-    for n in range(-1, res.max_level):
-        for d in degrees:
-            dim = module_dimension(res, n, d, h)
-            rank_out, rank_in = ranks[n, d], ranks[n + 1, d]
-            ok = rank_out + rank_in == dim
-            exact_ok = exact_ok and ok
-            blocks.append({"level": n, "degree": d, "dim": dim,
-                           "rank_out": rank_out, "rank_in": rank_in,
-                           "ok": ok})
+    for (n, d), dim in dims.items():
+        rank_out, rank_in = ranks[n, d], ranks[n + 1, d]
+        blocks.append({"level": n, "degree": d, "dim": dim,
+                       "rank_out": rank_out, "rank_in": rank_in,
+                       "ok": rank_out + rank_in == dim})
     report["exactness"] = {
-        "degree": rank_degree, "blocks": blocks, "ok": exact_ok,
-        "exact_fallbacks": len(fallbacks)}
+        "degree": rank_degree, "blocks": blocks,
+        "ok": all(b["ok"] for b in blocks),
+        "ranked_blocks": len(ranked), "exact_fallbacks": len(fallbacks)}
     report["ok"] = all(report[k]["ok"] for k in
                        ("dd_zero", "splitting", "euler", "exactness"))
     return report

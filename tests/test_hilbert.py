@@ -11,7 +11,6 @@ from anick.chains import OneLetterTipError
 from anick.commutative import comm_buchberger, comm_reduce_basis
 from anick.hilbert import (
     free_product_series,
-    generator_product_series,
     hilbert_from_chains,
     hilbert_from_normal_words,
     rational_form,
@@ -24,6 +23,7 @@ from anick.hilbert import (
 )
 from anick.noncommutative import NcGB, nc_buchberger
 from anick.presentation import free_product, make_bn, parse_poly, parse_presentation
+from oracles import generator_product_series
 
 
 def geometric(ratio, d):

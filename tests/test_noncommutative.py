@@ -18,9 +18,9 @@ from anick.noncommutative import (
     nc_reduce_basis,
     nc_s_polynomial,
     normal_words,
-    verify_diamond,
 )
 from anick.presentation import make_bn, parse_poly, parse_presentation
+from oracles import verify_diamond
 
 FREE_XY = parse_presentation(
     "algebra F ; kind noncommutative ; generators x y ;"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from anick import resolution
 from anick.algebra import AlgebraError
+from anick.chains import Chain, OneLetterTipError
 from anick.cli import _report_json
 from anick.linalg import sparse_rank
 from anick.noncommutative import normal_words
@@ -20,11 +21,13 @@ from anick.resolution import (
     block_rank_degree,
     euler_horizon,
     is_minimal,
+    leading_term_ranks,
     module_dimension,
     tensor_with_k,
     tor_dimensions,
     verify_resolution,
 )
+from test_noncommutative import small_presentations
 
 
 def presentation_xfam():
@@ -519,13 +522,21 @@ class TestModularExactness:
     @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
     @pytest.mark.parametrize("p", [2, 3])
     def test_small_prime_gives_the_same_report(self, monkeypatch, name, p):
+        # leading terms settle every block here, so switch them off to let
+        # the blocks reach the mod-p route
         res = AnickResolution(presentation_sample(name), 3, 8)
         want = verify_resolution(res)
         assert want["ok"]
-        assert want["exactness"]["exact_fallbacks"] == 0
+        monkeypatch.setattr(resolution, "leading_term_ranks",
+                            lambda res, max_degree: None)
+        modular = verify_resolution(res)
+        assert modular["exactness"]["ranked_blocks"] > 0
+        assert modular["exactness"]["exact_fallbacks"] == 0
+        assert exactness_verdicts(modular) == exactness_verdicts(want)
         monkeypatch.setattr(resolution, "PRIME", p)
-        assert exactness_verdicts(verify_resolution(res)) == \
-            exactness_verdicts(want)
+        got = verify_resolution(res)
+        assert got["exactness"]["ranked_blocks"] > 0
+        assert exactness_verdicts(got) == exactness_verdicts(want)
 
     @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
     def test_ranks_that_fall_short_mod_p_fall_back(self, monkeypatch, name):
@@ -541,9 +552,13 @@ class TestModularExactness:
         assert exactness_verdicts(got) == exactness_verdicts(want)
 
     def test_prime_dividing_a_denominator_falls_back(self, monkeypatch):
+        # leading terms settle every block here, so switch them off to let
+        # the blocks reach the mod-p route
         res = AnickResolution(presentation_non_monic(), 3, 8)
         want = verify_resolution(res)
         assert want["ok"]
+        monkeypatch.setattr(resolution, "leading_term_ranks",
+                            lambda res, max_degree: None)
         monkeypatch.setattr(resolution, "PRIME", 2)
         got = verify_resolution(res)
         assert got["exactness"]["exact_fallbacks"] > 0
@@ -779,3 +794,146 @@ def test_readme_library_example(capsys):
                 if line.startswith("print(")]
     assert len(promised) == 2
     assert printed == promised
+
+
+def exact_route_verdicts(monkeypatch, res):
+    """The verdicts with every rank taken exactly over Q."""
+    with monkeypatch.context() as m:
+        m.setattr(resolution, "leading_term_ranks",
+                  lambda res, max_degree: None)
+        m.setattr(resolution, "sparse_rank_mod_p",
+                  lambda rows, p: sparse_rank(rows))
+        return exactness_verdicts(verify_resolution(res))
+
+
+def exact_ranks(res, max_degree):
+    words = normal_words(res.gb, max_degree)
+    return {(n, d): sparse_rank(_block_columns(res, n, d, words))
+            for n in range(res.max_level + 1) for d in range(max_degree + 1)}
+
+
+def presentation_named(name):
+    if name == "nonmonic":
+        return presentation_non_monic()
+    return (make_bn(int(name[1:])) if name.startswith("B")
+            else presentation_sample(name))
+
+
+class TestLeadingTermRanks:
+    """The lower bounds read off leading terms, against exact ranks."""
+
+    @pytest.mark.parametrize("name", ["x2xy", "xyzx", "x2y2", "free3", "B1",
+                                      "B2", "B3", "nonmonic"])
+    def test_every_block_settled_by_leading_terms(self, name):
+        res = AnickResolution(presentation_named(name), 3, 8)
+        report = verify_resolution(res)
+        assert report["ok"]
+        assert report["exactness"]["ranked_blocks"] == 0
+        degree = report["exactness"]["degree"]
+        bounds = leading_term_ranks(res, degree)
+        for (n, d), rank in exact_ranks(res, degree).items():
+            assert bounds[n][d] == rank
+        assert "ranked_blocks" not in _report_json(report)["exactness"]
+
+    @staticmethod
+    def assert_bounds_below_exact_ranks(res):
+        """L <= the exact rank on every block within the rank budget, and
+        every block is settled: its two bounds sum to its dimension and
+        equal its exact ranks."""
+        degree = block_rank_degree(res, 4000)
+        bounds = leading_term_ranks(res, degree)
+        assert bounds is not None
+        ranks = exact_ranks(res, degree)
+        ranks.update({(-1, d): int(d == 0) for d in range(degree + 1)})
+        for (n, d), rank in ranks.items():
+            assert bounds[n][d] <= rank
+        for n in range(-1, res.max_level):
+            for d in range(degree + 1):
+                assert bounds[n][d] + bounds[n + 1][d] == \
+                    module_dimension(res, n, d, res.hilbert)
+                assert (bounds[n][d], bounds[n + 1][d]) == \
+                    (ranks[n, d], ranks[n + 1, d])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(graded_presentations())
+    def test_bounds_never_exceed_exact_ranks(self, case):
+        pres, level, degree = case
+        self.assert_bounds_below_exact_ranks(
+            AnickResolution(pres, level, degree))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_presentations(homogeneous=st.just(True), max_degree=6))
+    def test_bounds_on_small_presentations(self, case):
+        pres, degree = case
+        try:
+            res = AnickResolution(pres, 3, degree)
+        except OneLetterTipError:
+            return
+        self.assert_bounds_below_exact_ranks(res)
+
+    def test_doubled_head_declines(self, monkeypatch):
+        # the top differential has nothing above it, so d.d = 0 still holds
+        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        res.diff[3][0] = {k: 2 * v for k, v in res.diff[3][0].items()}
+        assert leading_term_ranks(res, 8) is None
+        got = verify_resolution(res)
+        assert got["dd_zero"]["ok"]
+        assert got["exactness"]["ranked_blocks"] > 0
+        assert exactness_verdicts(got) == exact_route_verdicts(monkeypatch, res)
+
+    def test_term_above_the_head_declines(self, monkeypatch):
+        # add to d_3(g) the column of some g' (x) w whose leading word is
+        # larger than g: a column operation, so d.d = 0 and the ranks hold
+        res = AnickResolution(presentation_sample("xyzx"), 3, 8)
+        pres, top, index = res.presentation, res.levels[3], res._word_index[2]
+        words = normal_words(res.gb, 8)
+        ci, col = next(
+            (ci, col) for ci, g in enumerate(top)
+            for cj, h in enumerate(top) if h.degree < g.degree
+            for w in words[g.degree - h.degree]
+            if pres.heap_key(h.word + w) < pres.heap_key(g.word)
+            for col in [res.apply_d(3, {(cj, w): 1})]
+            if col and (index[g.parent.word], g.tail) not in col)
+        row = dict(res.diff[3][ci])
+        for k, v in col.items():
+            row[k] = row.get(k, 0) + v
+        res.diff[3][ci] = {k: v for k, v in row.items() if v}
+        assert leading_term_ranks(res, 8) is None
+        got = verify_resolution(res)
+        assert got["dd_zero"]["ok"]
+        assert exactness_verdicts(got) == exact_route_verdicts(monkeypatch, res)
+
+    @staticmethod
+    def replace_top_chain(res, k, parent, tail):
+        """Put a chain with this parent and tail at index k of the top
+        level, with its bare head as its differential."""
+        top = list(res.levels[res.max_level])
+        word = parent.word + tail
+        top[k] = Chain(word=word, degree=res.presentation.monomial_degree(word),
+                       tail=tail, parent=parent)
+        res.levels[res.max_level] = tuple(top)
+        res.diff[res.max_level][k] = {
+            (res._word_index[res.max_level - 1][parent.word], tail): 1}
+
+    def test_tail_holding_a_tip_declines(self, monkeypatch):
+        # extend one chain's tail by a whole tip: t.w is never normal, so
+        # no column of that chain has the leading pair counted for it
+        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        g = res.levels[3][0]
+        self.replace_top_chain(res, 0, g.parent,
+                               g.tail + res.gb.basis[0].leading[0])
+        assert leading_term_ranks(res, 8) is None
+        assert exactness_verdicts(verify_resolution(res)) == \
+            exact_route_verdicts(monkeypatch, res)
+
+    def test_tail_prefix_of_a_sibling_declines(self, monkeypatch):
+        # give one chain the parent of another and a proper prefix of its
+        # tail
+        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        top = res.levels[3]
+        ci, g = next((ci, g) for ci, g in enumerate(top) if len(g.tail) > 1)
+        cj = next(cj for cj in range(len(top)) if cj != ci)
+        self.replace_top_chain(res, cj, g.parent, g.tail[:-1])
+        assert leading_term_ranks(res, 8) is None
+        assert exactness_verdicts(verify_resolution(res)) == \
+            exact_route_verdicts(monkeypatch, res)
