@@ -241,7 +241,7 @@ def nc_buchberger(pres, max_degree=8):
     for g in pres.relations:
         if pres.poly_degree(g) > max_degree:
             raise BoundError(
-                f"max_degree {max_degree} is below a generator of degree "
+                f"max_degree {max_degree} is below a relation of degree "
                 f"{pres.poly_degree(g)}")
     live = {}
     queue = []

@@ -33,9 +33,9 @@ Fraction, and the arithmetic stays exact for any basis.
 Everything downstream lives here too: the d.d = 0 and splitting checks,
 graded exactness ranks, the Euler identity, tensoring with the base field,
 Tor dimensions (exact integer ranks), and the minimality test.  Exactness
-ranks take three routes in turn, each only for the blocks the one before
-leaves open: a lower bound read off the leading terms of d_n, which builds
-no column; ranks mod a prime; and exact ranks over Q.
+ranks take two routes: a lower bound read off the leading terms of d_n,
+which builds no column, and exact ranks over Q for the blocks it leaves
+open.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from functools import cache
 
 from .algebra import AlgebraError, BoundError
 from .chains import TailGraph, chain_counts, enumerate_chains
-from .linalg import PRIME, sparse_rank, sparse_rank_mod_p
+from .linalg import sparse_rank
 from .noncommutative import (
     WordMatcher,
     count_normal_words,
@@ -361,20 +361,15 @@ def verify_resolution(res, rank_budget=4000):
     im d_{n+1} lies in ker d_n and over Q rank_in + rank_out <= dim at
     every block.  Where two lower bounds on the ranks already sum to dim,
     both are therefore the rational ranks and the block is exact.  The
-    bounds come by three routes, in order, each taken only for the matrices
-    the route before leaves unsettled:
+    ranks come by two routes:
 
-    1. ``leading_term_ranks``, which builds no column;
-    2. ranks mod PRIME, which never exceed the rational ones, on the
-       columns of each matrix left; report["exactness"]["ranked_blocks"]
-       counts these matrices;
-    3. exact ranks, for a matrix that no block certifies mod p or whose
-       reduction mod p is undefined; report["exactness"]["exact_fallbacks"]
-       counts these.
+    1. the lower bounds of ``leading_term_ranks``, which build no column;
+    2. exact ranks by ``sparse_rank``, for each matrix that no block settles
+       by route 1; report["exactness"]["ranked_blocks"] counts these.
 
     When d.d = 0 fails, no block is certified by bounds, and every matrix
-    goes straight to route 3.  Route 1 settles every block where its checks
-    pass, so routes 2 and 3 serve only differentials that fail them.
+    goes to route 2.  Route 1 settles every block where its checks pass,
+    so route 2 serves only differentials that fail them.
     """
     report = {"ok": True}
 
@@ -412,28 +407,18 @@ def verify_resolution(res, rank_budget=4000):
             for n in range(-1, res.max_level) for d in degrees}
     # rational ranks only; level -1 is the augmentation, rank 1 in degree 0
     ranks = {(-1, d): 1 if d == 0 else 0 for d in degrees}
-
-    def settle(lower):
-        """Adopt both ranks of each block whose lower bounds sum to dim."""
-        for (n, d), dim in dims.items():
-            out = ranks.get((n, d), lower.get((n, d)))
-            into = ranks.get((n + 1, d), lower.get((n + 1, d)))
-            if out is not None and into is not None and out + into == dim:
-                ranks[n, d], ranks[n + 1, d] = out, into
-
-    words = cache(lambda: normal_words(res.gb, rank_degree))
-    modular = report["dd_zero"]["ok"]
-    bounds = leading_term_ranks(res, rank_degree) if modular else None
+    bounds = (leading_term_ranks(res, rank_degree)
+              if report["dd_zero"]["ok"] else None)
     if bounds is not None:
-        settle({(n, d): row[d] for n, row in bounds.items() for d in degrees})
+        # bounds[-1] is the augmentation's own rank
+        for (n, d), dim in dims.items():
+            if bounds[n][d] + bounds[n + 1][d] == dim:
+                ranks[n, d], ranks[n + 1, d] = bounds[n][d], bounds[n + 1][d]
     ranked = [(n, d) for n in range(res.max_level + 1) for d in degrees
               if (n, d) not in ranks]
-    if modular:
-        settle({key: sparse_rank_mod_p(_block_columns(res, *key, words()), PRIME)
-                for key in ranked})
-    fallbacks = [key for key in ranked if key not in ranks]
-    for key in fallbacks:
-        ranks[key] = sparse_rank(_block_columns(res, *key, words()))
+    words = normal_words(res.gb, rank_degree) if ranked else None
+    for key in ranked:
+        ranks[key] = sparse_rank(_block_columns(res, *key, words))
     blocks = []
     for (n, d), dim in dims.items():
         rank_out, rank_in = ranks[n, d], ranks[n + 1, d]
@@ -443,7 +428,7 @@ def verify_resolution(res, rank_budget=4000):
     report["exactness"] = {
         "degree": rank_degree, "blocks": blocks,
         "ok": all(b["ok"] for b in blocks),
-        "ranked_blocks": len(ranked), "exact_fallbacks": len(fallbacks)}
+        "ranked_blocks": len(ranked)}
     report["ok"] = all(report[k]["ok"] for k in
                        ("dd_zero", "splitting", "euler", "exactness"))
     return report

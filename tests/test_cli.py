@@ -129,6 +129,13 @@ class TestHilbert:
         assert data["chain_inverse"] is None
         assert data["agree"] is None
 
+    def test_bound_below_a_relation_exits_3(self, capsys):
+        code, out, err = run(capsys, "hilbert", SAMPLES / "x2xy.alg",
+                             "--max-degree", 1)
+        assert code == 3
+        assert out == ""
+        assert "max_degree 1 is below a relation of degree 2" in err
+
 
 class TestAnick:
     def test_verification_embedded(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anick.linalg import PRIME, dense_solve, sparse_rank, sparse_rank_mod_p
+from anick.linalg import dense_solve, sparse_rank
 
 
 def dense_rank(dense):
@@ -114,46 +114,6 @@ class TestSparseRank:
         copies = [dict(r) for r in rows]
         assert sparse_rank(rows) == 2
         assert rows == copies
-
-
-def sparse_rows(entries):
-    """Sparse rows, keyed by tuple columns, of matrices with the given
-    entries."""
-    return st.integers(1, 6).flatmap(lambda ncols: st.lists(
-        st.lists(entries, min_size=ncols, max_size=ncols).map(
-            lambda row: {(j % 2, j): v for j, v in enumerate(row) if v}),
-        max_size=6))
-
-
-class TestSparseRankModP:
-    # Minors of these matrices are far smaller than PRIME in numerator and
-    # denominator, so their ranks mod PRIME are the rational ranks.
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(sparse_rows(st.integers(-3, 3)))
-    def test_matches_exact_rank_on_integers(self, rows):
-        assert sparse_rank_mod_p(rows) == sparse_rank(rows)
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(sparse_rows(st.builds(Fraction, st.integers(-3, 3),
-                                 st.integers(1, 6))))
-    def test_matches_exact_rank_on_fractions(self, rows):
-        assert sparse_rank_mod_p(rows) == sparse_rank(rows)
-
-    def test_rank_can_fall_mod_a_small_prime(self):
-        rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]
-        assert sparse_rank(rows) == 2
-        assert sparse_rank_mod_p(rows, 2) == 1
-        assert sparse_rank_mod_p(rows, 3) == 2
-
-    def test_prime_dividing_a_denominator(self):
-        assert sparse_rank_mod_p([{0: Fraction(1, 2)}], 2) is None
-        assert sparse_rank_mod_p([{0: 1}, {1: Fraction(5, 6)}], 3) is None
-        assert sparse_rank_mod_p([{0: Fraction(1, PRIME)}]) is None
-        assert sparse_rank_mod_p([{0: Fraction(1, 2)}], 3) == 1
-
-    def test_entries_divisible_by_p_vanish(self):
-        assert sparse_rank_mod_p([{0: 6, 1: Fraction(3, 2)}], 3) == 0
-        assert sparse_rank_mod_p([{0: PRIME}, {0: 2 * PRIME + 1}]) == 1
 
 
 class TestDenseSolve:

@@ -519,66 +519,45 @@ def exactness_verdicts(report):
 
 
 class TestModularExactness:
-    @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
-    @pytest.mark.parametrize("p", [2, 3])
-    def test_small_prime_gives_the_same_report(self, monkeypatch, name, p):
-        # leading terms settle every block here, so switch them off to let
-        # the blocks reach the mod-p route
-        res = AnickResolution(presentation_sample(name), 3, 8)
-        want = verify_resolution(res)
-        assert want["ok"]
-        monkeypatch.setattr(resolution, "leading_term_ranks",
-                            lambda res, max_degree: None)
-        modular = verify_resolution(res)
-        assert modular["exactness"]["ranked_blocks"] > 0
-        assert modular["exactness"]["exact_fallbacks"] == 0
-        assert exactness_verdicts(modular) == exactness_verdicts(want)
-        monkeypatch.setattr(resolution, "PRIME", p)
+    """A differential broken after the build fails d.d = 0, so no block is
+    settled by bounds and every matrix in the budget is ranked exactly."""
+
+    @staticmethod
+    def assert_ranked_exactly(res):
+        """The report ranks every matrix exactly; returns those ranks."""
         got = verify_resolution(res)
-        assert got["exactness"]["ranked_blocks"] > 0
-        assert exactness_verdicts(got) == exactness_verdicts(want)
+        assert not got["dd_zero"]["ok"]
+        degree = got["exactness"]["degree"]
+        assert got["exactness"]["ranked_blocks"] == \
+            (res.max_level + 1) * (degree + 1)
+        ranks = exact_ranks(res, degree)
+        for block in got["exactness"]["blocks"]:
+            n, d = block["level"], block["degree"]
+            assert block["rank_out"] == (int(d == 0) if n < 0 else ranks[n, d])
+            assert block["rank_in"] == ranks[n + 1, d]
+        return ranks, degree
 
     @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
-    def test_ranks_that_fall_short_mod_p_fall_back(self, monkeypatch, name):
-        # doubling the top differential keeps d.d = 0 and every rank over Q,
-        # but zeroes its matrices mod 2, so the blocks it enters fall short
-        res = AnickResolution(presentation_sample(name), 3, 8)
-        want = verify_resolution(res)
-        res.diff[3] = [{k: 2 * v for k, v in row.items()}
-                       for row in res.diff[3]]
-        monkeypatch.setattr(resolution, "PRIME", 2)
-        got = verify_resolution(res)
-        assert got["exactness"]["exact_fallbacks"] > 0
-        assert exactness_verdicts(got) == exactness_verdicts(want)
-
-    def test_prime_dividing_a_denominator_falls_back(self, monkeypatch):
-        # leading terms settle every block here, so switch them off to let
-        # the blocks reach the mod-p route
-        res = AnickResolution(presentation_non_monic(), 3, 8)
-        want = verify_resolution(res)
-        assert want["ok"]
-        monkeypatch.setattr(resolution, "leading_term_ranks",
-                            lambda res, max_degree: None)
-        monkeypatch.setattr(resolution, "PRIME", 2)
-        got = verify_resolution(res)
-        assert got["exactness"]["exact_fallbacks"] > 0
-        assert exactness_verdicts(got) == exactness_verdicts(want)
-
-    @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
-    def test_sign_flip_matches_exact_ranks(self, monkeypatch, name):
-        # mod 2 the flip is invisible, so only an exact rank can see it
+    def test_sign_flip_matches_exact_ranks(self, name):
         res = AnickResolution(presentation_sample(name), 3, 8)
         row = dict(res.diff[2][0])
         key = next(iter(row))
         row[key] = -row[key]
         res.diff[2][0] = row
-        monkeypatch.setattr(resolution, "PRIME", 2)
-        got = verify_resolution(res)
-        assert not got["dd_zero"]["ok"]
-        monkeypatch.setattr(resolution, "sparse_rank_mod_p",
-                            lambda rows, p: sparse_rank(rows))
-        assert exactness_verdicts(got) == \
-            exactness_verdicts(verify_resolution(res))
+        self.assert_ranked_exactly(res)
+
+    def test_lower_term_flip_keeps_the_leading_term_shape(self):
+        # the leading terms still pass checks (a)-(c) and their bounds miss
+        # the exact ranks, so only the failed d.d = 0 keeps them out
+        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        row = dict(res.diff[2][0])
+        key = list(row)[-1]
+        row[key] = -row[key]
+        res.diff[2][0] = row
+        ranks, degree = self.assert_ranked_exactly(res)
+        bounds = leading_term_ranks(res, degree)
+        assert bounds is not None
+        assert any(bounds[n][d] != rank for (n, d), rank in ranks.items())
 
 
 def diff_coefficients(res):
@@ -801,8 +780,6 @@ def exact_route_verdicts(monkeypatch, res):
     with monkeypatch.context() as m:
         m.setattr(resolution, "leading_term_ranks",
                   lambda res, max_degree: None)
-        m.setattr(resolution, "sparse_rank_mod_p",
-                  lambda rows, p: sparse_rank(rows))
         return exactness_verdicts(verify_resolution(res))
 
 
