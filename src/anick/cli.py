@@ -158,8 +158,8 @@ def cmd_gb(pres, args):
 def cmd_nf(pres, args):
     f = parse_poly(pres, args.poly)
     if pres.kind == COMMUTATIVE:
-        basis = comm_reduce_basis(comm_buchberger(pres)).basis
-        nf = comm_normal_form(pres, f, basis)
+        # a normal form modulo any Groebner basis is unique
+        nf = comm_normal_form(pres, f, comm_buchberger(pres).basis)
     else:
         gb = certified_basis(pres, args)
         degree = pres.poly_degree(f)
@@ -217,8 +217,9 @@ def cmd_chains(pres, args):
 
 def cmd_hilbert(pres, args):
     if pres.kind == COMMUTATIVE:
+        # the normal monomials depend only on the leading monomials
         series = hilbert_from_normal_words(
-            comm_reduce_basis(comm_buchberger(pres)), args.max_degree)
+            comm_buchberger(pres), args.max_degree)
         chain_series = None
     else:
         gb = certified_basis(pres, args)

@@ -113,35 +113,22 @@ def comm_buchberger(pres, gens=None):
 
 
 def comm_reduce_basis(gb):
-    """The reduced basis: monic, minimal leading terms, reduced tails."""
+    """The reduced basis: monic, minimal leading terms, reduced tails.
+
+    Dropping each element whose leading monomial another divides (the later
+    of two equal ones) leaves an antichain of leading monomials.  One pass
+    then reduces each element once by the others, as ``nc_reduce_basis``
+    argues: no lead changes, nothing vanishes, a second pass changes
+    nothing, and each tail gets its unique normal form modulo the basis.
+    """
     pres = gb.presentation
-    kept = []
-    for k, g in enumerate(gb.basis):
-        lm = g.leading[0]
-        redundant = False
-        for t, h in enumerate(gb.basis):
-            if t == k:
-                continue
-            hm = h.leading[0]
-            if divides(hm, lm) and (hm != lm or t < k):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(kept)):
-            others = kept[:k] + kept[k + 1:]
-            h = comm_normal_form(pres, kept[k], others)
-            if not h:
-                kept.pop(k)
-                changed = True
-                break
-            if h != kept[k]:
-                kept[k] = h
-                changed = True
-    monic = [pres.scale(1 / g.leading[1], g) for g in kept]
+    leads = [g.leading[0] for g in gb.basis]
+    kept = [g for k, g in enumerate(gb.basis) if not any(
+        divides(hm, leads[k]) and (hm != leads[k] or t < k)
+        for t, hm in enumerate(leads) if t != k)]
+    reduced = [comm_normal_form(pres, g, kept[:k] + kept[k + 1:])
+               for k, g in enumerate(kept)]
+    monic = [pres.scale(1 / g.leading[1], g) for g in reduced]
     monic.sort(key=lambda g: pres.term_key(g.leading[0]), reverse=True)
     return CommGB(pres, tuple(monic), reduced=True)
 

@@ -118,21 +118,21 @@ def rational_form(s, max_den_degree=6):
     Returns (p, q) as coefficient tuples with q[0] = 1 and the combined
     degree minimal, or None.  A hit certifies nothing beyond the truncation;
     callers must label it as a candidate.
+
+    Top coefficients are nonzero, of p when dp >= 1 and of q when dq >= 1.
+    Were p's zero, q would solve the equations (q*s)_k = 0, dp <= k <= d,
+    of (dp - 1, dq); dense_solve finds a solution whenever one exists, so
+    that pair, one lower in total degree, would have returned first.  So
+    would (dp, dq - 1) were q's zero.
     """
     d = len(s) - 1
     for total in range(0, d + 1):
         for dq in range(0, min(total, max_den_degree) + 1):
             dp = total - dq
-            if dp > d:
-                continue
             # unknowns q1..q_dq; equations: (q*s)_k = 0 for k > dp
-            eqs = []
-            rhs = []
-            for k in range(dp + 1, d + 1):
-                row = [s[k - i] if k - i >= 0 else Fraction(0)
-                       for i in range(1, dq + 1)]
-                eqs.append(row)
-                rhs.append(-s[k])
+            eqs = [[s[k - i] if k - i >= 0 else Fraction(0)
+                    for i in range(1, dq + 1)] for k in range(dp + 1, d + 1)]
+            rhs = [-s[k] for k in range(dp + 1, d + 1)]
             if not eqs:
                 sol = [Fraction(0)] * dq
             else:
@@ -145,7 +145,5 @@ def rational_form(s, max_den_degree=6):
             p = p_full[:dp + 1]
             if any(p_full[dp + 1:]):
                 continue
-            while len(p) > 1 and not p[-1]:
-                p = p[:-1]
             return tuple(p), tuple(q)
     return None

@@ -280,23 +280,20 @@ def nc_buchberger(pres, max_degree=8):
 
 
 def nc_reduce_basis(gb):
-    """Monic interreduced form of the basis; certificate carries over."""
+    """Monic interreduced form of the basis; certificate carries over.
+
+    One pass reduces each element once by the others.  The leading words
+    are an antichain, so no lead changes and no element vanishes; normality
+    depends on the leading words alone, so a second pass changes nothing.
+    A tail word lies below its own leading word and cannot contain it, so
+    the others reduce a tail to its normal form modulo the whole basis,
+    unique in every degree the basis is complete to.
+    """
     pres = gb.presentation
-    elems = list(gb.basis)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(elems)):
-            h = nc_normal_form(pres, elems[k], elems[:k] + elems[k + 1:])
-            if not h:
-                elems.pop(k)
-                changed = True
-                break
-            if h != elems[k]:
-                elems[k] = h
-                changed = True
-                break
-    monic = [pres.scale(1 / e.leading[1], e) for e in elems]
+    elems = gb.basis
+    reduced = [nc_normal_form(pres, e, elems[:k] + elems[k + 1:])
+               for k, e in enumerate(elems)]
+    monic = [pres.scale(1 / e.leading[1], e) for e in reduced]
     return NcGB(pres, tuple(monic), gb.complete_to_degree)
 
 

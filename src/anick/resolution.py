@@ -10,17 +10,19 @@ differential and its splitting are mutually recursive:
 
     d_0(x (x) 1)  = 1 (x) x
     d_n(gt (x) 1) = g (x) t - i_{n-1}(d_{n-1}(g (x) t))
-    i_0(1 (x) w)  = w[0] (x) w[1:]
     i_n(u)        = alpha g (x) c + i_n(u - alpha d_n(g (x) c))
 
 where in the last line (f, s) is the leading pair of u under the order
 "f (x) s < g (x) t iff fs < gt", and fs = (word of an n-chain g) . (normal
 word c) -- that factorization exists and is unique for kernel leading words,
-and both facts are asserted rather than assumed.  The pending pairs of u sit
-in a heap, each keyed once as it enters, and g is found by looking up the
-prefixes of fs in a per-level index of chain words, one for each chain word
-length present at level n.  Values of d on free generators are memoized; d
-on c (x) a follows by right multiplication and normal-form reduction.
+and both facts are asserted rather than assumed.  One routine computes i_n
+for every n >= 0: the (-1)-chain is the empty word and the 0-chains are the
+generators, so i_0 factors a lead 1 (x) w as w[0] . w[1:].  The pending
+pairs of u sit in a heap, each keyed once as it enters, and g is found by
+looking up the prefixes of fs in a per-level index of chain words, one for
+each chain word length present at level n.  Values of d on free generators
+are memoized; d on c (x) a follows by right multiplication and normal-form
+reduction.
 
 Coefficients are ints wherever they are integral.  A monic basis with
 integer coefficients gives integral normal forms, since each reduction step
@@ -137,26 +139,8 @@ class AnickResolution:
                         out.pop(key, None)
         return out
 
-    def _i0(self, elem):
-        """Splitting at the bottom: 1 (x) w -> w[0] (x) w[1:]."""
-        out = {}
-        for (_, w), coeff in elem.items():
-            if not coeff:
-                continue
-            if not w:
-                raise AlgebraError(
-                    "splitting a level -1 element with a constant term: "
-                    "not in the augmentation kernel")
-            key = (self._word_index[0][w[:1]], w[1:])
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return out
-
     def _isplit(self, m, elem):
-        """Splitting i_m for m >= 1: level m-1 kernel elements to level m.
+        """Splitting i_m for m >= 0: level m-1 kernel elements to level m.
 
         Pending pairs sit in a heap under Presentation.heap_key of their
         word, keyed once when they enter; a pair that has left the work
@@ -220,8 +204,9 @@ class AnickResolution:
         return out
 
     def split(self, m, elem):
-        """i_m with the d(i(u)) = u audit."""
-        result = self._i0(elem) if m == 0 else self._isplit(m, elem)
+        """i_m for any m >= 0, by the one routine ``_isplit``, with the
+        d(i(u)) = u audit."""
+        result = self._isplit(m, elem)
         back = self.apply_d(m, result)
         self.split_checks += 1
         if back != {k: v for k, v in elem.items() if v}:

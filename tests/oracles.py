@@ -2,15 +2,18 @@
 
 Each recomputes something the library computes, by a slower route that
 shares none of its code: chain decompositions by recursive search, the
-completion certificate by re-resolving every ambiguity, and the Hilbert
-series of a free (or exterior) algebra on given generator degrees.
+completion certificate by re-resolving every ambiguity, reduced bases by
+reducing until nothing changes, and the Hilbert series of a free (or
+exterior) algebra on given generator degrees.
 """
 
 from fractions import Fraction
 
 from anick.algebra import AlgebraError
+from anick.commutative import CommGB, comm_normal_form, divides
 from anick.hilbert import series_inverse, series_mul, series_one
 from anick.noncommutative import (
+    NcGB,
     antichain_matcher,
     find_obstructions,
     nc_normal_form,
@@ -79,6 +82,59 @@ def verify_diamond(gb):
                 f"ambiguity {pres.format_monomial(ob.ambiguity)} does not resolve")
         checked += 1
     return checked
+
+
+def restart_nc_reduce_basis(gb):
+    """Monic interreduced basis by restarting: reduce one element by the
+    others, and start over after every change until a whole pass changes
+    nothing; an element that reduces to zero is dropped."""
+    pres = gb.presentation
+    elems = list(gb.basis)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(elems)):
+            h = nc_normal_form(pres, elems[k], elems[:k] + elems[k + 1:])
+            if not h:
+                elems.pop(k)
+                changed = True
+                break
+            if h != elems[k]:
+                elems[k] = h
+                changed = True
+                break
+    monic = [pres.scale(1 / e.leading[1], e) for e in elems]
+    return NcGB(pres, tuple(monic), gb.complete_to_degree)
+
+
+def restart_comm_reduce_basis(gb):
+    """The reduced commutative basis by repeated passes: after dropping
+    each element whose leading monomial another divides (the later of two
+    equal ones), reduce each element in turn by the others until a whole
+    pass changes nothing, starting over when one vanishes; sorted by
+    leading monomial, largest first."""
+    pres = gb.presentation
+    kept = []
+    for k, g in enumerate(gb.basis):
+        lm = g.leading[0]
+        if not any(divides(h.leading[0], lm) and (h.leading[0] != lm or t < k)
+                   for t, h in enumerate(gb.basis) if t != k):
+            kept.append(g)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(kept)):
+            h = comm_normal_form(pres, kept[k], kept[:k] + kept[k + 1:])
+            if not h:
+                kept.pop(k)
+                changed = True
+                break
+            if h != kept[k]:
+                kept[k] = h
+                changed = True
+    monic = [pres.scale(1 / g.leading[1], g) for g in kept]
+    monic.sort(key=lambda g: pres.term_key(g.leading[0]), reverse=True)
+    return CommGB(pres, tuple(monic), reduced=True)
 
 
 def generator_product_series(degrees, max_degree, exterior=False):

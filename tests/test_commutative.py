@@ -18,6 +18,7 @@ from anick.commutative import (
     quotient,
 )
 from anick.presentation import parse_poly, parse_presentation
+from oracles import restart_comm_reduce_basis
 
 X12 = parse_presentation(
     "algebra P ; kind commutative ; generators x1 x2 ;"
@@ -234,3 +235,44 @@ class TestSympyOracle:
                 == {frozenset(p.terms()) for p in theirs.polys})
         assert ([p.monoms(order=sympy_order)[0] for p in rendered]
                 == [g.leading[0] for g in ours])
+
+
+def changes_a_tail(gb, red):
+    """Whether some reduced element is no monic element of the input."""
+    pres = gb.presentation
+    return not set(red.basis) <= {pres.scale(1 / g.leading[1], g)
+                                  for g in gb.basis}
+
+
+class TestOnePassReduction:
+    """comm_reduce_basis against the loop that restarts until nothing
+    changes."""
+
+    def test_random_presentations(self):
+        changed = []
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(sympy_cases())
+        def check(case):
+            gb = comm_buchberger(parse_presentation(case[0]))
+            red = comm_reduce_basis(gb)
+            assert red.basis == restart_comm_reduce_basis(gb).basis
+            changed.append(changes_a_tail(gb, red))
+
+        check()
+        assert any(changed)
+
+    @pytest.mark.parametrize("gens, reduced", [
+        # comm1: x1^3 + x2^3 is redundant under x1^2 + x2^2
+        (("x1^2 + x2^2", "x1^3 + x2^3"),
+         ("x1^2 + x2^2", "x1*x2^2 - x2^3", "x2^4")),
+        # x1*x2 divides the lead of the first generator, which goes
+        (("x1*x2^2 - x1", "x1*x2 + x2^2"),
+         ("x1^2 - x2^2", "x1*x2 + x2^2", "x2^3 + x1")),
+    ])
+    def test_redundant_leads(self, gens, reduced):
+        gb = comm_buchberger(X12, polys(X12, *gens))
+        red = comm_reduce_basis(gb)
+        assert len(red.basis) < len(gb.basis)
+        assert red.basis == restart_comm_reduce_basis(gb).basis
+        assert set(red.basis) == set(polys(X12, *reduced))

@@ -199,6 +199,35 @@ class TestRationalForm:
 
 
 @st.composite
+def constructed_rational_series(draw):
+    """The expansion of p/q for random integer p and q with q[0] = 1."""
+    n = draw(st.integers(6, 14))
+    p = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    q = [1] + draw(st.lists(st.integers(-3, 3), max_size=3))
+    pad = [0] * n
+
+    def truncated(c):
+        return series((c + pad)[:n])
+
+    return series_mul(truncated(p), series_inverse(truncated(q)))
+
+
+class TestRationalFormProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.lists(st.integers(-4, 4), min_size=1, max_size=12).map(series),
+        constructed_rational_series()))
+    def test_top_coefficients_nonzero(self, s):
+        # dp = d, dq = 0 always fits, so a form is always found
+        p, q = rational_form(s)
+        assert q[0] == 1
+        assert len(p) == 1 or p[-1]
+        assert len(q) == 1 or q[-1]
+        pad = (Fraction(0),) * len(s)
+        assert series_mul((q + pad)[:len(s)], s) == (p + pad)[:len(s)]
+
+
+@st.composite
 def graded_presentations(draw, names="uvw"):
     """A graded noncommutative presentation on 2-3 generators of weight 1
     or 2, with 1-2 homogeneous relations of degree 2-3, each a sum of 1-3

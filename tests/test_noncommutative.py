@@ -20,7 +20,8 @@ from anick.noncommutative import (
     normal_words,
 )
 from anick.presentation import make_bn, parse_poly, parse_presentation
-from oracles import verify_diamond
+from oracles import restart_nc_reduce_basis, verify_diamond
+from test_commutative import changes_a_tail
 
 FREE_XY = parse_presentation(
     "algebra F ; kind noncommutative ; generators x y ;"
@@ -415,6 +416,41 @@ class TestReduceBasis:
         gb = nc_buchberger(pres, max_degree=degree)
         raw = [g.leading[0] for g in gb.basis]
         assert raw == [g.leading[0] for g in nc_reduce_basis(gb).basis]
+
+
+class TestOnePassReduction:
+    """nc_reduce_basis against the loop that restarts until nothing
+    changes."""
+
+    def test_random_graded_presentations(self):
+        changed = []
+
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        @given(small_presentations(homogeneous=st.just(True)))
+        def check(case):
+            pres, degree = case
+            gb = nc_buchberger(pres, max_degree=degree)
+            red = nc_reduce_basis(gb)
+            assert red.basis == restart_nc_reduce_basis(gb).basis
+            changed.append(changes_a_tail(gb, red))
+
+        check()
+        assert any(changed)
+
+    @pytest.mark.parametrize("relations, reduced", [
+        # the first element's tail is the second's leading word
+        (("x*y - y*x", "y*x - y*y"), ("x*y - y^2", "y*x - y^2")),
+        # inhomogeneous, complete outright
+        (("y*x*y - 1",), ("x*y - y*x", "y^2*x - 1")),
+    ])
+    def test_explicit_cases(self, relations, reduced):
+        pres = FREE_XY.with_relations(
+            [parse_poly(FREE_XY, r) for r in relations])
+        gb = nc_buchberger(pres, max_degree=6)
+        assert gb.certified_degree >= 6
+        red = nc_reduce_basis(gb)
+        assert red.basis == restart_nc_reduce_basis(gb).basis
+        assert red.basis == tuple(parse_poly(pres, r) for r in reduced)
 
 
 class TestNormalWords:

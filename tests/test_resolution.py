@@ -429,8 +429,9 @@ class TestStructuralInvariants:
         assert scaled == {k: Fraction(3, 7) * v for k, v in base.items()}
 
     def test_i0_rejects_constant_terms(self):
+        # the empty word has no generator to split off
         res = resolution_xfam()
-        with pytest.raises(AlgebraError):
+        with pytest.raises(AlgebraError, match="no .*factorization at level 0"):
             res.split(0, {(0, ()): Fraction(1)})
 
     def test_splitting_audit_log(self):
@@ -484,12 +485,21 @@ class TestNegativeControls:
         assert not report["ok"]
 
 
-    def test_every_splitting_failure_is_counted(self):
-        # with d_0 doubled, d(i_0(u)) = 2u, so every level-0 split fails
+    def test_every_splitting_failure_is_counted(self, monkeypatch):
+        # with d_0 doubled, subtracting d_0(w[0] (x) w[1:]) leaves -1 (x) w,
+        # so the level-0 split meets its lead again and raises
         res = AnickResolution(presentation_sample("x2xy"), 3, 6)
         assert res.split_failures == []
-        res.diff[0] = [{k: 2 * v for k, v in row.items()} for row in res.diff[0]]
         words = normal_words(res.gb, 3)
+        diff0 = res.diff[0]
+        res.diff[0] = [{k: 2 * v for k, v in row.items()} for row in diff0]
+        with pytest.raises(AlgebraError, match="failed to descend"):
+            res.split(0, {(0, words[2][0]): 1})
+        res.diff[0] = diff0
+        # a splitting that returns 2 i(u) fails the d(i(u)) = u audit
+        isplit = res._isplit
+        monkeypatch.setattr(res, "_isplit", lambda m, u: {
+            k: 2 * v for k, v in isplit(m, u).items()})
         for w in (words[1] + words[2] + words[3])[:6]:
             res.split(0, {(0, w): 1})
         report = verify_resolution(res)
@@ -591,7 +601,7 @@ class TestIntegrality:
 
 
 def reference_split(res, m, elem):
-    """Splitting i_m for m >= 1 by scanning: key every pending pair on each
+    """Splitting i_m for m >= 0 by scanning: key every pending pair on each
     step, take the largest, and try every m-chain of the level as a prefix
     of its word, with normality checked by slicing.  res.split must return
     the same element and raise the same errors."""
@@ -670,12 +680,12 @@ def random_normal_word(res, rng, degree):
 
 def assert_splits_match_reference(res, rng, kernel_samples):
     """Split every row of every d_n, and kernel_samples images d_n(x) of
-    random homogeneous x per level, both ways."""
-    for n in range(1, res.max_level + 1):
+    random homogeneous x per level, both ways, from level 0 up."""
+    for n in range(res.max_level + 1):
         for row in res.diff[n]:
             assert outcome(res.split, n, row) == \
                 outcome(reference_split, res, n, row)
-    for n in range(1, res.max_level + 1):
+    for n in range(res.max_level + 1):
         chains = list(enumerate(res.levels[n]))
         for _ in range(kernel_samples if chains else 0):
             d = rng.randint(min(c.degree for _, c in chains), res.max_degree)
@@ -712,7 +722,8 @@ def graded_presentations(draw):
 
 
 class TestSplitOracle:
-    """The heap and prefix index in _isplit against the chain scan."""
+    """The heap and prefix index in _isplit against the chain scan, at
+    every level including i_0."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(graded_presentations(), st.randoms(use_true_random=False))
