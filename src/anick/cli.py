@@ -230,7 +230,8 @@ def cmd_hilbert(pres, args):
         except OneLetterTipError:
             chain_series = None
     agree = None if chain_series is None else list(series) == list(chain_series)
-    candidate = rational_form(series)
+    # --max-degree >= 1, so the series is nonempty and always has a fit
+    numerator, denominator = rational_form(series)
     data = {
         "algebra": pres.name,
         "max_degree": args.max_degree,
@@ -238,9 +239,9 @@ def cmd_hilbert(pres, args):
         "chain_inverse": None if chain_series is None
                          else _series_json(chain_series),
         "agree": agree,
-        "rational_candidate": None if candidate is None else {
-            "numerator": _series_json(candidate[0]),
-            "denominator": _series_json(candidate[1]),
+        "rational_candidate": {
+            "numerator": _series_json(numerator),
+            "denominator": _series_json(denominator),
             "note": "fits the truncation only; not certified",
         },
     }
@@ -251,10 +252,9 @@ def cmd_hilbert(pres, args):
     if chain_series is not None:
         lines.append(f"  chain inverse: {data['chain_inverse']}")
         lines.append(f"  agreement: {agree}")
-    if candidate is not None:
-        lines.append(f"  rational fit: {data['rational_candidate']['numerator']}"
-                     f" / {data['rational_candidate']['denominator']}"
-                     " (truncation fit only)")
+    lines.append(f"  rational fit: {data['rational_candidate']['numerator']}"
+                 f" / {data['rational_candidate']['denominator']}"
+                 " (truncation fit only)")
     return "\n".join(lines)
 
 

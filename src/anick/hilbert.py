@@ -11,6 +11,7 @@ cross-check of the whole machine.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .algebra import AlgebraError, BoundError
 from .chains import TailGraph, chain_counts
@@ -112,38 +113,84 @@ def free_product_series(ha, hb):
     return series_inverse(q)
 
 
-def rational_form(s, max_den_degree=6):
-    """Search for polynomials p, q with q*s = p to the truncation order.
+def _least_numerator_degree(s, dq):
+    """The least dp for which some q of degree dq has (q*s)_k = 0 for
+    dp < k <= d, by fraction-free elimination in ints, one row at a time.
 
-    Returns (p, q) as coefficient tuples with q[0] = 1 and the combined
-    degree minimal, or None.  A hit certifies nothing beyond the truncation;
-    callers must label it as a candidate.
+    s must be integral.  Row k reads s[k-1..k-dq] | -s[k] in the unknowns
+    q1..q_dq.  Rows are added for k = d, d - 1, ..., 1; rows k..d are the
+    system of (k - 1, dq), so the first row that leaves the system
+    inconsistent is k = m(dq).  A reduced row is a*row - b*pivot divided by
+    its content, as in linalg.sparse_rank.
+    """
+    pivots = {}
+    for k in range(len(s) - 1, 0, -1):
+        row = [s[k - i] if k >= i else 0 for i in range(1, dq + 1)]
+        row.append(-s[k])
+        while True:
+            c = next((j for j in range(dq) if row[j]), None)
+            if c is None:
+                if row[dq]:
+                    return k
+                break
+            pivot = pivots.get(c)
+            if pivot is None:
+                pivots[c] = row
+                break
+            g = gcd(pivot[c], row[c])
+            a, b = pivot[c] // g, row[c] // g
+            row = [a * x - b * y for x, y in zip(row, pivot)]
+            content = gcd(*row)
+            if content > 1:
+                row = [x // content for x in row]
+    return 0
+
+
+def rational_form(s, max_den_degree=6):
+    """Polynomials p, q with q*s = p to the truncation order.
+
+    Returns (p, q) as coefficient tuples with q[0] = 1, deg q <= max_den_degree
+    and dp + dq minimal, ties going to the smaller dq; None only for the
+    empty series, since (d, 0) always fits.  A hit certifies nothing beyond
+    the truncation; callers must label it as a candidate.
+
+    For each dq the unknowns are q1..q_dq and the equations (q*s)_k = 0 for
+    dp < k <= d.  Two facts make one elimination per dq enough:
+      - Consistency is monotone in dp: the equations of (dp + 1, dq) are a
+        subset of those of (dp, dq), so (dp, dq) fits exactly when
+        dp >= m(dq), the least fitting dp.  The minimal pair is the least
+        (m(dq) + dq, dq) with m(dq) + dq <= d, and m(dq) is the first row k
+        that makes the system inconsistent when rows are added from k = d
+        down (_least_numerator_degree).
+      - Scaling is invariant: each equation is linear and homogeneous in s,
+        so c*s for c != 0 has the same solutions q.  Scaling s by the lcm
+        of its denominators makes the elimination integral.
+    The winning system is then solved once by dense_solve, whose solution
+    (reduced row echelon form, free variables zero) is canonical, and p is
+    the first dp + 1 coefficients of q*s.
 
     Top coefficients are nonzero, of p when dp >= 1 and of q when dq >= 1.
     Were p's zero, q would solve the equations (q*s)_k = 0, dp <= k <= d,
-    of (dp - 1, dq); dense_solve finds a solution whenever one exists, so
-    that pair, one lower in total degree, would have returned first.  So
+    of (dp - 1, dq), a pair lower in total degree that would have won.  So
     would (dp, dq - 1) were q's zero.
     """
     d = len(s) - 1
-    for total in range(0, d + 1):
-        for dq in range(0, min(total, max_den_degree) + 1):
-            dp = total - dq
-            # unknowns q1..q_dq; equations: (q*s)_k = 0 for k > dp
-            eqs = [[s[k - i] if k - i >= 0 else Fraction(0)
-                    for i in range(1, dq + 1)] for k in range(dp + 1, d + 1)]
-            rhs = [-s[k] for k in range(dp + 1, d + 1)]
-            if not eqs:
-                sol = [Fraction(0)] * dq
-            else:
-                sol = dense_solve(eqs, rhs)
-            if sol is None:
-                continue
-            q = (Fraction(1),) + tuple(sol)
-            full_q = q + (Fraction(0),) * (d - dq)
-            p_full = series_mul(full_q, s)
-            p = p_full[:dp + 1]
-            if any(p_full[dp + 1:]):
-                continue
-            return tuple(p), tuple(q)
-    return None
+    if d < 0:
+        return None
+    scale = lcm(*(x.denominator for x in s))
+    ints = [x.numerator * (scale // x.denominator) for x in s]
+    best = None
+    for n in range(min(max_den_degree, d) + 1):
+        if best and n >= sum(best):
+            break  # m(n) >= 0, so no larger dq can win
+        m = _least_numerator_degree(ints, n)
+        if best is None or m + n < sum(best):
+            best = m, n
+    dp, dq = best
+    eqs = [[s[k - i] if k >= i else Fraction(0) for i in range(1, dq + 1)]
+           for k in range(dp + 1, d + 1)]
+    sol = dense_solve(eqs, [-s[k] for k in range(dp + 1, d + 1)])
+    q = (Fraction(1),) + tuple(sol)
+    p = tuple(sum((q[i] * s[k - i] for i in range(min(k, dq) + 1)),
+                  Fraction(0)) for k in range(dp + 1))
+    return p, q

@@ -4,7 +4,9 @@ Rows are dicts mapping column keys to ints or Fractions.  Rank runs
 incremental row echelon with the smallest column as pivot, so column keys
 must be mutually comparable (ints, tuples of ints).  ``sparse_rank`` is exact
 over Q without rational arithmetic: each row is scaled to ints by the lcm of
-its denominators and eliminated fraction-free.
+its denominators and eliminated fraction-free.  ``dense_solve`` works in
+Fractions; ``hilbert.rational_form`` calls it once per fit, on the system
+its integer search has already chosen.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 Each recomputes something the library computes, by a slower route that
 shares none of its code: chain decompositions by recursive search, the
 completion certificate by re-resolving every ambiguity, reduced bases by
-reducing until nothing changes, and the Hilbert series of a free (or
-exterior) algebra on given generator degrees.
+reducing until nothing changes, the Hilbert series of a free (or
+exterior) algebra on given generator degrees, and rational fits by one
+dense solve per (numerator degree, denominator degree) pair.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 from anick.algebra import AlgebraError
 from anick.commutative import CommGB, comm_normal_form, divides
 from anick.hilbert import series_inverse, series_mul, series_one
+from anick.linalg import dense_solve
 from anick.noncommutative import (
     NcGB,
     antichain_matcher,
@@ -153,3 +155,27 @@ def generator_product_series(degrees, max_degree, exterior=False):
             factor = series_inverse(factor)
         out = series_mul(out, factor)
     return out
+
+
+def search_rational_form(s, max_den_degree=6):
+    """Rational fit (p, q) of s by trying every (dp, dq) pair in order of
+    total degree, then of dq, with one dense solve each; the first pair
+    whose solution makes q*s vanish past degree dp wins.  None when
+    nothing fits."""
+    d = len(s) - 1
+    for total in range(0, d + 1):
+        for dq in range(0, min(total, max_den_degree) + 1):
+            dp = total - dq
+            # unknowns q1..q_dq; equations: (q*s)_k = 0 for k > dp
+            eqs = [[s[k - i] if k - i >= 0 else Fraction(0)
+                    for i in range(1, dq + 1)] for k in range(dp + 1, d + 1)]
+            rhs = [-s[k] for k in range(dp + 1, d + 1)]
+            sol = dense_solve(eqs, rhs) if eqs else [Fraction(0)] * dq
+            if sol is None:
+                continue
+            q = (Fraction(1),) + tuple(sol)
+            p_full = series_mul(q + (Fraction(0),) * (d - dq), s)
+            if any(p_full[dp + 1:]):
+                continue
+            return tuple(p_full[:dp + 1]), q
+    return None

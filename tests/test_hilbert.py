@@ -23,7 +23,7 @@ from anick.hilbert import (
 )
 from anick.noncommutative import NcGB, nc_buchberger
 from anick.presentation import free_product, make_bn, parse_poly, parse_presentation
-from oracles import generator_product_series
+from oracles import generator_product_series, search_rational_form
 
 
 def geometric(ratio, d):
@@ -200,10 +200,15 @@ class TestRationalForm:
 
 @st.composite
 def constructed_rational_series(draw):
-    """The expansion of p/q for random integer p and q with q[0] = 1."""
-    n = draw(st.integers(6, 14))
-    p = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
-    q = [1] + draw(st.lists(st.integers(-3, 3), max_size=3))
+    """The expansion of p/q with q[0] = 1 and deg q up to 7, one past
+    rational_form's default max_den_degree; coefficients are all integers
+    or all fractions."""
+    coefficient = draw(st.sampled_from(
+        (st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))))
+    p = draw(st.lists(coefficient, min_size=1, max_size=5))
+    q = [1] + draw(st.lists(coefficient, max_size=7))
+    # long enough to pin p/q down, or up to 8 terms shorter
+    n = max(1, len(p) + 2 * len(q) + draw(st.integers(-8, 4)))
     pad = [0] * n
 
     def truncated(c):
@@ -225,6 +230,44 @@ class TestRationalFormProperties:
         assert len(q) == 1 or q[-1]
         pad = (Fraction(0),) * len(s)
         assert series_mul((q + pad)[:len(s)], s) == (p + pad)[:len(s)]
+
+
+class TestRationalFormOracle:
+    """rational_form against the search that solves every (dp, dq) pair."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.lists(st.integers(-5, 5), max_size=16).map(series),
+        # zero-heavy: singular systems and vanishing tails
+        st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 2)),
+                 max_size=16).map(series),
+        st.lists(st.fractions(-3, 3, max_denominator=6),
+                 max_size=12).map(series),
+        constructed_rational_series(), constructed_rational_series()),
+        st.integers(0, 6))
+    def test_matches_search(self, s, max_den_degree):
+        assert rational_form(s, max_den_degree) == \
+            search_rational_form(s, max_den_degree)
+
+    @pytest.mark.parametrize("s", [
+        (), (7,), (0,) * 9, tuple(range(1, 34)), (0, 0, 3, 0, 0, 0, 1),
+        (1, 3, 9, 27, 81, 243, 729, 2188),
+        tuple(Fraction(1, 2 ** n) for n in range(9)),
+        # its numerators alone fit a different pair
+        series_mul(series([1, Fraction(1, 3)] + [0] * 10),
+                   series_inverse(series([1, Fraction(-1, 2), Fraction(1, 5)]
+                                         + [0] * 9)))])
+    def test_explicit_cases(self, s):
+        s = series(s)
+        assert rational_form(s) == search_rational_form(s)
+
+    def test_empty_and_short(self):
+        assert rational_form(()) is None
+        assert rational_form(series([7])) == ((Fraction(7),), (Fraction(1),))
+        assert rational_form(series([0] * 9)) == \
+            ((Fraction(0),), (Fraction(1),))
+        assert rational_form(series(range(1, 34))) == \
+            ((Fraction(1),), (Fraction(1), Fraction(-2), Fraction(1)))
 
 
 @st.composite
