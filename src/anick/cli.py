@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .algebra import COMMUTATIVE, AlgebraError, BoundError
 from .chains import OneLetterTipError, TailGraph, chain_counts, enumerate_chains
@@ -34,7 +35,10 @@ from .resolution import (
 )
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    on it, and building it costs more than most small runs."""
     parser = argparse.ArgumentParser(
         prog="anick",
         description="Groebner bases, chains, Hilbert series, and the "
@@ -331,6 +335,10 @@ def cmd_tor(pres, args):
     require_noncommutative(pres, "tor")
     require_graded(pres)
     res = AnickResolution(pres, args.max_level + 1, args.max_degree)
+    if res.split_failures:
+        raise AlgebraError(
+            f"{len(res.split_failures)} splittings failed the d(i(u)) = u "
+            "audit, so the complex is not a resolution; no Tor reported")
     table = tor_dimensions(res)
     minimal, witness = is_minimal(res)
     data = {

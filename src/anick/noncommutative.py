@@ -11,19 +11,30 @@ element drops and re-reduces every element whose leading word contains the
 new one, so the leading-word set stays an antichain under the subword
 relation.  That antichain is exactly the obstruction set the chain machinery
 consumes.  Every question of which leading words occur in a word, and where,
-goes through ``WordMatcher``.
+goes through ``WordMatcher``; completion keeps one over the live leading
+words, adding and discarding words as the basis changes.
+
+Completion builds no intermediate polynomial: an S-polynomial is one
+coefficient dict over the two elements' non-leading terms, and it is reduced
+by the same heap-ordered loop as ``nc_normal_form``, against the live basis
+and its matcher directly.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count
 
-from .algebra import NONCOMMUTATIVE, AlgebraError, BoundError, Presentation
+from .algebra import (
+    NONCOMMUTATIVE,
+    AlgebraError,
+    BoundError,
+    Polynomial,
+    Presentation,
+)
 
 
 @dataclass
@@ -72,7 +83,13 @@ def _require_noncommutative(pres):
 
 
 class WordMatcher:
-    """Where a fixed list of words ("tips") occurs inside other words.
+    """Where a set of words ("tips") occurs inside other words.
+
+    Each tip has a key, its position in ``words``: ``add`` appends a tip and
+    returns its key, and ``discard`` takes a key's tip out of every later
+    query while ``words`` keeps its entry, so keys stay stable.  Completion
+    keeps one matcher this way over its live leading words, so a key is an
+    insertion serial.
 
     ``hits(word)`` lists every occurrence as (k, start) with
     word[start:start + len(words[k])] == words[k], in no particular order.
@@ -83,23 +100,47 @@ class WordMatcher:
     ``step(state, letter)`` runs the automaton that recognizes words
     avoiding every tip.  A state is the longest suffix read so far that is
     a proper prefix of a tip, ``()`` at the start; ``None`` means a tip has
-    occurred.  Transitions are computed on first use and remembered, and
-    the prefix set is built on the first step, so construction costs only
-    the total tip length: completion needs a new matcher after every insert.
+    occurred.  Transitions are computed on first use and remembered until
+    the tips change, and the prefix set is built on the first step, so
+    adding a tip costs only its length.
     """
 
-    def __init__(self, words):
-        self.words = tuple(words)
+    def __init__(self, words=()):
+        self.words = []
         self._index = {}
-        ends = {}
-        for k, w in enumerate(self.words):
-            if not w:
-                raise AlgebraError("tips must be nonempty words")
-            self._index.setdefault(w, []).append(k)
-            ends.setdefault(w[-1], set()).add(len(w))
-        self._ends = {letter: sorted(ns) for letter, ns in ends.items()}
-        self._prefixes = None
-        self._delta = {}
+        self._ends = {}
+        self._tally = {}
+        self._prefixes, self._delta = None, {}
+        for w in words:
+            self.add(w)
+
+    def add(self, word):
+        """Add a tip; returns its key."""
+        if not word:
+            raise AlgebraError("tips must be nonempty words")
+        k = len(self.words)
+        self.words.append(word)
+        self._index.setdefault(word, []).append(k)
+        end = (word[-1], len(word))
+        self._tally[end] = self._tally.get(end, 0) + 1
+        if self._tally[end] == 1:
+            bisect.insort(self._ends.setdefault(word[-1], []), len(word))
+        self._prefixes, self._delta = None, {}
+        return k
+
+    def discard(self, k):
+        """Remove the tip with key k, which must not be discarded yet."""
+        word = self.words[k]
+        ks = self._index[word]
+        ks.remove(k)
+        if not ks:
+            del self._index[word]
+        end = (word[-1], len(word))
+        self._tally[end] -= 1
+        if not self._tally[end]:
+            del self._tally[end]
+            self._ends[word[-1]].remove(len(word))
+        self._prefixes, self._delta = None, {}
 
     def hits(self, word):
         get = self._index.get
@@ -134,8 +175,9 @@ class WordMatcher:
 
 
 # Consecutive normal forms mostly reduce by the same basis: the resolution
-# always does, and completion does until an S-polynomial survives.  A matcher
-# depends on its words alone, so sharing one between callers is safe.
+# and nc_reduce_basis always do.  A matcher built here depends on its words
+# alone, and no caller adds or discards through it, so sharing one between
+# callers is safe.  Completion keeps its own matcher (see nc_buchberger).
 _basis_matcher = lru_cache(maxsize=1)(WordMatcher)
 
 
@@ -157,35 +199,53 @@ def antichain_matcher(pres, words):
 def nc_normal_form(pres, f, basis):
     """Total normal form: no monomial of the result contains any leading word.
 
-    Monomials are processed largest first; each reducible one is rewritten by
-    the lowest-index basis element at its leftmost occurrence, the least
-    (k, start) hit.  A basis that is not yet confluent, as during completion,
-    gives different results under other rules.  Rewriting only creates
-    strictly smaller monomials, so already-emitted normal monomials are
-    never revisited.
+    Each reducible monomial is rewritten by the lowest-index basis element
+    at its leftmost occurrence, the least (k, start) hit.  A basis that is
+    not yet confluent, as during completion, gives different results under
+    other rules.
     """
     _require_noncommutative(pres)
-    basis = list(basis)
-    matcher = _basis_matcher(tuple(g.leading[0] for g in basis))
+    basis = tuple(basis)
+    return _reduce(pres, f, _basis_matcher(tuple(g.leading[0] for g in basis)),
+                   basis)
+
+
+def _reduce(pres, f, matcher, rules):
+    """Normal form of f, rewriting by rules[k] where the matcher finds
+    key k; the one reduction loop of nc_normal_form and completion.
+
+    Monomials are processed largest first, from a heap in which each is
+    keyed once when it enters the work dict.  Rewriting only creates
+    strictly smaller monomials, so a popped monomial never comes back and
+    normal monomials are emitted in descending order, each once.
+    """
+    heap_key = pres.heap_key
     work = dict(f.terms)
-    out = {}
-    while work:
-        m = min(work, key=pres.heap_key)
+    heap = [heap_key(m) for m in work]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        m = heapq.heappop(heap)[1]  # a heap key is (-degree, word)
         c = work.pop(m)
         if not c:
             continue
         hit = min(matcher.hits(m), default=None)
         if hit is None:
-            out[m] = out.get(m, Fraction(0)) + c
+            out.append((m, c))
             continue
         k, p = hit
-        g = basis[k]
-        pre, suf = m[:p], m[p + len(g.leading[0]):]
-        scale = c / g.leading[1]
-        for wm, wc in g.terms[1:]:
+        (lead, lc), *tail = rules[k].terms
+        pre, suf = m[:p], m[p + len(lead):]
+        scale = c / lc
+        for wm, wc in tail:
             mm = pre + wm + suf
-            work[mm] = work.get(mm, Fraction(0)) - scale * wc
-    return pres.poly(out)
+            old = work.get(mm)
+            if old is None:
+                heapq.heappush(heap, heap_key(mm))
+                work[mm] = -scale * wc
+            else:
+                work[mm] = old - scale * wc
+    return Polynomial(tuple(out))
 
 
 def _overlaps(u, v):
@@ -216,26 +276,34 @@ def find_obstructions(pres, basis):
 
 
 def nc_s_polynomial(pres, ob, basis):
-    """The cancellation of an ambiguity's two reductions."""
+    """The cancellation of an ambiguity's two reductions,
+    f·right/lc(f) - left·g/lc(g), built from the non-leading terms: the
+    leading terms are both the ambiguity and cancel."""
     f = basis[ob.i]
     g = basis[ob.j]
     fm, fc = f.leading
     gm, gc = g.leading
     if fm + ob.right != ob.ambiguity or ob.left + gm != ob.ambiguity:
         raise AlgebraError("stale obstruction: basis changed")
-    sf = pres.mul(f, pres.monomial_poly(ob.right))
-    sg = pres.mul(pres.monomial_poly(ob.left), g)
-    return pres.sub(pres.scale(1 / fc, sf), pres.scale(1 / gc, sg))
+    right, left = ob.right, ob.left
+    acc = {m + right: c / fc for m, c in f.terms[1:]}
+    for m, c in g.terms[1:]:
+        w = left + m
+        acc[w] = acc.get(w, 0) - c / gc
+    return pres.poly(acc)
 
 
 def nc_buchberger(pres, max_degree=8):
     """Complete the relations up to ambiguity degree max_degree.
 
-    ``live`` maps insertion serials to the elements still in the basis; drops
-    keep the rest in order, so serial order is index order.  ``queue`` holds
-    the unprocessed overlaps of degree <= max_degree keyed by (degree, i, j,
-    len(left)) on serials, the order ``find_obstructions`` lists them in;
-    entries of dropped elements are skipped when popped.
+    ``live`` maps insertion serials to the elements still in the basis, and
+    ``matcher`` holds their leading words under the same serials: an insert
+    adds its word and a drop discards the dropped words.  Drops keep the
+    rest in order, so serial order is index order, and reducing by the least
+    (serial, start) hit is ``nc_normal_form``'s rule on the live basis.
+    ``queue`` holds the unprocessed overlaps of degree <= max_degree keyed
+    by (degree, i, j, len(left)) on serials, the order ``find_obstructions``
+    lists them in; entries of dropped elements are skipped when popped.
     """
     _require_noncommutative(pres)
     for g in pres.relations:
@@ -244,8 +312,8 @@ def nc_buchberger(pres, max_degree=8):
                 f"max_degree {max_degree} is below a relation of degree "
                 f"{pres.poly_degree(g)}")
     live = {}
+    matcher = WordMatcher()
     queue = []
-    serials = count()
 
     def push(i, j):
         for left, right, amb in _overlaps(live[i].leading[0], live[j].leading[0]):
@@ -254,13 +322,15 @@ def nc_buchberger(pres, max_degree=8):
                 heapq.heappush(queue, (degree, i, j, len(left), left, right, amb))
 
     def add(f):
-        h = nc_normal_form(pres, f, live.values())
+        h = _reduce(pres, f, matcher, live)
         if not h:
             return
         tip = WordMatcher([h.leading[0]])
         dropped = [k for k, e in live.items() if tip.hits(e.leading[0])]
         displaced = [live.pop(k) for k in dropped]
-        n = next(serials)
+        for k in dropped:
+            matcher.discard(k)
+        n = matcher.add(h.leading[0])
         live[n] = h
         for k in live:
             push(k, n)
@@ -282,18 +352,22 @@ def nc_buchberger(pres, max_degree=8):
 def nc_reduce_basis(gb):
     """Monic interreduced form of the basis; certificate carries over.
 
-    One pass reduces each element once by the others.  The leading words
-    are an antichain, so no lead changes and no element vanishes; normality
+    One pass reduces each element's tail once.  The leading words are an
+    antichain, so no lead changes and no element vanishes; normality
     depends on the leading words alone, so a second pass changes nothing.
-    A tail word lies below its own leading word and cannot contain it, so
-    the others reduce a tail to its normal form modulo the whole basis,
-    unique in every degree the basis is complete to.
+    A word below an element's leading word cannot contain it, and rewriting
+    only creates smaller words, so reducing the tail by the whole basis
+    never uses the element itself and applies the rules that reducing by
+    the others would, with one matcher for every element.  That gives the
+    tail's normal form modulo the whole basis, unique in every degree the
+    basis is complete to.
     """
     pres = gb.presentation
-    elems = gb.basis
-    reduced = [nc_normal_form(pres, e, elems[:k] + elems[k + 1:])
-               for k, e in enumerate(elems)]
-    monic = [pres.scale(1 / e.leading[1], e) for e in reduced]
+    monic = []
+    for e in gb.basis:
+        tail = nc_normal_form(pres, Polynomial(e.terms[1:]), gb.basis)
+        monic.append(pres.scale(1 / e.leading[1],
+                                Polynomial(e.terms[:1] + tail.terms)))
     return NcGB(pres, tuple(monic), gb.complete_to_degree)
 
 

@@ -1,7 +1,9 @@
 """Independent oracles that the tests check the library against.
 
 Each recomputes something the library computes, by a slower route that
-shares none of its code: chain decompositions by recursive search, the
+shares none of its code: S-polynomials by polynomial multiplication,
+normal forms by rescanning the work for its largest monomial and the basis
+for the rewriting rule, chain decompositions by recursive search, the
 completion certificate by re-resolving every ambiguity, reduced bases by
 reducing until nothing changes, the Hilbert series of a free (or
 exterior) algebra on given generator degrees, and rational fits by one
@@ -14,13 +16,49 @@ from anick.algebra import AlgebraError
 from anick.commutative import CommGB, comm_normal_form, divides
 from anick.hilbert import series_inverse, series_mul, series_one
 from anick.linalg import dense_solve
-from anick.noncommutative import (
-    NcGB,
-    antichain_matcher,
-    find_obstructions,
-    nc_normal_form,
-    nc_s_polynomial,
-)
+from anick.noncommutative import NcGB, antichain_matcher, find_obstructions
+
+
+def reference_s_polynomial(pres, ob, basis):
+    """f·right/lc(f) - left·g/lc(g) for the ambiguity's pair (f, g), by
+    polynomial multiplication, scaling and subtraction; a stale obstruction
+    raises."""
+    f = basis[ob.i]
+    g = basis[ob.j]
+    fm, fc = f.leading
+    gm, gc = g.leading
+    if fm + ob.right != ob.ambiguity or ob.left + gm != ob.ambiguity:
+        raise AlgebraError("stale obstruction: basis changed")
+    sf = pres.mul(f, pres.monomial_poly(ob.right))
+    sg = pres.mul(pres.monomial_poly(ob.left), g)
+    return pres.sub(pres.scale(1 / fc, sf), pres.scale(1 / gc, sg))
+
+
+def reference_normal_form(pres, f, basis):
+    """Normal form under nc_normal_form's rule: the largest monomial of the
+    work, found by a scan of all of it, is rewritten by the lowest-index
+    element at its leftmost occurrence, found by slicing."""
+    basis = list(basis)
+    work = dict(f.terms)
+    out = {}
+    while work:
+        m = min(work, key=pres.heap_key)
+        c = work.pop(m)
+        if not c:
+            continue
+        rule = next(((g, p) for g in basis
+                     for p in range(len(m) - len(g.leading[0]) + 1)
+                     if m[p:p + len(g.leading[0])] == g.leading[0]), None)
+        if rule is None:
+            out[m] = out.get(m, Fraction(0)) + c
+            continue
+        g, p = rule
+        pre, suf = m[:p], m[p + len(g.leading[0]):]
+        scale = c / g.leading[1]
+        for wm, wc in g.terms[1:]:
+            mm = pre + wm + suf
+            work[mm] = work.get(mm, Fraction(0)) - scale * wc
+    return pres.poly(out)
 
 
 def chain_decompositions(pres, word, obstructions, level):
@@ -78,8 +116,8 @@ def verify_diamond(gb):
     for ob in find_obstructions(pres, basis):
         if ob.degree > gb.complete_to_degree:
             continue
-        s = nc_s_polynomial(pres, ob, basis)
-        if nc_normal_form(pres, s, basis):
+        s = reference_s_polynomial(pres, ob, basis)
+        if reference_normal_form(pres, s, basis):
             raise AlgebraError(
                 f"ambiguity {pres.format_monomial(ob.ambiguity)} does not resolve")
         checked += 1
@@ -96,7 +134,7 @@ def restart_nc_reduce_basis(gb):
     while changed:
         changed = False
         for k in range(len(elems)):
-            h = nc_normal_form(pres, elems[k], elems[:k] + elems[k + 1:])
+            h = reference_normal_form(pres, elems[k], elems[:k] + elems[k + 1:])
             if not h:
                 elems.pop(k)
                 changed = True

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anick.cli import main
+from anick.cli import build_parser, main
 from anick.presentation import parse_presentation, serialize_presentation
+from anick.resolution import AnickResolution
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
@@ -188,6 +189,25 @@ class TestTor:
         assert data["totals"] == {"-1": 1, "0": 6, "1": 6, "2": 5,
                                   "3": 6, "4": 5}
 
+    def test_failed_splitting_audit_exits_1(self, capsys, monkeypatch):
+        # double one coefficient of every top-level splitting: d(i(u)) = u
+        # then fails, and Tor of the broken complex must not be printed
+        split = AnickResolution._isplit
+
+        def broken(self, m, elem):
+            out = split(self, m, elem)
+            if m == self.max_level - 1 and out:
+                key = next(iter(out))
+                out[key] *= 2
+            return out
+
+        monkeypatch.setattr(AnickResolution, "_isplit", broken)
+        code, out, err = run(capsys, "tor", SAMPLES / "x2xy.alg",
+                             "--max-level", 2, "--max-degree", 6)
+        assert code == 1
+        assert out == ""
+        assert "10 splittings failed" in err
+
 
 class TestPlumbing:
     def test_stdin_input(self, capsys, monkeypatch):
@@ -230,6 +250,22 @@ class TestPlumbing:
                       ["--threads", 0]):
             code, out, err = run(capsys, "gb", SAMPLES / "x2xy.alg", *flags)
             assert code == 2
+
+    def test_consecutive_runs_share_no_state(self, capsys):
+        # the parser is built once per process and reused by every call
+        assert build_parser() is build_parser()
+        bn = ("gb", "--bn", 1, "--max-degree", 5, "--format", "json")
+        code, bn_out, _ = run(capsys, *bn)
+        assert code == 0
+        code, file_out, _ = run(capsys, "gb", SAMPLES / "x2xy.alg")
+        assert code == 0
+        assert "certified complete to degree 8" in file_out
+        with pytest.raises(SystemExit) as exc:
+            main(["gb", "--bn", "1", "--max-degree", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+        assert run(capsys, *bn) == (0, bn_out, "")
+        assert run(capsys, "gb", SAMPLES / "x2xy.alg") == (0, file_out, "")
 
 
 class TestUngraded:

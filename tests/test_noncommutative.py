@@ -20,7 +20,12 @@ from anick.noncommutative import (
     normal_words,
 )
 from anick.presentation import make_bn, parse_poly, parse_presentation
-from oracles import restart_nc_reduce_basis, verify_diamond
+from oracles import (
+    reference_normal_form,
+    reference_s_polynomial,
+    restart_nc_reduce_basis,
+    verify_diamond,
+)
 from test_commutative import changes_a_tail
 
 FREE_XY = parse_presentation(
@@ -48,15 +53,16 @@ def occurrences(word, tip):
 
 def reference_completion(pres, max_degree):
     """Completion by re-listing: list every ambiguity of the basis, process
-    the first one not yet done, insert, and list them again.  The queue in
-    nc_buchberger must process the same ambiguities in the same order."""
+    the first one not yet done, insert, and list them again, with the
+    reference S-polynomial and normal form.  The queue in nc_buchberger
+    must process the same ambiguities in the same order."""
     def insert(basis, h):
         w = h.leading[0]
         displaced = [e for e in basis if e.leading[0] != w and occurrences(e.leading[0], w)]
         basis[:] = [e for e in basis if not (e.leading[0] != w and occurrences(e.leading[0], w))]
         basis.append(h)
         for e in displaced:
-            h2 = nc_normal_form(pres, e, basis)
+            h2 = reference_normal_form(pres, e, basis)
             if h2:
                 insert(basis, h2)
 
@@ -65,7 +71,7 @@ def reference_completion(pres, max_degree):
 
     basis = []
     for g in pres.relations:
-        h = nc_normal_form(pres, g, basis)
+        h = reference_normal_form(pres, g, basis)
         if h:
             insert(basis, h)
     done = set()
@@ -75,7 +81,8 @@ def reference_completion(pres, max_degree):
         if not todo:
             return tuple(basis)
         done.add(key(todo[0]))
-        h = nc_normal_form(pres, nc_s_polynomial(pres, todo[0], basis), basis)
+        h = reference_normal_form(
+            pres, reference_s_polynomial(pres, todo[0], basis), basis)
         if h:
             insert(basis, h)
 
@@ -101,6 +108,24 @@ def small_presentations(draw, homogeneous=st.booleans(), max_degree=8):
         relations.append(pres.poly(terms))
     top = max(pres.poly_degree(f) for f in relations)
     return pres.with_relations(relations), draw(st.integers(max(top, 2), max_degree))
+
+
+@st.composite
+def bases_and_polys(draw):
+    """1-4 polynomials of up to 4 terms on nonempty words of length <= 4,
+    graded or not, whose leading words may overlap, repeat or contain one
+    another, so the rewriting rule decides the normal form; and a
+    polynomial of up to 5 terms on words of length <= 8."""
+    pres = draw(st.sampled_from([FREE_XY, XYZ]))
+    letter = st.integers(0, pres.ngens - 1)
+    coeff = st.integers(-3, 3).filter(bool)
+    word = st.lists(letter, min_size=1, max_size=4).map(tuple)
+    basis = draw(st.lists(
+        st.dictionaries(word, coeff, min_size=1, max_size=4).map(pres.poly),
+        min_size=1, max_size=4))
+    f = pres.poly(draw(st.dictionaries(
+        st.lists(letter, max_size=8).map(tuple), coeff, max_size=5)))
+    return pres, basis, f
 
 
 def xy_family(pres, top):
@@ -225,6 +250,18 @@ class TestNormalForm:
             assert nc_normal_form(pres, f, basis) == random_nf(f)
 
 
+class TestNormalFormReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bases_and_polys())
+    @example((TestRewriteRule.ABCD,
+              [parse_poly(TestRewriteRule.ABCD, "b*c - d^2"),
+               parse_poly(TestRewriteRule.ABCD, "a*b - d*c")],
+              parse_poly(TestRewriteRule.ABCD, "a*b*c + 2*b*c*a*b")))
+    def test_matches_reference_on_non_confluent_bases(self, case):
+        pres, basis, f = case
+        assert nc_normal_form(pres, f, basis) == reference_normal_form(pres, f, basis)
+
+
 class TestObstructions:
     def test_self_overlap(self):
         basis = [parse_poly(FREE_XY, "x^2 - x*y")]
@@ -267,6 +304,15 @@ class TestObstructions:
 
 
 class TestSPolynomial:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(small_presentations())
+    def test_matches_reference_on_every_obstruction(self, case):
+        pres, degree = case
+        basis = nc_buchberger(pres, max_degree=degree).basis
+        for ob in find_obstructions(pres, basis):
+            assert (nc_s_polynomial(pres, ob, basis)
+                    == reference_s_polynomial(pres, ob, basis))
+
     def test_self_overlap_cancellation(self):
         basis = [parse_poly(FREE_XY, "x^2 - x*y")]
         ob = find_obstructions(FREE_XY, basis)[0]
@@ -346,6 +392,13 @@ class TestCompletionProperties:
         gb = nc_buchberger(pres, max_degree=degree)
         assert gb.basis == reference_completion(pres, degree)
         verify_diamond(gb)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_presentations(homogeneous=st.just(False), max_degree=6))
+    def test_ungraded_same_order_as_relisting_loop(self, case):
+        pres, degree = case
+        assert (nc_buchberger(pres, max_degree=degree).basis
+                == reference_completion(pres, degree))
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(small_presentations(homogeneous=st.just(True)), st.randoms())
