@@ -6,7 +6,11 @@ Completion adjoins normal forms of S-polynomials until every ambiguity whose
 word has degree at most the requested bound resolves; the bound is recorded
 on the result as ``complete_to_degree`` since free-algebra bases may well be
 infinite.  Pending ambiguities wait in a queue, each element's overlaps
-pushed once when it is inserted.  Inclusions are never queued: inserting an
+pushed once when it is inserted.  Overlaps are found by lookup, not by
+comparing pairs of words: completion indexes the proper prefixes and
+suffixes of the live leading words, and a new word's suffixes are looked up
+among the prefixes and its prefixes among the suffixes; ``find_obstructions``
+indexes the prefixes once.  Inclusions are never queued: inserting an
 element drops and re-reduces every element whose leading word contains the
 new one, so the leading-word set stays an antichain under the subword
 relation.  That antichain is exactly the obstruction set the chain machinery
@@ -248,29 +252,30 @@ def _reduce(pres, f, matcher, rules):
     return Polynomial(tuple(out))
 
 
-def _overlaps(u, v):
-    """Each way a nonempty proper suffix of u is a proper prefix of v, as
-    (left, right, ambiguity) with u·right == left·v == ambiguity."""
-    for s in range(1, min(len(u), len(v))):
-        if u[len(u) - s:] == v[:s]:
-            yield u[:len(u) - s], v[s:], u + v[s:]
-
-
 def find_obstructions(pres, basis):
     """All overlap ambiguities among the basis leading words, which must be
     an antichain (completion keeps them one).
 
-    Ordered by ambiguity degree, then the index pair, then the offset of the
-    second word inside the ambiguity.
+    Each proper nonempty prefix of a word is indexed once, with the indices
+    of the words that start with it; looking up each proper suffix of u
+    there gives every j whose word v overlaps u, as ``nc_buchberger`` finds
+    them.  Ordered by ambiguity degree, then the index pair, then the offset
+    of the second word inside the ambiguity.
     """
     _require_noncommutative(pres)
     words = antichain_matcher(pres, [g.leading[0] for g in basis]).words
+    starts = {}
+    for j, v in enumerate(words):
+        for s in range(1, len(v)):
+            starts.setdefault(v[:s], []).append(j)
     out = []
     for i, u in enumerate(words):
-        for j, v in enumerate(words):
-            for left, right, amb in _overlaps(u, v):
+        for s in range(1, len(u)):
+            for j in starts.get(u[-s:], ()):
+                right = words[j][s:]
+                amb = u + right
                 out.append(Obstruction(
-                    i, j, left, right, amb, pres.monomial_degree(amb)))
+                    i, j, u[:-s], right, amb, pres.monomial_degree(amb)))
     out.sort(key=lambda ob: (ob.degree, ob.i, ob.j, len(ob.left)))
     return out
 
@@ -301,9 +306,22 @@ def nc_buchberger(pres, max_degree=8):
     adds its word and a drop discards the dropped words.  Drops keep the
     rest in order, so serial order is index order, and reducing by the least
     (serial, start) hit is ``nc_normal_form``'s rule on the live basis.
-    ``queue`` holds the unprocessed overlaps of degree <= max_degree keyed
-    by (degree, i, j, len(left)) on serials, the order ``find_obstructions``
-    lists them in; entries of dropped elements are skipped when popped.
+
+    Overlaps are found by lookup, not by comparing pairs of words.
+    ``starts`` maps each proper nonempty prefix of a live leading word to
+    the serials of the live words that start with it, and ``ends`` each
+    proper suffix to those that end with it.  Inserting w as serial n looks
+    up each proper suffix of w in ``starts``, for the overlaps (n, k), and
+    each proper prefix in ``ends``, for (k, n); a self-overlap is found by
+    the first lookup only.  ``queue`` holds the unprocessed overlaps of
+    degree <= max_degree keyed by (degree, i, j, len(left)) on serials, the
+    order ``find_obstructions`` lists them in; no two entries tie, so the
+    pop order does not depend on the push order.  Entries of dropped
+    elements are skipped when popped.
+
+    A new leading word is normal modulo the live ones, so none of them
+    occurs in it, and a live word that contains it is strictly longer; the
+    drop step searches only those.
     """
     _require_noncommutative(pres)
     for g in pres.relations:
@@ -313,29 +331,44 @@ def nc_buchberger(pres, max_degree=8):
                 f"{pres.poly_degree(g)}")
     live = {}
     matcher = WordMatcher()
+    words = matcher.words
+    starts, ends = {}, {}
     queue = []
 
-    def push(i, j):
-        for left, right, amb in _overlaps(live[i].leading[0], live[j].leading[0]):
-            degree = pres.monomial_degree(amb)
-            if degree <= max_degree:
-                heapq.heappush(queue, (degree, i, j, len(left), left, right, amb))
+    def push(i, j, s):
+        # the last s letters of words[i] are the first s of words[j]
+        u = words[i]
+        right = words[j][s:]
+        amb = u + right
+        degree = pres.monomial_degree(amb)
+        if degree <= max_degree:
+            heapq.heappush(queue, (degree, i, j, len(u) - s, u[:-s], right, amb))
 
     def add(f):
         h = _reduce(pres, f, matcher, live)
         if not h:
             return
-        tip = WordMatcher([h.leading[0]])
-        dropped = [k for k, e in live.items() if tip.hits(e.leading[0])]
+        w = h.leading[0]
+        tip = WordMatcher([w])
+        dropped = [k for k in live if len(words[k]) > len(w) and tip.hits(words[k])]
         displaced = [live.pop(k) for k in dropped]
         for k in dropped:
             matcher.discard(k)
-        n = matcher.add(h.leading[0])
+            v = words[k]
+            for s in range(1, len(v)):
+                starts[v[:s]].discard(k)
+                ends[v[-s:]].discard(k)
+        n = matcher.add(w)
         live[n] = h
-        for k in live:
-            push(k, n)
-            if k != n:
-                push(n, k)
+        for s in range(1, len(w)):
+            starts.setdefault(w[:s], set()).add(n)
+            ends.setdefault(w[-s:], set()).add(n)
+        for s in range(1, len(w)):
+            for k in starts.get(w[-s:], ()):
+                push(n, k, s)
+            for k in ends.get(w[:s], ()):
+                if k != n:
+                    push(k, n, s)
         for e in displaced:
             add(e)
 

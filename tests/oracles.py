@@ -1,8 +1,9 @@
 """Independent oracles that the tests check the library against.
 
 Each recomputes something the library computes, by a slower route that
-shares none of its code: S-polynomials by polynomial multiplication,
-normal forms by rescanning the work for its largest monomial and the basis
+shares none of its code: overlap ambiguities by comparing every ordered
+pair of words, S-polynomials by polynomial multiplication, normal forms by
+rescanning the work for its largest monomial and the basis
 for the rewriting rule, chain decompositions by recursive search, the
 completion certificate by re-resolving every ambiguity, reduced bases by
 reducing until nothing changes, the Hilbert series of a free (or
@@ -16,7 +17,30 @@ from anick.algebra import AlgebraError
 from anick.commutative import CommGB, comm_normal_form, divides
 from anick.hilbert import series_inverse, series_mul, series_one
 from anick.linalg import dense_solve
-from anick.noncommutative import NcGB, antichain_matcher, find_obstructions
+from anick.noncommutative import NcGB, Obstruction, antichain_matcher
+
+
+def reference_obstructions(pres, basis):
+    """Every overlap ambiguity among the basis leading words, found by
+    comparing each suffix of u with the prefix of v of the same length for
+    every ordered pair (u, v), in find_obstructions's order.  Words that
+    repeat or occur inside one another, found by slicing, raise."""
+    words = [g.leading[0] for g in basis]
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            if i != j and any(u[p:p + len(v)] == v for p in range(len(u) - len(v) + 1)):
+                raise AlgebraError(f"{pres.format_monomial(v)} occurs in "
+                                   f"{pres.format_monomial(u)}")
+    out = []
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            for s in range(1, min(len(u), len(v))):
+                if u[len(u) - s:] == v[:s]:
+                    amb = u + v[s:]
+                    out.append(Obstruction(i, j, u[:len(u) - s], v[s:], amb,
+                                           pres.monomial_degree(amb)))
+    out.sort(key=lambda ob: (ob.degree, ob.i, ob.j, len(ob.left)))
+    return out
 
 
 def reference_s_polynomial(pres, ob, basis):
@@ -113,7 +137,7 @@ def verify_diamond(gb):
     pres = gb.presentation
     basis = list(gb.basis)
     checked = 0
-    for ob in find_obstructions(pres, basis):
+    for ob in reference_obstructions(pres, basis):
         if ob.degree > gb.complete_to_degree:
             continue
         s = reference_s_polynomial(pres, ob, basis)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pathlib
 import random
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import anick.noncommutative
 from anick.algebra import AlgebraError, BoundError
 from anick.hilbert import hilbert_from_normal_words
 from anick.noncommutative import (
@@ -22,6 +24,7 @@ from anick.noncommutative import (
 from anick.presentation import make_bn, parse_poly, parse_presentation
 from oracles import (
     reference_normal_form,
+    reference_obstructions,
     reference_s_polynomial,
     restart_nc_reduce_basis,
     verify_diamond,
@@ -54,8 +57,8 @@ def occurrences(word, tip):
 def reference_completion(pres, max_degree):
     """Completion by re-listing: list every ambiguity of the basis, process
     the first one not yet done, insert, and list them again, with the
-    reference S-polynomial and normal form.  The queue in nc_buchberger
-    must process the same ambiguities in the same order."""
+    reference obstructions, S-polynomial and normal form.  The queue in
+    nc_buchberger must process the same ambiguities in the same order."""
     def insert(basis, h):
         w = h.leading[0]
         displaced = [e for e in basis if e.leading[0] != w and occurrences(e.leading[0], w)]
@@ -76,7 +79,7 @@ def reference_completion(pres, max_degree):
             insert(basis, h)
     done = set()
     while True:
-        todo = [ob for ob in find_obstructions(pres, basis)
+        todo = [ob for ob in reference_obstructions(pres, basis)
                 if ob.degree <= max_degree and key(ob) not in done]
         if not todo:
             return tuple(basis)
@@ -126,6 +129,36 @@ def bases_and_polys(draw):
     f = pres.poly(draw(st.dictionaries(
         st.lists(letter, max_size=8).map(tuple), coeff, max_size=5)))
     return pres, basis, f
+
+
+WEIGHTED = parse_presentation(
+    "algebra W ; kind noncommutative ; generators x:1 y:2 z:3 ;"
+    " order deglex x > y > z ;")
+
+
+@st.composite
+def antichains(draw):
+    """Monomials on an antichain of up to 6 words, over 2 or 3 generators,
+    weighted or not: periodic words such as x^k and (x*y)^k, words p.q.p...p
+    that overlap themselves at several offsets, 2-letter words and any
+    short words, drawn over one alphabet or two disjoint ones.  A drawn
+    word is kept unless it occurs in or contains one kept before it."""
+    pres = draw(st.sampled_from([FREE_XY, XYZ, WEIGHTED]))
+    everything = tuple(range(pres.ngens))
+    alphabets = draw(st.sampled_from([[everything], [(0,), everything[1:]]]))
+    kept = []
+    for _ in range(draw(st.integers(1, 6))):
+        letter = st.sampled_from(draw(st.sampled_from(alphabets)))
+        short = st.lists(letter, min_size=1, max_size=3).map(tuple)
+        word = draw(st.one_of(
+            st.tuples(short, st.integers(2, 5)).map(lambda t: t[0] * t[1]),
+            st.tuples(short, st.lists(letter, max_size=2).map(tuple),
+                      st.integers(1, 3)).map(lambda t: (t[0] + t[1]) * t[2] + t[0]),
+            st.tuples(letter, letter),
+            st.lists(letter, min_size=1, max_size=6).map(tuple)))
+        if not any(occurrences(word, v) or occurrences(v, word) for v in kept):
+            kept.append(word)
+    return pres, [pres.monomial_poly(w) for w in kept]
 
 
 def xy_family(pres, top):
@@ -302,6 +335,22 @@ class TestObstructions:
         degs = [ob.degree for ob in obs]
         assert degs == sorted(degs)
 
+    def test_matches_pairwise_scan(self):
+        several = []
+
+        @settings(max_examples=200, deadline=None, derandomize=True)
+        @given(antichains())
+        def check(case):
+            pres, basis = case
+            obs = find_obstructions(pres, basis)
+            assert obs == reference_obstructions(pres, basis)
+            several.append(any(
+                sum(ob.i == ob.j == k for ob in obs) >= 2 for k in range(len(basis))))
+
+        check()
+        # some words overlapped themselves at two offsets or more
+        assert any(several)
+
 
 class TestSPolynomial:
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -382,6 +431,72 @@ class TestCompletion:
             for j, v in enumerate(words):
                 if i != j:
                     assert not occurrences(u, v)
+
+
+def popped_ambiguities(monkeypatch, pres, max_degree):
+    """(i, j, len(left), ambiguity) of each obstruction completion hands to
+    nc_s_polynomial, in order."""
+    log = []
+    real = anick.noncommutative.nc_s_polynomial
+
+    def spy(pres, ob, basis):
+        log.append((ob.i, ob.j, len(ob.left), ob.ambiguity))
+        return real(pres, ob, basis)
+
+    monkeypatch.setattr(anick.noncommutative, "nc_s_polynomial", spy)
+    nc_buchberger(pres, max_degree=max_degree)
+    monkeypatch.undo()
+    return log
+
+
+class TestOverlapQueue:
+    """The order in which completion pops its ambiguities, recorded before
+    overlaps were found by prefix and suffix lookup instead of by comparing
+    every pair of leading words."""
+
+    XYX = FREE_XY.with_relations([parse_poly(FREE_XY, "x*y*x - y"),
+                                  parse_poly(FREE_XY, "y*y - x")])
+
+    @pytest.mark.parametrize("name, degree, count, digest", [
+        ("x2xy", 16, 105, "cb426cbbff40876b86b093c4400371ccb0ae337204d57019f10515ed6c520d82"),
+        ("xyzx", 14, 90, "d22207561dbce64e9e61e5b0fff14329ee207aeac5e38c84ae1619f32682619b"),
+        ("bn4", 8, 23, "22904e65da48b61adb3eefa1ff3df5e9b4752d2d1ad8996c588550c1fafa3f61"),
+    ])
+    def test_pop_sequence_pinned(self, monkeypatch, name, degree, count, digest):
+        pres = (make_bn(4) if name == "bn4" else
+                parse_presentation((SAMPLES / f"{name}.alg").read_text()))
+        log = popped_ambiguities(monkeypatch, pres, degree)
+        assert len(log) == count
+        assert hashlib.sha256(repr(log).encode()).hexdigest() == digest
+
+    def test_inhomogeneous_pop_sequence(self, monkeypatch):
+        log = popped_ambiguities(monkeypatch, self.XYX, 8)
+        assert [(i, j, s, self.XYX.format_monomial(a)) for i, j, s, a in log] == [
+            (1, 1, 1, "y^3"), (2, 1, 1, "x*y^2"), (1, 3, 1, "y^2*x^2"),
+            (2, 3, 1, "x*y*x^2"), (3, 2, 2, "y*x^2*y"), (3, 4, 1, "y*x^3"),
+            (4, 2, 2, "x^3*y"), (4, 4, 1, "x^4"), (3, 4, 2, "y*x^4"),
+            (4, 4, 2, "x^5")]
+
+    def test_new_lead_inside_a_live_one_drops_it(self, monkeypatch):
+        # y*x*y sits at offset 1 of x*y*x*y*x: neither a prefix nor a suffix
+        pres = FREE_XY.with_relations([parse_poly(FREE_XY, "x*y*x*y*x"),
+                                       parse_poly(FREE_XY, "y*x*y")])
+        long, short = pres.relations
+        reduced = []
+        real = anick.noncommutative._reduce
+
+        def spy(pres, f, matcher, rules):
+            h = real(pres, f, matcher, rules)
+            reduced.append((f, h))
+            return h
+
+        monkeypatch.setattr(anick.noncommutative, "_reduce", spy)
+        gb = nc_buchberger(pres, max_degree=8)
+        monkeypatch.undo()
+        # inserted, then displaced by y*x*y and re-reduced to zero
+        assert [h for f, h in reduced if f == long] == [long, pres.poly({})]
+        assert gb.basis == (short,)
+        assert gb.basis == reference_completion(pres, 8)
 
 
 class TestCompletionProperties:
