@@ -10,27 +10,30 @@ differential and its splitting are mutually recursive:
 
     d_0(x (x) 1)  = 1 (x) x
     d_n(gt (x) 1) = g (x) t - i_{n-1}(d_{n-1}(g (x) t))
-    i_n(u)        = alpha g (x) c + i_n(u - alpha d_n(g (x) c))
+    i_n(u)        = sum_e u_e s_n(e)
+    s_n(f (x) s)  = g (x) c - sum_{k != f (x) s} d_n(g (x) c)_k s_n(k)
 
-where in the last line (f, s) is the leading pair of u under the order
-"f (x) s < g (x) t iff fs < gt", and fs = (word of an n-chain g) . (normal
-word c) -- that factorization exists and is unique for kernel leading words,
-and both facts are asserted rather than assumed.  One routine computes i_n
-for every n >= 0: the (-1)-chain is the empty word and the 0-chains are the
-generators, so i_0 factors a lead 1 (x) w as w[0] . w[1:].  The pending
-pairs of u sit in a heap, each keyed once as it enters, and g is found by
-looking up the prefixes of fs in a per-level index of chain words, one for
-each chain word length present at level n.  Values of d on free generators
-are memoized; d on c (x) a follows by right multiplication and normal-form
-reduction.
+where in the last line fs = (word of an n-chain g) . (normal word c), and
+s_n is 0 on a pair whose word has no such factorization.  Under the order
+"f (x) s < g (x) t iff fs < gt", d_n(g (x) c) leads with f (x) s with
+coefficient 1, so the recursion descends; that is checked, not assumed.
+i_n is linear, so s_n is memoized on basis pairs while the differentials
+are built, and each pair's column d_n(g (x) c) is computed once per level.
+One routine computes i_n for every n >= 0: the (-1)-chain is the empty
+word and the 0-chains are the generators, so s_0 factors 1 (x) w as
+w[0] . w[1:].  g is found by looking up the prefixes of fs in a per-level
+index of chain words, one for each chain word length present at level n.
+Values of d on free generators are memoized; d on c (x) a follows by right
+multiplication and normal-form reduction.
 
 Coefficients are ints wherever they are integral.  A monic basis with
 integer coefficients gives integral normal forms, since each reduction step
 subtracts an integer multiple of a basis element.  Then every d_n and i_n is
-integral too: the head coefficient of d_n(g (x) 1) is 1, so each alpha that
-i_n takes off a leading pair is an integer.  This is a per-term fast path,
-not a second mode: a normal-form coefficient that is not an integer stays a
-Fraction, and the arithmetic stays exact for any basis.
+integral too: each s_n(e) is an integral combination of a pair and of
+lower s_n(k), and d_n(g (x) 1) is a head with coefficient 1 minus i_{n-1}
+of an integral element.  This is a per-term fast path, not a second mode:
+a normal-form coefficient that is not an integer stays a Fraction, and the
+arithmetic stays exact for any basis.
 
 Everything downstream lives here too: the d.d = 0 and splitting checks,
 graded exactness ranks, the Euler identity, tensoring with the base field,
@@ -42,7 +45,6 @@ open.
 
 from __future__ import annotations
 
-import heapq
 from functools import cache
 
 from .algebra import AlgebraError, BoundError
@@ -89,7 +91,10 @@ class AnickResolution:
         self.split_failures = []
         self.diff = {0: [{(0, c.word): 1} for c in self.levels[0]]}
         for n in range(1, max_level + 1):
+            # i_{n-1} on basis pairs, used only while d_n is built
+            self._split_memo = {}
             self.diff[n] = [self._build_d(n, c) for c in self.levels[n]]
+        self._split_memo = None
 
     # -- plumbing ----------------------------------------------------------
 
@@ -139,77 +144,153 @@ class AnickResolution:
                         out.pop(key, None)
         return out
 
+    def _factors(self, m, w):
+        """The factorizations of w as (m-chain index, normal word), found by
+        looking up the prefixes of w in the level-m word index, one per
+        chain word length present at that level."""
+        index = self._word_index[m]
+        out = []
+        for k in self._chain_lengths[m]:
+            if k > len(w):
+                break
+            gi = index.get(w[:k])
+            if gi is not None and not self._tips.hits(w[k:]):
+                out.append((gi, w[k:]))
+        return out
+
     def _isplit(self, m, elem):
         """Splitting i_m for m >= 0: level m-1 kernel elements to level m.
 
-        Pending pairs sit in a heap under Presentation.heap_key of their
-        word, keyed once when they enter; a pair that has left the work
-        dict is skipped when it surfaces.  The lead's word is factored by
-        looking up its prefixes in the level-m word index, one per chain
-        word length present at that level.
+        i_m is the linear map sum u_e e -> sum u_e s(e) over basis pairs
+        e = (f, s) of C_{m-1} (x) A.  Let w = f.word . s.  If w factors as
+        (word of an m-chain g) . (normal word c), then
+
+            s(e) = g (x) c - sum_{k != e} d_m(g (x) c)_k s(k);
+
+        otherwise s(e) = 0 and the pair is passed over.  The recursion needs
+        d_m(g (x) c) to hold e with coefficient 1 and every other term at a
+        word below w.  That is checked once per pair: a term k != e at the
+        word w raises "ambiguous" (checked first), and a head coefficient
+        other than 1 or a term above w raises "failed to descend".  Every
+        built differential is homogeneous (the constructor asserts it), so
+        a column's words share w's degree and compare as word tuples, in
+        Presentation.heap_key's order.  The recursion only goes to pairs
+        strictly below e, so no pair is revisited; s is memoized and filled
+        from an explicit stack.
+
+        Proof that this is the leading-pair loop.  The loop takes the lead
+        e of u, with coefficient a; it returns a g (x) c + i(u - a d_m(g (x)
+        c)) when e factors, and i(u - a e) when it does not (the pass-over).
+        By induction on the lead, the loop is linear.  Everything left after
+        the first step lies below e, so by induction
+
+            i(u) = a g (x) c + sum_k (u - a d_m(g (x) c))_k s(k)
+                 = a s(e) + sum_{k != e} u_k s(k),
+
+        and a pass-over gives i(u - a e) = sum_{k != e} u_k s(k) alike.  On
+        an input where the loop meets only leads that factor, it is the
+        kernel-mode loop, so that loop's element comes out term for term.
+        The memo also checks pairs the loop would cancel before reaching
+        them.  On a built resolution none of those checks fails: each pair
+        met there has a normal word s = t c, t the tail of g, and then
+        d_m(g (x) c) = d_m(g) c keeps the shape that ``leading_term_ranks``
+        checks on d_m(g).  So every d_n is built as the loop built it.
+        ``split``'s audit sees the passed-over pairs.
+
+        The memo lives in ``_split_memo`` while the constructor builds the
+        differentials.  Any other call fills a memo of its own, since
+        ``diff`` may have changed since.
         """
         pres = self.presentation
         below = self.levels[m - 1]
-        index = self._word_index[m]
-        lengths = self._chain_lengths[m]
-        work = {k: v for k, v in elem.items() if v}
-        heap = [(pres.heap_key(below[ci].word + s), (ci, s)) for ci, s in work]
-        heapq.heapify(heap)
-        out = {}
-        last_key = None
-        while work:
-            lead_key, lead = heapq.heappop(heap)
-            if lead not in work:
-                continue
-            while heap and (heap[0][1] == lead or heap[0][1] not in work):
-                heapq.heappop(heap)
-            if heap and heap[0][0] == lead_key:
-                raise AlgebraError("leading pair of a kernel element is ambiguous")
-            if last_key is not None and lead_key <= last_key:
-                raise AlgebraError("splitting recursion failed to descend")
-            last_key = lead_key
-            ci, s = lead
-            alpha = work[lead]
-            w = below[ci].word + s
-            candidates = []
-            for k in lengths:
-                if k > len(w):
-                    break
-                gi = index.get(w[:k])
-                if gi is not None and not self._tips.hits(w[k:]):
-                    candidates.append((gi, w[k:]))
-            if not candidates:
-                raise AlgebraError(
-                    f"kernel leading word {pres.format_monomial(w)} admits no "
-                    f"(chain).(normal word) factorization at level {m}")
-            if len(candidates) > 1:
-                raise AlgebraError(
-                    f"kernel leading word {pres.format_monomial(w)} admits "
-                    f"{len(candidates)} chain factorizations at level {m}")
-            gi, cw = candidates[0]
-            if (gi, cw) in out:
-                raise AlgebraError("splitting revisited a chain generator")
-            out[(gi, cw)] = alpha
-            for k, v in self.apply_d(m, {(gi, cw): 1}).items():
-                acc = work.get(k, 0) - alpha * v
-                if not acc:
-                    work.pop(k, None)
+        memo = {} if self._split_memo is None else \
+            self._split_memo.setdefault(m, {})
+        stack = [e for e, alpha in elem.items() if alpha]
+        opened = {}
+        while stack:
+            e = stack[-1]
+            if e in memo:
+                stack.pop()
+            elif e in opened:
+                # every pair below e in its column has its s by now
+                stack.pop()
+                gc, col = opened.pop(e)
+                s = {gc: 1}
+                for k, v in col.items():
+                    if k == e:
+                        continue
+                    for j, x in memo[k].items():
+                        acc = s.get(j, 0) - v * x
+                        if acc:
+                            s[j] = acc
+                        else:
+                            s.pop(j, None)
+                memo[e] = s
+            else:
+                w = below[e[0]].word + e[1]
+                found = self._factors(m, w)
+                if not found:
+                    memo[e] = {}
                     continue
-                if k not in work:
-                    heapq.heappush(
-                        heap, (pres.heap_key(below[k[0]].word + k[1]), k))
-                work[k] = acc
-            if lead in work:
-                heapq.heappush(heap, (lead_key, lead))
+                if len(found) > 1:
+                    raise AlgebraError(
+                        f"kernel leading word {pres.format_monomial(w)} admits "
+                        f"{len(found)} chain factorizations at level {m}")
+                col = self.apply_d(m, {found[0]: 1})
+                descends = col.get(e) == 1
+                for ci, t in col:
+                    if (ci, t) != e:
+                        u = below[ci].word + t
+                        if u == w:
+                            raise AlgebraError(
+                                "leading pair of a kernel element is ambiguous")
+                        descends = descends and u > w
+                if not descends:
+                    raise AlgebraError("splitting recursion failed to descend")
+                opened[e] = found[0], col
+                stack.extend(k for k in col if k != e and k not in memo)
+        out = {}
+        for e, alpha in elem.items():
+            if not alpha:
+                continue
+            for k, v in memo[e].items():
+                acc = out.get(k, 0) + alpha * v
+                if acc:
+                    out[k] = acc
+                else:
+                    out.pop(k, None)
         return out
 
     def split(self, m, elem):
         """i_m for any m >= 0, by the one routine ``_isplit``, with the
-        d(i(u)) = u audit."""
+        d(i(u)) = u audit.
+
+        When the audit fails, the residue u - d(i(u)) is the sum of the
+        pairs that ``_isplit`` passed over, and its lead is the first lead
+        on which the leading-pair loop fails: that lead raises when it ties
+        with another pair or admits no factorization.  Any other failure
+        is recorded in ``split_failures``.
+        """
         result = self._isplit(m, elem)
         back = self.apply_d(m, result)
         self.split_checks += 1
-        if back != {k: v for k, v in elem.items() if v}:
+        residue = {k: v for k, v in elem.items() if v}
+        if back != residue:
+            for k, v in back.items():
+                acc = residue.get(k, 0) - v
+                if acc:
+                    residue[k] = acc
+                else:
+                    residue.pop(k, None)
+            pres, below = self.presentation, self.levels[m - 1]
+            keys = sorted(pres.heap_key(below[ci].word + s) for ci, s in residue)
+            if len(keys) > 1 and keys[0] == keys[1]:
+                raise AlgebraError("leading pair of a kernel element is ambiguous")
+            w = keys[0][1]
+            if not self._factors(m, w):
+                raise AlgebraError(
+                    f"kernel leading word {pres.format_monomial(w)} admits no "
+                    f"(chain).(normal word) factorization at level {m}")
             self.split_failures.append((m, elem, back))
         return result
 

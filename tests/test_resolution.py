@@ -678,9 +678,24 @@ def random_normal_word(res, rng, degree):
     return word
 
 
+def random_element(res, rng, n, degree):
+    """A homogeneous element of C_n (x) A: up to four random n-chains, each
+    with a random normal word of the degree, with small coefficients."""
+    x = {}
+    for ci, c in rng.sample(list(enumerate(res.levels[n])),
+                            min(len(res.levels[n]), 4)):
+        w = random_normal_word(res, rng, degree - c.degree)
+        if c.degree <= degree and w is not None:
+            x[(ci, w)] = rng.choice((-2, -1, 1, 3))
+    return x
+
+
 def assert_splits_match_reference(res, rng, kernel_samples):
     """Split every row of every d_n, and kernel_samples images d_n(x) of
-    random homogeneous x per level, both ways, from level 0 up."""
+    random homogeneous x per level, both ways, from level 0 up.  Then split
+    kernel_samples random elements of normal-word basis pairs per level,
+    which are mostly not images of d, so most splittings raise: both ways
+    must return the same element or raise the same message."""
     for n in range(res.max_level + 1):
         for row in res.diff[n]:
             assert outcome(res.split, n, row) == \
@@ -697,6 +712,13 @@ def assert_splits_match_reference(res, rng, kernel_samples):
             u = res.apply_d(n, x)
             assert outcome(res.split, n, u) == \
                 outcome(reference_split, res, n, u)
+    for n in range(res.max_level + 1):
+        below = res.levels[n - 1]
+        for _ in range(kernel_samples if below else 0):
+            d = rng.randint(min(c.degree for c in below), res.max_degree)
+            y = random_element(res, rng, n - 1, d)
+            assert outcome(res.split, n, y) == \
+                outcome(reference_split, res, n, y)
 
 
 XY = presentation_free("x y")
@@ -722,8 +744,8 @@ def graded_presentations(draw):
 
 
 class TestSplitOracle:
-    """The heap and prefix index in _isplit against the chain scan, at
-    every level including i_0."""
+    """The memoized splitting and prefix index in _isplit against the chain
+    scan, at every level including i_0."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(graded_presentations(), st.randoms(use_true_random=False))
@@ -740,6 +762,39 @@ class TestSplitOracle:
         res = AnickResolution(pres, level, degree)
         assert_splits_match_reference(res, random.Random(name),
                                       kernel_samples=50)
+
+
+def combine(a, u, b, v):
+    """a u + b v, with no zero coefficients."""
+    out = {k: a * u.get(k, 0) + b * v.get(k, 0) for k in {**u, **v}}
+    return {k: c for k, c in out.items() if c}
+
+
+class TestSplitLinearity:
+    """The memoized splitting is a linear map, and each d_n is its head
+    minus the oracle's splitting of d(head)."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(graded_presentations(), st.randoms(use_true_random=False))
+    def test_random_graded_presentations(self, case, rng):
+        pres, level, degree = case
+        res = AnickResolution(pres, level, degree)
+        for n in range(res.max_level + 1):
+            if not res.levels[n]:
+                continue
+            d = rng.randint(min(c.degree for c in res.levels[n]), degree)
+            u, v = (res.apply_d(n, random_element(res, rng, n, d))
+                    for _ in range(2))
+            a = rng.choice((-2, 1, 3))
+            b = Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3)))
+            assert res.split(n, combine(a, u, b, v)) == \
+                combine(a, res.split(n, u), b, res.split(n, v))
+        for n in range(1, res.max_level + 1):
+            index = res._word_index[n - 1]
+            for chain, row in zip(res.levels[n], res.diff[n]):
+                head = {(index[chain.parent.word], chain.tail): 1}
+                tail = reference_split(res, n - 1, res.apply_d(n - 1, head))
+                assert row == combine(1, head, -1, tail)
 
 
 class TestSplitErrors:
