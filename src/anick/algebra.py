@@ -2,8 +2,11 @@
 
 Monomials are plain tuples.  In a free (noncommutative) algebra a monomial is
 a word of generator indices; in a commutative polynomial algebra it is an
-exponent vector with one entry per generator.  Scalars are
-``fractions.Fraction`` throughout; no floating point enters any computation.
+exponent vector with one entry per generator.  Scalars are exact: every
+public polynomial carries ``fractions.Fraction`` coefficients, while
+completion and the resolution keep integral coefficients as plain ``int``
+internally and convert back at their boundaries.  No floating point enters
+any computation.
 
 A :class:`Presentation` fixes the algebra kind, the named graded generators,
 an admissible monomial order and a list of relations, and acts as the
@@ -124,6 +127,8 @@ class Presentation:
         self.generators = generators
         self.order = order
         self._degrees = tuple(g.degree for g in generators)
+        # with unit weights a word's degree is its length
+        self._unit_degrees = all(d == 1 for d in self._degrees)
         self._by_name = {g.name: g.index for g in generators}
         relations = tuple(relations)
         for rel in relations:
@@ -187,7 +192,7 @@ class Presentation:
     def monomial_degree(self, m):
         d = self._degrees
         if self.kind == NONCOMMUTATIVE:
-            return sum(d[i] for i in m)
+            return len(m) if self._unit_degrees else sum(d[i] for i in m)
         return sum(e * d[i] for i, e in enumerate(m))
 
     def monomial_mul(self, a, b):
@@ -211,6 +216,8 @@ class Presentation:
         the larger word has the smaller index, so this key orders words
         exactly opposite to term_key.
         """
+        if self._unit_degrees:
+            return (-len(word), word)
         return (-sum(map(self._degrees.__getitem__, word)), word)
 
     def compare(self, a, b):

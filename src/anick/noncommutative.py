@@ -22,6 +22,13 @@ Completion builds no intermediate polynomial: an S-polynomial is one
 coefficient dict over the two elements' non-leading terms, and it is reduced
 by the same heap-ordered loop as ``nc_normal_form``, against the live basis
 and its matcher directly.
+
+Completion runs on ints wherever the coefficients are integral: it converts
+each relation's integral coefficients to ``int`` on entry, every division
+goes through ``_divide``, which stays in ints when the division is exact,
+and the finished basis is converted back to ``Fraction`` once.  This is a
+per-term fast path, not a second mode: a coefficient that is not an integer
+stays a Fraction, and no division of two ints ever gives a float.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .algebra import (
@@ -179,9 +187,9 @@ class WordMatcher:
 
 
 # Consecutive normal forms mostly reduce by the same basis: the resolution
-# and nc_reduce_basis always do.  A matcher built here depends on its words
-# alone, and no caller adds or discards through it, so sharing one between
-# callers is safe.  Completion keeps its own matcher (see nc_buchberger).
+# always does.  A matcher built here depends on its words alone, and no
+# caller adds or discards through it, so sharing one between callers is
+# safe.  Completion and nc_reduce_basis keep their own matchers.
 _basis_matcher = lru_cache(maxsize=1)(WordMatcher)
 
 
@@ -214,9 +222,20 @@ def nc_normal_form(pres, f, basis):
                    basis)
 
 
+def _divide(c, lc):
+    """c / lc exactly: ``c // lc`` when both are ints and lc divides c,
+    ``Fraction(c, lc)`` for two ints otherwise, and the Fraction quotient
+    when either is a Fraction."""
+    if c.__class__ is int and lc.__class__ is int:
+        return c // lc if not c % lc else Fraction(c, lc)
+    return c / lc
+
+
 def _reduce(pres, f, matcher, rules):
     """Normal form of f, rewriting by rules[k] where the matcher finds
-    key k; the one reduction loop of nc_normal_form and completion.
+    key k; the one reduction loop of nc_normal_form, nc_reduce_basis and
+    completion.  Coefficients keep their type where the arithmetic allows:
+    ints stay ints while every division by a leading coefficient is exact.
 
     Monomials are processed largest first, from a heap in which each is
     keyed once when it enters the work dict.  Rewriting only creates
@@ -240,7 +259,7 @@ def _reduce(pres, f, matcher, rules):
         k, p = hit
         (lead, lc), *tail = rules[k].terms
         pre, suf = m[:p], m[p + len(lead):]
-        scale = c / lc
+        scale = _divide(c, lc)
         for wm, wc in tail:
             mm = pre + wm + suf
             old = work.get(mm)
@@ -283,7 +302,9 @@ def find_obstructions(pres, basis):
 def nc_s_polynomial(pres, ob, basis):
     """The cancellation of an ambiguity's two reductions,
     f·right/lc(f) - left·g/lc(g), built from the non-leading terms: the
-    leading terms are both the ambiguity and cancel."""
+    leading terms are both the ambiguity and cancel.  Divisions go through
+    ``_divide`` and the terms are sorted here, not by ``pres.poly``, so
+    integral coefficients stay ints."""
     f = basis[ob.i]
     g = basis[ob.j]
     fm, fc = f.leading
@@ -291,11 +312,13 @@ def nc_s_polynomial(pres, ob, basis):
     if fm + ob.right != ob.ambiguity or ob.left + gm != ob.ambiguity:
         raise AlgebraError("stale obstruction: basis changed")
     right, left = ob.right, ob.left
-    acc = {m + right: c / fc for m, c in f.terms[1:]}
+    acc = {m + right: _divide(c, fc) for m, c in f.terms[1:]}
     for m, c in g.terms[1:]:
         w = left + m
-        acc[w] = acc.get(w, 0) - c / gc
-    return pres.poly(acc)
+        acc[w] = acc.get(w, 0) - _divide(c, gc)
+    heap_key = pres.heap_key
+    return Polynomial(tuple(sorted(
+        ((m, c) for m, c in acc.items() if c), key=lambda mc: heap_key(mc[0]))))
 
 
 def nc_buchberger(pres, max_degree=8):
@@ -320,8 +343,13 @@ def nc_buchberger(pres, max_degree=8):
     elements are skipped when popped.
 
     A new leading word is normal modulo the live ones, so none of them
-    occurs in it, and a live word that contains it is strictly longer; the
-    drop step searches only those.
+    occurs in it, and a live word that contains it is strictly longer.  The
+    drop step tests each live word for the new one as a contiguous subword,
+    as a substring of ``texts``, the leading words spelled one character
+    per letter and kept under the same serials as ``words``.
+
+    Coefficients are ints wherever they are integral, from the relations
+    on entry until the basis is returned with Fraction coefficients.
     """
     _require_noncommutative(pres)
     for g in pres.relations:
@@ -332,6 +360,7 @@ def nc_buchberger(pres, max_degree=8):
     live = {}
     matcher = WordMatcher()
     words = matcher.words
+    texts = []
     starts, ends = {}, {}
     queue = []
 
@@ -349,8 +378,8 @@ def nc_buchberger(pres, max_degree=8):
         if not h:
             return
         w = h.leading[0]
-        tip = WordMatcher([w])
-        dropped = [k for k in live if len(words[k]) > len(w) and tip.hits(words[k])]
+        text = _text(w)
+        dropped = [k for k in live if text in texts[k]]
         displaced = [live.pop(k) for k in dropped]
         for k in dropped:
             matcher.discard(k)
@@ -359,6 +388,7 @@ def nc_buchberger(pres, max_degree=8):
                 starts[v[:s]].discard(k)
                 ends[v[-s:]].discard(k)
         n = matcher.add(w)
+        texts.append(text)
         live[n] = h
         for s in range(1, len(w)):
             starts.setdefault(w[:s], set()).add(n)
@@ -373,13 +403,22 @@ def nc_buchberger(pres, max_degree=8):
             add(e)
 
     for g in pres.relations:
-        add(g)
+        add(Polynomial(tuple((m, int(c) if c.denominator == 1 else c)
+                             for m, c in g.terms)))
     while queue:
         degree, i, j, _, left, right, amb = heapq.heappop(queue)
         if i in live and j in live:
             ob = Obstruction(i, j, left, right, amb, degree)
             add(nc_s_polynomial(pres, ob, live))
-    return NcGB(pres, tuple(live.values()), max_degree)
+    basis = tuple(Polynomial(tuple((m, Fraction(c)) for m, c in h.terms))
+                  for h in live.values())
+    return NcGB(pres, basis, max_degree)
+
+
+def _text(word):
+    """The word as a string, one character per letter, so that a subword
+    is a substring."""
+    return "".join(map(chr, word))
 
 
 def nc_reduce_basis(gb):
@@ -391,14 +430,17 @@ def nc_reduce_basis(gb):
     A word below an element's leading word cannot contain it, and rewriting
     only creates smaller words, so reducing the tail by the whole basis
     never uses the element itself and applies the rules that reducing by
-    the others would, with one matcher for every element.  That gives the
-    tail's normal form modulo the whole basis, unique in every degree the
-    basis is complete to.
+    the others would.  The matcher on the leading words is built once and
+    every tail goes to ``_reduce`` directly.  That gives the tail's normal
+    form modulo the whole basis, unique in every degree the basis is
+    complete to.
     """
     pres = gb.presentation
+    _require_noncommutative(pres)
+    matcher = WordMatcher(g.leading[0] for g in gb.basis)
     monic = []
     for e in gb.basis:
-        tail = nc_normal_form(pres, Polynomial(e.terms[1:]), gb.basis)
+        tail = _reduce(pres, Polynomial(e.terms[1:]), matcher, gb.basis)
         monic.append(pres.scale(1 / e.leading[1],
                                 Polynomial(e.terms[:1] + tail.terms)))
     return NcGB(pres, tuple(monic), gb.complete_to_degree)

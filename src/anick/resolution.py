@@ -537,23 +537,20 @@ def tor_dimensions(res):
     Row i is ker(M_i)/im(M_{i+1}) for the scalar matrices M; when the
     resolution is minimal this is just the chain count table.  Row i needs
     M_{i+1}, so the table stops one level below the built resolution.
+    Each level's blocks are ranked once and shared by the two rows that
+    need them.
     """
-    tensored = tensor_with_k(res)
-
-    def graded_rank(n):
-        if n < 0 or n > res.max_level:
-            return {}
+    ranks = {-1: {}}
+    for n, entries in tensor_with_k(res).items():
         cols = {}
-        for (cj, ci), coeff in tensored[n].items():
+        for (cj, ci), coeff in entries.items():
             d = res.levels[n][ci].degree
             cols.setdefault(d, {}).setdefault(ci, {})[cj] = coeff
-        return {d: sparse_rank(by_col.values()) for d, by_col in cols.items()}
-
+        ranks[n] = {d: sparse_rank(by_col.values()) for d, by_col in cols.items()}
     table = {}
     for i in range(-1, res.max_level):
         counts = res.counts[i]
-        rank_i = graded_rank(i)
-        rank_next = graded_rank(i + 1)
+        rank_i, rank_next = ranks[i], ranks[i + 1]
         row = {}
         for d in sorted(set(counts) | set(rank_next)):
             dim = counts.get(d, 0) - rank_i.get(d, 0) - rank_next.get(d, 0)

@@ -80,6 +80,18 @@ class TestDeglexWords:
         assert p.monomial_degree(p.word("x", "y")) == 4
         assert p.compare(p.word("x"), p.word("y", "y")) == 1
 
+    @pytest.mark.parametrize("weights", [(1, 2, 3), (1, 1, 1)])
+    def test_word_degree_is_the_weight_sum(self, weights):
+        # unit weights take the length shortcut; others sum the weights
+        p = Presentation(
+            "W", NONCOMMUTATIVE,
+            [Generator(i, nm, w) for i, (nm, w)
+             in enumerate(zip("xyz", weights))], DEGLEX)
+        for word in [(), (0,), (2,), (1, 2), (2, 0, 1, 1), (0, 0, 2, 1, 2)]:
+            generic = sum(weights[i] for i in word)
+            assert p.monomial_degree(word) == generic
+            assert p.heap_key(word) == (-generic, word)
+
 
 class TestCommutativeOrders:
     def test_deglex_exponents(self):

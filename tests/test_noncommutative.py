@@ -2,16 +2,18 @@ import hashlib
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import anick.noncommutative
-from anick.algebra import AlgebraError, BoundError
+from anick.algebra import AlgebraError, BoundError, Polynomial
 from anick.hilbert import hilbert_from_normal_words
 from anick.noncommutative import (
     NcGB,
+    Obstruction,
     WordMatcher,
     count_normal_words,
     find_obstructions,
@@ -91,10 +93,12 @@ def reference_completion(pres, max_degree):
 
 
 @st.composite
-def small_presentations(draw, homogeneous=st.booleans(), max_degree=8):
+def small_presentations(draw, homogeneous=st.booleans(), max_degree=8,
+                        coefficients=st.integers(-2, 2).filter(bool)):
     """1-3 relations of degree <= 4 with no constant term, over 2-3
-    generators if graded and 2 if not, and a completion degree D <=
-    max_degree no lower than the relations.  Over 3 generators about one
+    generators if graded and 2 if not, with coefficients drawn from
+    ``coefficients``, and a completion degree D <= max_degree no lower
+    than the relations.  Over 3 generators about one
     ungraded draw in a few hundred makes completion's rational coefficients
     grow to 10^4 digits and more, and completion then runs for 30 s to over
     a minute."""
@@ -107,7 +111,7 @@ def small_presentations(draw, homogeneous=st.booleans(), max_degree=8):
         word = length.flatmap(lambda n: st.tuples(
             *[st.integers(0, pres.ngens - 1)] * n))
         terms = draw(st.dictionaries(
-            word, st.integers(-2, 2).filter(bool), min_size=2, max_size=3))
+            word, coefficients, min_size=2, max_size=3))
         relations.append(pres.poly(terms))
     top = max(pres.poly_degree(f) for f in relations)
     return pres.with_relations(relations), draw(st.integers(max(top, 2), max_degree))
@@ -431,6 +435,79 @@ class TestCompletion:
             for j, v in enumerate(words):
                 if i != j:
                     assert not occurrences(u, v)
+
+
+def all_fractions(basis):
+    return all(type(c) is Fraction for f in basis for _, c in f.terms)
+
+
+# monic and not, with leading coefficients that divide no other coefficient
+RATIONALS = st.sampled_from(
+    [1, -1, 2, -2, 3, 5, Fraction(1, 2), Fraction(-3, 4)])
+
+
+class TestIntegerCompletion:
+    """Completion keeps integral coefficients as ints inside and returns
+    Fractions; every division goes through _divide."""
+
+    @pytest.mark.parametrize("c, lc, want", [
+        (6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, 7, 0), (5, 1, 5),
+        (5, 3, Fraction(5, 3)), (-6, 4, Fraction(-3, 2)),
+        (5, -3, Fraction(-5, 3)),
+        (Fraction(3, 2), 3, Fraction(1, 2)), (4, Fraction(2), Fraction(2)),
+    ])
+    def test_divide_is_int_exactly_when_exact(self, c, lc, want):
+        q = anick.noncommutative._divide(c, lc)
+        assert q == want
+        both_ints = type(c) is int and type(lc) is int
+        assert type(q) is (int if both_ints and c % lc == 0 else Fraction)
+
+    @pytest.mark.parametrize("pres", [X2XY, make_bn(3)] + [
+        FREE_XY.with_relations([parse_poly(FREE_XY, r) for r in relations])
+        for relations in [("2*x^2 - 3*x*y", "5*y*x*y + 2*x*y*x - y^3"),
+                          ("1/2*x*y - y*x", "3*y^2*x - x*y^2 + 2*y^3"),
+                          ("x*y*x - y", "y*y - x")]])
+    def test_basis_coefficients_are_fractions(self, pres):
+        gb = nc_buchberger(pres, max_degree=8)
+        assert gb.basis and all_fractions(gb.basis)
+        assert all_fractions(nc_reduce_basis(gb).basis)
+
+    def test_rational_graded_presentations(self):
+        fractional = []
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(small_presentations(homogeneous=st.just(True), max_degree=7,
+                                   coefficients=RATIONALS))
+        def check(case):
+            pres, degree = case
+            gb = nc_buchberger(pres, max_degree=degree)
+            assert gb.basis == reference_completion(pres, degree)
+            assert all_fractions(gb.basis)
+            assert all_fractions(nc_reduce_basis(gb).basis)
+            fractional.append(any(c.denominator != 1
+                                  for f in gb.basis for _, c in f.terms))
+
+        check()
+        # the draws reach the Fraction path, not only the int one
+        assert any(fractional)
+
+    def test_s_polynomial_of_int_elements(self):
+        # completion's own elements: int terms where division is exact
+        f = Polynomial((((0, 0), 2), ((0, 1), -4)))
+        g = Polynomial((((0, 0), 3), ((1, 1), 1)))
+        ob = Obstruction(0, 1, (0,), (0,), (0, 0, 0), 3)
+        s = nc_s_polynomial(FREE_XY, ob, (f, g))
+        assert s.terms == (((0, 1, 0), -2), ((0, 1, 1), Fraction(-1, 3)))
+        assert type(s.terms[0][1]) is int
+        assert s == FREE_XY.poly(dict(s.terms))
+
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=4).map(tuple),
+           st.lists(st.integers(0, 300), max_size=9).map(tuple))
+    @example((1, 0), (0, 1, 0, 0))
+    @example((256,), (1, 0))
+    def test_drop_step_substring_is_a_subword(self, w, v):
+        text = anick.noncommutative._text
+        assert (text(w) in text(v)) == bool(occurrences(v, w))
 
 
 def popped_ambiguities(monkeypatch, pres, max_degree):

@@ -375,6 +375,21 @@ class TestB2Differentials:
         # each from the two scalar entries of d3 and d4
         assert totals == {-1: 1, 0: 9, 1: 10, 2: 9, 3: 10}
 
+    def test_tor_ranks_each_block_once(self, monkeypatch):
+        res = AnickResolution(presentation_sample("x2xy"), 5, 14)
+        blocks = {(n, res.levels[n][ci].degree)
+                  for n, entries in tensor_with_k(res).items()
+                  for _, ci in entries}
+        calls = []
+
+        def counting(rows):
+            calls.append(1)
+            return sparse_rank(rows)
+
+        monkeypatch.setattr(resolution, "sparse_rank", counting)
+        tor_dimensions(res)
+        assert len(calls) == len(blocks) == 42
+
     def test_verification_report(self):
         res = resolution_bn(2, 4)
         report = verify_resolution(res)
