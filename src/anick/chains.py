@@ -11,9 +11,10 @@ therefore the rest of an F-word whose proper prefix is a suffix of r.
 Whether t may follow r depends on r and t alone, so the chains are the paths
 from a generator in the tail graph: its nodes are tails, and an edge r -> t
 joins each tail to each rest that may follow it (Anick 1986; Ufnarovski's
-graph of chains).  The graph indexes every F-word's rests by their prefix
-once, and lists the edges out of r on the first visit to r, so r.t is
-matched against F once per (tail, rest) pair, not once per chain.
+graph of chains).  The rests that may follow r are read off the overlaps of
+r with the F-words, which F's ``WordMatcher`` looks up by prefix, and the
+edges out of r are listed on the first visit to r, so r.t is matched
+against F once per (tail, rest) pair, not once per chain.
 A ``TailGraph`` carries the bounds of its chains, and is all that the two
 walks take: ``enumerate_chains`` builds each chain word; ``chain_counts``
 counts the chains per (level, degree) over (tail, degree) states, and
@@ -66,16 +67,12 @@ class TailGraph:
             raise AlgebraError("max_degree must be nonnegative")
         self.pres, self.max_level, self.max_degree = pres, max_level, max_degree
         self._matcher = antichain_matcher(pres, obstructions)
-        # each proper nonempty prefix v[:s] of an F-word -> the rests v[s:]
-        self._rests = rests = {}
         for v in self._matcher.words:
             if len(v) == 1:
                 g = pres.format_monomial(v)
                 raise OneLetterTipError(
                     f"presentation {pres.name!r} has the one-letter leading word "
                     f"{g}; chains need the redundant generator {g} removed")
-            for s in range(1, len(v)):
-                rests.setdefault(v[:s], []).append((v[s:], pres.monomial_degree(v[s:])))
         self._edges = {}
         self.gens = [((i,), pres.generator_degree(i)) for i in range(pres.ngens)
                      if pres.generator_degree(i) <= max_degree]
@@ -83,10 +80,12 @@ class TailGraph:
     def follow(self, r):
         out = self._edges.get(r)
         if out is None:
+            # the rests t = v[s:] of the F-words v whose first s letters end r
+            words, hits = self._matcher.words, self._matcher.hits
+            degree = self.pres.monomial_degree
             out = self._edges[r] = [
-                (t, dt) for s in range(1, len(r) + 1)
-                for t, dt in self._rests.get(r[len(r) - s:], ())
-                if len(self._matcher.hits(r + t)) == 1]
+                (t, degree(t)) for k, s in self._matcher.overlaps(r)
+                if len(hits(r + (t := words[k][s:]))) == 1]
         return out
 
 

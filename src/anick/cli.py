@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .algebra import COMMUTATIVE, AlgebraError, BoundError
+from .algebra import COMMUTATIVE, AlgebraError, BoundError, Polynomial
 from .chains import OneLetterTipError, TailGraph, chain_counts, enumerate_chains
 from .commutative import comm_buchberger, comm_normal_form, comm_reduce_basis
 from .hilbert import (
@@ -289,26 +289,26 @@ def cmd_anick(pres, args):
     require_graded(pres)
     res = AnickResolution(pres, args.max_level, args.max_degree)
     report = verify_resolution(res)
+    # each level's chain words, formatted once for its rows, cols and chains
+    words = [[pres.format_monomial(c.word) for c in res.levels[n]]
+             for n in range(res.max_level + 1)]
     matrices = {}
     for n in range(1, res.max_level + 1):
-        rows = [pres.format_monomial(c.word) for c in res.levels[n - 1]]
-        cols = [pres.format_monomial(c.word) for c in res.levels[n]]
         entries = []
         for ci, value in enumerate(res.diff[n]):
             by_row = {}
             for (cj, w), coeff in value.items():
-                by_row.setdefault(cj, {})[w] = coeff
+                by_row.setdefault(cj, []).append((w, coeff))
             for cj in sorted(by_row):
-                poly = pres.poly(by_row[cj])
-                entries.append([cj, ci, pres.format_poly(poly)])
-        matrices[str(n)] = {"rows": rows, "cols": cols, "entries": entries}
+                terms = sorted(by_row[cj], key=lambda t: pres.heap_key(t[0]))
+                entries.append([cj, ci, pres.format_poly(Polynomial(tuple(terms)))])
+        matrices[str(n)] = {"rows": words[n - 1], "cols": words[n],
+                            "entries": entries}
     data = {
         "algebra": pres.name,
         "max_level": res.max_level,
         "max_degree": res.max_degree,
-        "chains": {str(n): [pres.format_monomial(c.word)
-                            for c in res.levels[n]]
-                   for n in range(0, res.max_level + 1)},
+        "chains": {str(n): level for n, level in enumerate(words)},
         "differentials": matrices,
         "verification": _report_json(report),
     }

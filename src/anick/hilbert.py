@@ -11,12 +11,12 @@ cross-check of the whole machine.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import AlgebraError, BoundError
 from .chains import TailGraph, chain_counts
 from .commutative import CommGB, comm_normal_monomials
-from .linalg import dense_solve
+from .linalg import _reduce_row, dense_solve
 from .noncommutative import NcGB, count_normal_words
 
 
@@ -117,32 +117,20 @@ def _least_numerator_degree(s, dq):
     """The least dp for which some q of degree dq has (q*s)_k = 0 for
     dp < k <= d, by fraction-free elimination in ints, one row at a time.
 
-    s must be integral.  Row k reads s[k-1..k-dq] | -s[k] in the unknowns
-    q1..q_dq.  Rows are added for k = d, d - 1, ..., 1; rows k..d are the
+    s must be integral.  Row k reads s[k-1..k-dq] | -s[k]: columns
+    0..dq-1 are the unknowns q1..q_dq and column dq is the right-hand
+    side.  Rows are added for k = d, d - 1, ..., 1; rows k..d are the
     system of (k - 1, dq), so the first row that leaves the system
-    inconsistent is k = m(dq).  A reduced row is a*row - b*pivot divided by
-    its content, as in linalg.sparse_rank.
+    inconsistent is k = m(dq).  Each row is reduced by linalg's
+    ``_reduce_row``, and it is inconsistent when it settles in column dq.
     """
     pivots = {}
     for k in range(len(s) - 1, 0, -1):
-        row = [s[k - i] if k >= i else 0 for i in range(1, dq + 1)]
-        row.append(-s[k])
-        while True:
-            c = next((j for j in range(dq) if row[j]), None)
-            if c is None:
-                if row[dq]:
-                    return k
-                break
-            pivot = pivots.get(c)
-            if pivot is None:
-                pivots[c] = row
-                break
-            g = gcd(pivot[c], row[c])
-            a, b = pivot[c] // g, row[c] // g
-            row = [a * x - b * y for x, y in zip(row, pivot)]
-            content = gcd(*row)
-            if content > 1:
-                row = [x // content for x in row]
+        row = {i: s[k - 1 - i] for i in range(min(k, dq)) if s[k - 1 - i]}
+        if s[k]:
+            row[dq] = -s[k]
+        if _reduce_row(row, pivots) == dq:
+            return k
     return 0
 
 

@@ -8,9 +8,9 @@ on the result as ``complete_to_degree`` since free-algebra bases may well be
 infinite.  Pending ambiguities wait in a queue, each element's overlaps
 pushed once when it is inserted.  Overlaps are found by lookup, not by
 comparing pairs of words: completion indexes the proper prefixes and
-suffixes of the live leading words, and a new word's suffixes are looked up
-among the prefixes and its prefixes among the suffixes; ``find_obstructions``
-indexes the prefixes once.  Inclusions are never queued: inserting an
+suffixes of the live leading words and looks up a new word's suffixes among
+the prefixes and its prefixes among the suffixes; ``find_obstructions``
+reads ``WordMatcher.overlaps``.  Inclusions are never queued: inserting an
 element drops and re-reduces every element whose leading word contains the
 new one, so the leading-word set stays an antichain under the subword
 relation.  That antichain is exactly the obstruction set the chain machinery
@@ -38,7 +38,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .algebra import (
     NONCOMMUTATIVE,
@@ -109,12 +109,16 @@ class WordMatcher:
     tip ending in that letter has, so its cost does not grow with the
     number of tips.
 
+    ``starts`` maps each proper nonempty prefix of a tip to the keys of the
+    tips that start with it.  ``overlaps(word)`` reads it: (k, s) for each
+    tip k whose first s letters are the last s letters of the word, as in
+    the obstructions of a tip set and the edges of the tail graph.
+
     ``step(state, letter)`` runs the automaton that recognizes words
     avoiding every tip.  A state is the longest suffix read so far that is
     a proper prefix of a tip, ``()`` at the start; ``None`` means a tip has
-    occurred.  Transitions are computed on first use and remembered until
-    the tips change, and the prefix set is built on the first step, so
-    adding a tip costs only its length.
+    occurred.  Transitions and ``starts`` are computed on first use and
+    dropped when the tips change, so adding a tip costs only its length.
     """
 
     def __init__(self, words=()):
@@ -122,7 +126,7 @@ class WordMatcher:
         self._index = {}
         self._ends = {}
         self._tally = {}
-        self._prefixes, self._delta = None, {}
+        self._starts, self._delta = None, {}
         for w in words:
             self.add(w)
 
@@ -137,7 +141,7 @@ class WordMatcher:
         self._tally[end] = self._tally.get(end, 0) + 1
         if self._tally[end] == 1:
             bisect.insort(self._ends.setdefault(word[-1], []), len(word))
-        self._prefixes, self._delta = None, {}
+        self._starts, self._delta = None, {}
         return k
 
     def discard(self, k):
@@ -152,7 +156,16 @@ class WordMatcher:
         if not self._tally[end]:
             del self._tally[end]
             self._ends[word[-1]].remove(len(word))
-        self._prefixes, self._delta = None, {}
+        self._starts, self._delta = None, {}
+
+    @property
+    def starts(self):
+        if self._starts is None:
+            self._starts = starts = {}
+            for w, ks in self._index.items():
+                for p in range(1, len(w)):
+                    starts.setdefault(w[:p], []).extend(ks)
+        return self._starts
 
     def hits(self, word):
         get = self._index.get
@@ -166,13 +179,17 @@ class WordMatcher:
                     out.extend((k, end - n) for k in ks)
         return out
 
+    def overlaps(self, word):
+        starts = self.starts
+        return [(k, s) for s in range(1, len(word) + 1)
+                for k in starts.get(word[len(word) - s:], ())]
+
     def step(self, state, letter):
         key = (state, letter)
         t = self._delta.get(key, key)
         if t is not key:
             return t
-        if self._prefixes is None:
-            self._prefixes = {w[:p] for w in self._index for p in range(1, len(w))}
+        starts = self.starts
         # state holds no tip, so a tip in s must be a suffix of s
         s = state + (letter,)
         t = ()
@@ -180,17 +197,10 @@ class WordMatcher:
             if s[p:] in self._index:
                 t = None
                 break
-            if s[p:] in self._prefixes:
+            if s[p:] in starts:
                 t = s[p:]
         self._delta[key] = t
         return t
-
-
-# Consecutive normal forms mostly reduce by the same basis: the resolution
-# always does.  A matcher built here depends on its words alone, and no
-# caller adds or discards through it, so sharing one between callers is
-# safe.  Completion and nc_reduce_basis keep their own matchers.
-_basis_matcher = lru_cache(maxsize=1)(WordMatcher)
 
 
 def antichain_matcher(pres, words):
@@ -218,8 +228,7 @@ def nc_normal_form(pres, f, basis):
     """
     _require_noncommutative(pres)
     basis = tuple(basis)
-    return _reduce(pres, f, _basis_matcher(tuple(g.leading[0] for g in basis)),
-                   basis)
+    return _reduce(pres, f, WordMatcher(g.leading[0] for g in basis), basis)
 
 
 def _divide(c, lc):
@@ -275,26 +284,21 @@ def find_obstructions(pres, basis):
     """All overlap ambiguities among the basis leading words, which must be
     an antichain (completion keeps them one).
 
-    Each proper nonempty prefix of a word is indexed once, with the indices
-    of the words that start with it; looking up each proper suffix of u
-    there gives every j whose word v overlaps u, as ``nc_buchberger`` finds
-    them.  Ordered by ambiguity degree, then the index pair, then the offset
-    of the second word inside the ambiguity.
+    The tip matcher's ``overlaps`` of each word u give every j whose word
+    v overlaps u, as ``nc_buchberger`` finds them.  Ordered by ambiguity
+    degree, then the index pair, then the offset of the second word inside
+    the ambiguity.
     """
     _require_noncommutative(pres)
-    words = antichain_matcher(pres, [g.leading[0] for g in basis]).words
-    starts = {}
-    for j, v in enumerate(words):
-        for s in range(1, len(v)):
-            starts.setdefault(v[:s], []).append(j)
+    matcher = antichain_matcher(pres, [g.leading[0] for g in basis])
+    words = matcher.words
     out = []
     for i, u in enumerate(words):
-        for s in range(1, len(u)):
-            for j in starts.get(u[-s:], ()):
-                right = words[j][s:]
-                amb = u + right
-                out.append(Obstruction(
-                    i, j, u[:-s], right, amb, pres.monomial_degree(amb)))
+        for j, s in matcher.overlaps(u):
+            right = words[j][s:]
+            amb = u + right
+            out.append(Obstruction(
+                i, j, u[:-s], right, amb, pres.monomial_degree(amb)))
     out.sort(key=lambda ob: (ob.degree, ob.i, ob.j, len(ob.left)))
     return out
 

@@ -91,9 +91,9 @@ def _tokenize(text):
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), line, start_col))
             col += j - i

@@ -47,14 +47,14 @@ from __future__ import annotations
 
 from functools import cache
 
-from .algebra import AlgebraError, BoundError
+from .algebra import AlgebraError, BoundError, Polynomial
 from .chains import TailGraph, chain_counts, enumerate_chains
 from .linalg import sparse_rank
 from .noncommutative import (
     WordMatcher,
+    _reduce,
     count_normal_words,
     nc_buchberger,
-    nc_normal_form,
     normal_words,
 )
 
@@ -85,6 +85,9 @@ class AnickResolution:
             n: sorted({len(c.word) for c in chains})
             for n, chains in self.levels.items()}
         self._tips = WordMatcher(tips)
+        # the basis as rewriting rules, integral coefficients as ints
+        self._rules = [Polynomial(tuple((m, int(c) if c.denominator == 1 else c)
+                                        for m, c in g.terms)) for g in gb.basis]
         self.hilbert = count_normal_words(presentation, self._tips.words, max_degree)
         self._nf_cache = {}
         self.split_checks = 0
@@ -99,8 +102,8 @@ class AnickResolution:
     # -- plumbing ----------------------------------------------------------
 
     def _nf_word(self, word):
-        """Normal form of a single word as a terms tuple, integral
-        coefficients as ints."""
+        """Normal form of a single word as a terms tuple, reduced by the
+        basis through the tip matcher; integral coefficients stay ints."""
         cached = self._nf_cache.get(word)
         if cached is None:
             pres = self.presentation
@@ -108,13 +111,8 @@ class AnickResolution:
                 raise BoundError(
                     f"reduction of degree {pres.monomial_degree(word)} exceeds "
                     f"the certified degree {self.gb.complete_to_degree}")
-            if not self._tips.hits(word):
-                cached = ((word, 1),)
-            else:
-                cached = tuple(
-                    (m, int(c) if c.denominator == 1 else c)
-                    for m, c in nc_normal_form(
-                        pres, pres.monomial_poly(word), self.gb.basis).terms)
+            cached = _reduce(pres, Polynomial(((word, 1),)), self._tips,
+                             self._rules).terms
             self._nf_cache[word] = cached
         return cached
 

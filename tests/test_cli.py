@@ -231,6 +231,18 @@ class TestPlumbing:
         assert code == 2
         assert "column" in err
 
+    def test_non_decimal_digit_exits_2(self, capsys, monkeypatch):
+        head = ("algebra h; kind noncommutative; generators x y; "
+                "order deglex x > y;")
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(f"{head} relations x^\u00b2 - y;"))
+        code, out, err = run(capsys, "gb", "-")
+        assert (code, out) == (2, "")
+        assert "line 1, column 81: unexpected character '\u00b2'" in err
+        code, out, err = run(capsys, "nf", SAMPLES / "x2xy.alg", "x^\u00b2")
+        assert (code, out) == (2, "")
+        assert "column 3: unexpected character '\u00b2'" in err
+
     def test_undecodable_file_reads_like_stdin(self, capsys, monkeypatch,
                                                tmp_path):
         # stdin decodes undecodable bytes to surrogates, which the parser

@@ -210,6 +210,61 @@ class TestFindSubword:
         assert sorted(WordMatcher(tips).hits(word)) == expected
 
 
+# tips_and_word with one more tip to add and a choice of a key to discard
+tips_and_edits = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4).map(tuple),
+             max_size=5),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=4).map(tuple),
+    st.integers(0, 5),
+    st.lists(st.integers(0, n - 1), max_size=10).map(tuple)))
+
+
+class TestPrefixIndex:
+    """WordMatcher.overlaps and step read one prefix index, which must
+    follow every add and discard."""
+
+    @staticmethod
+    def check(m, live, word):
+        expected = sorted((k, s) for k, tip in live.items()
+                          for s in range(1, min(len(tip) - 1, len(word)) + 1)
+                          if word[len(word) - s:] == tip[:s])
+        assert sorted(m.overlaps(word)) == expected
+        state = ()
+        for end in range(1, len(word) + 1):
+            read = word[:end]
+            state = m.step(state, word[end - 1])
+            if any(occurrences(read, tip) for tip in live.values()):
+                assert state is None
+                break
+            # the longest suffix read that is a proper prefix of a tip
+            assert state == max(
+                (tip[:s] for tip in live.values() for s in range(len(tip))
+                 if s <= end and read[end - s:] == tip[:s]),
+                key=len, default=())
+
+    def test_overlap_lengths(self):
+        m = WordMatcher([(0, 1, 0), (1, 0, 0)])
+        assert sorted(m.overlaps((1, 0, 1, 0))) == [(0, 1), (1, 2)]
+        assert sorted(m.overlaps((0, 1))) == [(0, 2), (1, 1)]
+        assert m.overlaps((1, 1)) == [(1, 1)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tips_and_edits)
+    @example(([(0, 1)], (1, 0), 0, (0, 1, 1, 0)))
+    @example(([(0, 1, 1), (1, 0)], (0, 1, 0), 1, (1, 0, 1)))
+    def test_matches_slicing_across_edits(self, case):
+        tips, extra, pick, word = case
+        m = WordMatcher(tips)
+        live = dict(enumerate(tips))
+        self.check(m, live, word)
+        live[m.add(extra)] = extra
+        self.check(m, live, word)
+        gone = sorted(live)[pick % len(live)]
+        m.discard(gone)
+        del live[gone]
+        self.check(m, live, word)
+
+
 class TestRewriteRule:
     """nc_normal_form rewrites with the lowest-index element at its leftmost
     occurrence, not at the leftmost occurrence of any element: before the

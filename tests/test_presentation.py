@@ -81,6 +81,22 @@ class TestParsing:
             parse_presentation("algebra A ;\nkind sideways ;")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u00b3", "\u2460"])
+    def test_non_decimal_digit_is_unexpected(self, digit):
+        # str.isdigit holds for superscripts and circled digits, which
+        # int() rejects; only decimal digits make an integer token
+        with pytest.raises(ParseError) as info:
+            parse_presentation(X2XY.replace("x^2", f"x^{digit}"))
+        assert (info.value.line, info.value.col) == (6, 13)
+        assert f"unexpected character {digit!r}" in str(info.value)
+        with pytest.raises(ParseError) as info:
+            parse_poly(parse_presentation(FREE_XY), f"y + x^{digit}")
+        assert (info.value.line, info.value.col) == (1, 7)
+
+    def test_decimal_digits_of_other_scripts_parse(self):
+        p = parse_presentation(FREE_XY)
+        assert parse_poly(p, "\u0663*x^\u0662") == parse_poly(p, "3*x^2")
+
     def test_unknown_generator_in_poly(self):
         p = parse_presentation(FREE_XY)
         with pytest.raises(ParseError):

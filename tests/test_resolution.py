@@ -13,7 +13,7 @@ from anick.algebra import AlgebraError
 from anick.chains import Chain, OneLetterTipError
 from anick.cli import _report_json
 from anick.linalg import sparse_rank
-from anick.noncommutative import normal_words
+from anick.noncommutative import nc_normal_form, normal_words
 from anick.presentation import make_bn, parse_presentation, parse_poly
 from anick.resolution import (
     AnickResolution,
@@ -613,6 +613,21 @@ class TestIntegrality:
             if n >= 0:
                 cols = _block_columns(res, n, d, words)
                 assert block["rank_out"] == sparse_rank(cols)
+
+
+    @pytest.mark.parametrize("name", ["x2xy", "xyzx", "B2", "nonmonic"])
+    def test_cached_normal_forms_match_nc_normal_form(self, name):
+        # the resolution reduces through its own tip matcher and int rules;
+        # every word it reduced must have the library's normal form
+        pres = (make_bn(2) if name == "B2" else presentation_non_monic()
+                if name == "nonmonic" else presentation_sample(name))
+        res = AnickResolution(pres, 3, 8)
+        assert len(res._nf_cache) > 10
+        for word, terms in res._nf_cache.items():
+            want = nc_normal_form(pres, pres.monomial_poly(word), res.gb.basis)
+            assert terms == want.terms
+            if name != "nonmonic":
+                assert all(type(c) is int for _, c in terms)
 
 
 def reference_split(res, m, elem):
