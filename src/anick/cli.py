@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 
 from .algebra import COMMUTATIVE, AlgebraError, BoundError, Polynomial
@@ -124,11 +123,9 @@ def certified_basis(pres, args):
 
 
 def _series_json(coeffs):
-    out = []
-    for c in coeffs:
-        frac = Fraction(c)
-        out.append(int(frac) if frac.denominator == 1 else str(frac))
-    return out
+    """Ints and integral Fractions as JSON numbers, other Fractions as
+    "p/q" strings."""
+    return [c.numerator if c.denominator == 1 else str(c) for c in coeffs]
 
 
 # -- subcommands -------------------------------------------------------------

@@ -1,13 +1,12 @@
-"""Exact linear algebra: sparse rank over Q, small dense solves.
+"""Exact linear algebra: sparse rank over Q by fraction-free elimination.
 
 Rows are dicts mapping column keys to ints or Fractions.  Rank runs
 incremental row echelon with the smallest column as pivot, so column keys
 must be mutually comparable (ints, tuples of ints).  ``sparse_rank`` is exact
 over Q without rational arithmetic: each row is scaled to ints by the lcm of
-its denominators and eliminated fraction-free by ``_reduce_row``, which
-``hilbert.rational_form``'s integer search shares.  ``dense_solve`` works in
-Fractions; ``rational_form`` calls it once per fit, on the system its
-integer search has already chosen.
+its denominators and eliminated fraction-free by ``_reduce_row``.
+``hilbert.rational_form`` builds its echelons with the same reducer and
+back-substitutes on them, so no solve over Fractions is left here.
 """
 
 from __future__ import annotations
@@ -66,42 +65,3 @@ def sparse_rank(rows):
     return sum(_reduce_row(_integral_row(raw), pivots) is not None
                for raw in rows)
 
-
-def dense_solve(matrix, rhs):
-    """One exact solution of matrix . x = rhs, or None when inconsistent.
-
-    Free variables are set to zero.  matrix is a list of equal-length rows.
-    """
-    if not matrix:
-        return [] if not any(rhs) else None
-    m = [list(map(Fraction, row)) + [Fraction(b)]
-         for row, b in zip(matrix, rhs)]
-    nrows, ncols = len(m), len(matrix[0])
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pick = None
-        for k in range(r, nrows):
-            if m[k][c]:
-                pick = k
-                break
-        if pick is None:
-            continue
-        m[r], m[pick] = m[pick], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for k in range(nrows):
-            if k != r and m[k][c]:
-                factor = m[k][c]
-                m[k] = [a - factor * b for a, b in zip(m[k], m[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for k in range(r, nrows):
-        if m[k][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivot_cols):
-        x[c] = m[row_idx][ncols]
-    return x

@@ -7,8 +7,9 @@ rescanning the work for its largest monomial and the basis
 for the rewriting rule, chain decompositions by recursive search, the
 completion certificate by re-resolving every ambiguity, reduced bases by
 reducing until nothing changes, the Hilbert series of a free (or
-exterior) algebra on given generator degrees, and rational fits by one
-dense solve per (numerator degree, denominator degree) pair.
+exterior) algebra on given generator degrees, series inverses by the
+recurrence in Fractions, and rational fits by one dense Gauss-Jordan solve
+over Fractions per (numerator degree, denominator degree) pair.
 """
 
 from fractions import Fraction
@@ -16,7 +17,6 @@ from fractions import Fraction
 from anick.algebra import AlgebraError
 from anick.commutative import CommGB, comm_normal_form, divides
 from anick.hilbert import series_inverse, series_mul, series_one
-from anick.linalg import dense_solve
 from anick.noncommutative import NcGB, Obstruction, antichain_matcher
 
 
@@ -217,6 +217,63 @@ def generator_product_series(degrees, max_degree, exterior=False):
             factor = series_inverse(factor)
         out = series_mul(out, factor)
     return out
+
+
+def reference_series_inverse(a):
+    """1/a to the truncation of a by the recurrence
+    out[k] = -(1/a[0]) * sum(a[i] * out[k - i], 1 <= i <= k) in Fractions,
+    whatever the coefficients."""
+    if not a or not a[0]:
+        raise AlgebraError("cannot invert a series with zero constant term")
+    n = len(a)
+    inv0 = 1 / Fraction(a[0])
+    out = [inv0] + [Fraction(0)] * (n - 1)
+    for k in range(1, n):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            acc += a[i] * out[k - i]
+        out[k] = -inv0 * acc
+    return tuple(out)
+
+
+def dense_solve(matrix, rhs):
+    """One exact solution of matrix . x = rhs, or None when inconsistent.
+
+    Free variables are set to zero.  matrix is a list of equal-length rows.
+    """
+    if not matrix:
+        return [] if not any(rhs) else None
+    m = [list(map(Fraction, row)) + [Fraction(b)]
+         for row, b in zip(matrix, rhs)]
+    nrows, ncols = len(m), len(matrix[0])
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pick = None
+        for k in range(r, nrows):
+            if m[k][c]:
+                pick = k
+                break
+        if pick is None:
+            continue
+        m[r], m[pick] = m[pick], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for k in range(nrows):
+            if k != r and m[k][c]:
+                factor = m[k][c]
+                m[k] = [a - factor * b for a, b in zip(m[k], m[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for k in range(r, nrows):
+        if m[k][ncols]:
+            return None
+    x = [Fraction(0)] * ncols
+    for row_idx, c in enumerate(pivot_cols):
+        x[c] = m[row_idx][ncols]
+    return x
 
 
 def search_rational_form(s, max_den_degree=6):

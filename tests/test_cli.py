@@ -5,12 +5,13 @@ import io
 import json
 import pathlib
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anick.cli import build_parser, main
+from anick.cli import _series_json, build_parser, main
 from anick.presentation import parse_presentation, serialize_presentation
 from anick.resolution import AnickResolution
 
@@ -129,6 +130,11 @@ class TestHilbert:
         assert data["normal_words"] == [1, 2, 2, 1, 0, 0, 0]
         assert data["chain_inverse"] is None
         assert data["agree"] is None
+
+    def test_series_json_coefficients(self):
+        got = _series_json((3, Fraction(-4), Fraction(1, 2), 0, Fraction(0)))
+        assert got == [3, -4, "1/2", 0, 0]
+        assert [type(c) for c in got] == [int, int, str, int, int]
 
     def test_bound_below_a_relation_exits_3(self, capsys):
         code, out, err = run(capsys, "hilbert", SAMPLES / "x2xy.alg",

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from anick.algebra import AlgebraError, BoundError
 from anick.chains import OneLetterTipError
 from anick.commutative import comm_buchberger, comm_reduce_basis
 from anick.hilbert import (
+    _least_numerator_degree,
     free_product_series,
     hilbert_from_chains,
     hilbert_from_normal_words,
@@ -23,7 +25,11 @@ from anick.hilbert import (
 )
 from anick.noncommutative import NcGB, nc_buchberger
 from anick.presentation import free_product, make_bn, parse_poly, parse_presentation
-from oracles import generator_product_series, search_rational_form
+from oracles import (
+    generator_product_series,
+    reference_series_inverse,
+    search_rational_form,
+)
 
 
 def geometric(ratio, d):
@@ -64,6 +70,60 @@ class TestSeriesArithmetic:
         assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
         assert series_mul(a, series_add(b, c)) == series_add(
             series_mul(a, b), series_mul(a, c))
+
+
+class TestSeriesInverse:
+    """series_inverse against the Fraction recurrence: ints on integral
+    series with a unit constant term, Fractions on any other."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from((1, -1)),
+           st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=20),
+           st.booleans())
+    def test_integral_unit_constant_term(self, unit, rest, as_fractions):
+        a = (unit, *rest)
+        if as_fractions:
+            a = series(a)
+        got = series_inverse(a)
+        assert got == reference_series_inverse(a)
+        assert all(type(c) is Fraction for c in got)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.tuples(st.sampled_from((2, -3, Fraction(1, 2))),
+                  st.lists(st.integers(-9, 9), max_size=12)),
+        st.tuples(st.sampled_from((1, -1)),
+                  st.lists(st.fractions(-3, 3, max_denominator=5), min_size=1,
+                           max_size=12).filter(
+                      lambda xs: any(x.denominator > 1 for x in xs)))))
+    def test_other_series_match_the_fraction_recurrence(self, head_rest):
+        # read as ints, these would give a wrong inverse
+        head, rest = head_rest
+        a = series((head, *rest))
+        got = series_inverse(a)
+        assert got == reference_series_inverse(a)
+        assert all(type(c) is Fraction for c in got)
+
+    def test_int_input(self):
+        got = series_inverse((2, 1, 0)), series_inverse((-1, 1, 1))
+        assert got == (series([Fraction(1, 2), Fraction(-1, 4), Fraction(1, 8)]),
+                       series([-1, -1, -2]))
+        assert all(type(c) is Fraction for s in got for c in s)
+
+
+class TestFractionBoundary:
+    """The public series functions return Fractions, whatever arithmetic
+    they ran in."""
+
+    def test_pipelines_return_fractions(self):
+        p = make_bn(1)
+        gb = nc_buchberger(p, max_degree=8)
+        h = hilbert_from_normal_words(gb, 8)
+        results = [h, hilbert_from_chains(p, [f.leading[0] for f in gb.basis], 8),
+                   series_inverse(h), free_product_series(h, h),
+                   *rational_form(h)]
+        for s in results:
+            assert s and all(type(c) is Fraction for c in s)
 
 
 class TestNormalWordSeries:
@@ -232,6 +292,18 @@ class TestRationalFormProperties:
         assert series_mul((q + pad)[:len(s)], s) == (p + pad)[:len(s)]
 
 
+def assert_full_rank(s, p, q):
+    """The winning pair's echelon, as rational_form back-substitutes on it,
+    has a pivot in each of the dq unknowns' columns: the free-variable
+    case that the rational_form docstring proves cannot occur."""
+    dp, dq = len(p) - 1, len(q) - 1
+    scale = math.lcm(*(x.denominator for x in s))
+    m, pivots = _least_numerator_degree(
+        [x.numerator * (scale // x.denominator) for x in s], dq)
+    assert m == dp
+    assert sorted(pivots) == list(range(dq))
+
+
 class TestRationalFormOracle:
     """rational_form against the search that solves every (dp, dq) pair."""
 
@@ -246,8 +318,10 @@ class TestRationalFormOracle:
         constructed_rational_series(), constructed_rational_series()),
         st.integers(0, 6))
     def test_matches_search(self, s, max_den_degree):
-        assert rational_form(s, max_den_degree) == \
-            search_rational_form(s, max_den_degree)
+        form = rational_form(s, max_den_degree)
+        assert form == search_rational_form(s, max_den_degree)
+        if form is not None:
+            assert_full_rank(s, *form)
 
     @pytest.mark.parametrize("s", [
         (), (7,), (0,) * 9, tuple(range(1, 34)), (0, 0, 3, 0, 0, 0, 1),
@@ -260,6 +334,25 @@ class TestRationalFormOracle:
     def test_explicit_cases(self, s):
         s = series(s)
         assert rational_form(s) == search_rational_form(s)
+
+    @pytest.mark.parametrize("s", [
+        # a lower pair fits all but the last coefficient
+        (1, 2, 4, 8, 16, 33), (1, 1, 2, 3, 5, 8, 13, 21, 35),
+        (1, 0, 1, 0, 1, 0, 2), (0, 1, 0, 1, 0, 1, 0, 1, 1),
+        (2, 1, 1, 1, 1, 1, 1, 1, Fraction(3, 2))])
+    def test_winning_system_has_full_rank(self, s):
+        s = series(s)
+        form = rational_form(s)
+        assert form == search_rational_form(s)
+        assert_full_rank(s, *form)
+
+    def test_full_rank_on_every_short_series(self):
+        """Every series of up to 6 coefficients in -1..2: the echelon of
+        the winning pair has a pivot in every unknown's column."""
+        for n in range(1, 7):
+            for s in itertools.product((-1, 0, 1, 2), repeat=n):
+                s = series(s)
+                assert_full_rank(s, *rational_form(s))
 
     def test_empty_and_short(self):
         assert rational_form(()) is None

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anick.linalg import dense_solve, sparse_rank
+from anick.linalg import sparse_rank
+from oracles import dense_solve
 
 
 def dense_rank(dense):
