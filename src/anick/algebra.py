@@ -3,10 +3,9 @@
 Monomials are plain tuples.  In a free (noncommutative) algebra a monomial is
 a word of generator indices; in a commutative polynomial algebra it is an
 exponent vector with one entry per generator.  Scalars are exact: every
-public polynomial carries ``fractions.Fraction`` coefficients, while
-completion and the resolution keep integral coefficients as plain ``int``
-internally and convert back at their boundaries.  No floating point enters
-any computation.
+public polynomial carries ``fractions.Fraction`` coefficients, while a
+completed free-algebra basis keeps its rules with integral coefficients as
+plain ``int`` (``NcGB.rules``).  No floating point enters any computation.
 
 A :class:`Presentation` fixes the algebra kind, the named graded generators,
 an admissible monomial order and a list of relations, and acts as the

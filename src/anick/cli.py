@@ -168,7 +168,7 @@ def cmd_nf(pres, args):
             raise BoundError(
                 f"input has degree {degree}; the basis is only certified to "
                 f"degree {gb.certified_degree} (raise --max-degree)")
-        nf = nc_normal_form(pres, f, gb.basis)
+        nf = nc_normal_form(pres, f, gb.rules)
     data = {
         "algebra": pres.name,
         "input": pres.format_poly(f),
@@ -186,8 +186,8 @@ def cmd_nf(pres, args):
 def cmd_chains(pres, args):
     require_noncommutative(pres, "chains")
     gb = certified_basis(pres, args)
-    tips = [g.leading[0] for g in gb.basis]
-    graph = TailGraph(pres, tips, args.max_level, args.max_degree)
+    graph = TailGraph(pres, [g.leading[0] for g in gb.rules],
+                      args.max_level, args.max_degree)
     cs = enumerate_chains(graph)
     counts = chain_counts(graph)
     levels = {}
@@ -227,7 +227,7 @@ def cmd_hilbert(pres, args):
         series = hilbert_from_normal_words(gb, args.max_degree)
         try:
             chain_series = hilbert_from_chains(
-                pres, [g.leading[0] for g in gb.basis], args.max_degree)
+                pres, gb.tips.words, args.max_degree)
         except OneLetterTipError:
             chain_series = None
     agree = None if chain_series is None else list(series) == list(chain_series)

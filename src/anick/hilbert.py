@@ -91,9 +91,7 @@ def hilbert_from_normal_words(gb, max_degree):
             raise BoundError(
                 f"series requested to degree {max_degree} but the basis is "
                 f"certified only to degree {gb.certified_degree}")
-        counts = count_normal_words(
-            gb.presentation, [f.leading[0] for f in gb.basis], max_degree)
-        return series(counts)
+        return series(count_normal_words(gb.presentation, gb.tips, max_degree))
     if isinstance(gb, CommGB):
         normal = comm_normal_monomials(
             gb.presentation, gb.basis, max_degree)

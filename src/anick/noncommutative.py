@@ -23,12 +23,12 @@ coefficient dict over the two elements' non-leading terms, and it is reduced
 by the same heap-ordered loop as ``nc_normal_form``, against the live basis
 and its matcher directly.
 
-Completion runs on ints wherever the coefficients are integral: it converts
-each relation's integral coefficients to ``int`` on entry, every division
+Completion runs on ints wherever the coefficients are integral: relations
+and new elements enter with integral coefficients as ``int``, every division
 goes through ``_divide``, which stays in ints when the division is exact,
-and the finished basis is converted back to ``Fraction`` once.  This is a
-per-term fast path, not a second mode: a coefficient that is not an integer
-stays a Fraction, and no division of two ints ever gives a float.
+and the finished basis keeps them as its ``rules``.  This is a per-term fast
+path, not a second mode: a coefficient that is not an integer stays a
+Fraction, and no division of two ints ever gives a float.
 """
 
 from __future__ import annotations
@@ -51,11 +51,22 @@ from .algebra import (
 
 @dataclass
 class NcGB:
-    """A truncated-complete basis with its certificate degree."""
+    """A truncated-complete basis with its certificate degree: ``rules``,
+    integral coefficients as ints, their Fraction view ``basis`` and the
+    ``tips`` matcher on their leading words, both built on first use."""
 
     presentation: Presentation
-    basis: tuple
+    rules: tuple
     complete_to_degree: int
+
+    @cached_property
+    def basis(self):
+        return tuple(Polynomial(tuple((m, Fraction(c)) for m, c in g.terms))
+                     for g in self.rules)
+
+    @cached_property
+    def tips(self):
+        return WordMatcher(g.leading[0] for g in self.rules)
 
     @cached_property
     def certified_degree(self):
@@ -68,7 +79,7 @@ class NcGB:
         if all(pres.is_homogeneous(f) for f in pres.relations):
             return self.complete_to_degree
         if all(ob.degree <= self.complete_to_degree
-               for ob in find_obstructions(pres, self.basis)):
+               for ob in find_obstructions(pres, self.rules)):
             return math.inf
         return -1
 
@@ -352,8 +363,8 @@ def nc_buchberger(pres, max_degree=8):
     as a substring of ``texts``, the leading words spelled one character
     per letter and kept under the same serials as ``words``.
 
-    Coefficients are ints wherever they are integral, from the relations
-    on entry until the basis is returned with Fraction coefficients.
+    Coefficients are ints wherever they are integral, in ``live`` and in
+    the basis's ``rules``, which are ``live``'s elements as they are.
     """
     _require_noncommutative(pres)
     for g in pres.relations:
@@ -378,7 +389,7 @@ def nc_buchberger(pres, max_degree=8):
             heapq.heappush(queue, (degree, i, j, len(u) - s, u[:-s], right, amb))
 
     def add(f):
-        h = _reduce(pres, f, matcher, live)
+        h = _integral(_reduce(pres, f, matcher, live).terms)
         if not h:
             return
         w = h.leading[0]
@@ -407,16 +418,19 @@ def nc_buchberger(pres, max_degree=8):
             add(e)
 
     for g in pres.relations:
-        add(Polynomial(tuple((m, int(c) if c.denominator == 1 else c)
-                             for m, c in g.terms)))
+        add(_integral(g.terms))
     while queue:
         degree, i, j, _, left, right, amb = heapq.heappop(queue)
         if i in live and j in live:
             ob = Obstruction(i, j, left, right, amb, degree)
             add(nc_s_polynomial(pres, ob, live))
-    basis = tuple(Polynomial(tuple((m, Fraction(c)) for m, c in h.terms))
-                  for h in live.values())
-    return NcGB(pres, basis, max_degree)
+    return NcGB(pres, tuple(live.values()), max_degree)
+
+
+def _integral(terms):
+    """The polynomial on the terms, each integral coefficient as an int."""
+    return Polynomial(tuple((m, c.numerator if c.denominator == 1 else c)
+                            for m, c in terms))
 
 
 def _text(word):
@@ -434,27 +448,26 @@ def nc_reduce_basis(gb):
     A word below an element's leading word cannot contain it, and rewriting
     only creates smaller words, so reducing the tail by the whole basis
     never uses the element itself and applies the rules that reducing by
-    the others would.  The matcher on the leading words is built once and
-    every tail goes to ``_reduce`` directly.  That gives the tail's normal
-    form modulo the whole basis, unique in every degree the basis is
-    complete to.
+    the others would.  Every tail goes to ``_reduce`` directly, by the
+    basis's ``rules`` and ``tips``.  That gives the tail's normal form
+    modulo the whole basis, unique in every degree the basis is complete
+    to; dividing by the leading coefficient keeps integral ones as ints.
     """
     pres = gb.presentation
     _require_noncommutative(pres)
-    matcher = WordMatcher(g.leading[0] for g in gb.basis)
     monic = []
-    for e in gb.basis:
-        tail = _reduce(pres, Polynomial(e.terms[1:]), matcher, gb.basis)
-        monic.append(pres.scale(1 / e.leading[1],
-                                Polynomial(e.terms[:1] + tail.terms)))
+    for e in gb.rules:
+        lc = e.leading[1]
+        tail = _reduce(pres, Polynomial(e.terms[1:]), gb.tips, gb.rules)
+        monic.append(_integral((m, _divide(c, lc))
+                               for m, c in e.terms[:1] + tail.terms))
     return NcGB(pres, tuple(monic), gb.complete_to_degree)
 
 
-def count_normal_words(pres, words, max_degree):
-    """Number of words of each degree <= max_degree avoiding the given
-    subwords; exact integers by dynamic programming over matcher states."""
+def count_normal_words(pres, matcher, max_degree):
+    """Number of words of each degree <= max_degree in which the matcher
+    finds no tip; exact integers by dynamic programming over its states."""
     _require_noncommutative(pres)
-    matcher = WordMatcher(words)
     degrees = [pres.generator_degree(i) for i in range(pres.ngens)]
     dp = [{} for _ in range(max_degree + 1)]
     dp[0][()] = 1
@@ -469,27 +482,22 @@ def count_normal_words(pres, words, max_degree):
 
 def normal_words(gb, max_degree):
     """The normal words themselves, grouped by degree, each group sorted
-    descending under the order.  Requires the certificate to cover
-    max_degree."""
+    descending under the order; walked from an explicit stack, not by
+    recursion.  Requires the certificate to cover max_degree."""
     if max_degree > gb.certified_degree:
         raise BoundError(
             f"normal words requested to degree {max_degree} but the basis is "
             f"only certified to degree {gb.certified_degree}")
-    pres = gb.presentation
-    matcher = WordMatcher(g.leading[0] for g in gb.basis)
+    pres, matcher = gb.presentation, gb.tips
+    letters = [(x, pres.generator_degree(x)) for x in range(pres.ngens)]
     out = {d: [] for d in range(max_degree + 1)}
-
-    def rec(word, state, deg):
+    stack = [((), (), 0)]
+    while stack:
+        word, state, deg = stack.pop()
         out[deg].append(word)
-        for letter in range(pres.ngens):
-            nd = deg + pres.generator_degree(letter)
-            if nd > max_degree:
-                continue
-            ns = matcher.step(state, letter)
-            if ns is not None:
-                rec(word + (letter,), ns, nd)
-
-    rec((), (), 0)
+        stack.extend((word + (x,), t, deg + dx) for x, dx in letters
+                     if deg + dx <= max_degree
+                     and (t := matcher.step(state, x)) is not None)
     for words in out.values():
         words.sort()
     return out

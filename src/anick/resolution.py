@@ -51,7 +51,6 @@ from .algebra import AlgebraError, BoundError, Polynomial
 from .chains import TailGraph, chain_counts, enumerate_chains
 from .linalg import sparse_rank
 from .noncommutative import (
-    WordMatcher,
     _reduce,
     count_normal_words,
     nc_buchberger,
@@ -72,10 +71,9 @@ class AnickResolution:
         presentation.require_graded()
         self.presentation = presentation
         self.gb = gb = nc_buchberger(presentation, max_degree=max_degree)
-        tips = [g.leading[0] for g in gb.basis]
         self.max_level = max_level
         self.max_degree = max_degree
-        graph = TailGraph(presentation, tips, max_level, max_degree)
+        graph = TailGraph(presentation, gb.tips.words, max_level, max_degree)
         self.levels = enumerate_chains(graph).levels
         self.counts = chain_counts(graph)
         self._word_index = {
@@ -84,11 +82,7 @@ class AnickResolution:
         self._chain_lengths = {
             n: sorted({len(c.word) for c in chains})
             for n, chains in self.levels.items()}
-        self._tips = WordMatcher(tips)
-        # the basis as rewriting rules, integral coefficients as ints
-        self._rules = [Polynomial(tuple((m, int(c) if c.denominator == 1 else c)
-                                        for m, c in g.terms)) for g in gb.basis]
-        self.hilbert = count_normal_words(presentation, self._tips.words, max_degree)
+        self.hilbert = count_normal_words(presentation, gb.tips, max_degree)
         self._nf_cache = {}
         self.split_checks = 0
         self.split_failures = []
@@ -103,16 +97,16 @@ class AnickResolution:
 
     def _nf_word(self, word):
         """Normal form of a single word as a terms tuple, reduced by the
-        basis through the tip matcher; integral coefficients stay ints."""
+        basis's rules through its tips; integral coefficients stay ints."""
         cached = self._nf_cache.get(word)
         if cached is None:
-            pres = self.presentation
-            if pres.monomial_degree(word) > self.gb.complete_to_degree:
+            pres, gb = self.presentation, self.gb
+            if pres.monomial_degree(word) > gb.complete_to_degree:
                 raise BoundError(
                     f"reduction of degree {pres.monomial_degree(word)} exceeds "
-                    f"the certified degree {self.gb.complete_to_degree}")
-            cached = _reduce(pres, Polynomial(((word, 1),)), self._tips,
-                             self._rules).terms
+                    f"the certified degree {gb.complete_to_degree}")
+            cached = _reduce(pres, Polynomial(((word, 1),)), gb.tips,
+                             gb.rules).terms
             self._nf_cache[word] = cached
         return cached
 
@@ -146,13 +140,13 @@ class AnickResolution:
         """The factorizations of w as (m-chain index, normal word), found by
         looking up the prefixes of w in the level-m word index, one per
         chain word length present at that level."""
-        index = self._word_index[m]
+        index, hits = self._word_index[m], self.gb.tips.hits
         out = []
         for k in self._chain_lengths[m]:
             if k > len(w):
                 break
             gi = index.get(w[:k])
-            if gi is not None and not self._tips.hits(w[k:]):
+            if gi is not None and not hits(w[k:]):
                 out.append((gi, w[k:]))
         return out
 
@@ -361,7 +355,7 @@ def leading_term_ranks(res, max_degree):
     of C_n (x) A once: with tail(f).m normal, or as the chain of f and the
     shortest prefix of m that completes a tip, with the rest of m.
     """
-    pres, tips = res.presentation, res._tips
+    pres, tips = res.presentation, res.gb.tips
     for n in range(res.max_level + 1):
         below, index = res.levels[n - 1], res._word_index[n - 1]
         siblings = {}

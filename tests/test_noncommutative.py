@@ -526,6 +526,12 @@ class TestIntegerCompletion:
         gb = nc_buchberger(pres, max_degree=8)
         assert gb.basis and all_fractions(gb.basis)
         assert all_fractions(nc_reduce_basis(gb).basis)
+        # the rules behind the view: an int exactly where a coefficient is
+        # integral, the same values as the basis
+        for g in (gb, nc_reduce_basis(gb)):
+            assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                       for f in g.rules for _, c in f.terms)
+            assert g.rules == g.basis
 
     def test_rational_graded_presentations(self):
         fractional = []
@@ -778,17 +784,36 @@ class TestNormalWords:
         with pytest.raises(BoundError):
             normal_words(gb, 7)
 
+    @pytest.mark.parametrize("generators, relations, degree, words", [
+        # one word per degree, x^d
+        ("x", "", 1500, lambda d: [(0,) * d]),
+        # the two alternating words, starting with x or with y
+        ("x y", "relations x*x; y*y;", 1200,
+         lambda d: sorted({(0, 1) * (d // 2) + (0,) * (d % 2),
+                           (1, 0) * (d // 2) + (1,) * (d % 2)})),
+    ])
+    def test_long_words(self, generators, relations, degree, words):
+        # far past Python's recursion limit, in the same groups as at
+        # small degree
+        pres = parse_presentation(
+            f"algebra L ; kind noncommutative ; generators {generators} ;"
+            f" order deglex {' > '.join(generators.split())} ; {relations}")
+        gb = nc_buchberger(pres, max_degree=degree)
+        out = normal_words(gb, degree)
+        assert list(out) == list(range(degree + 1))
+        assert all(out[d] == words(d) for d in out)
+
     def test_counts_match_enumeration(self):
         gb = nc_buchberger(XYZX, max_degree=8)
         words = normal_words(gb, 6)
-        counts = count_normal_words(XYZX, [f.leading[0] for f in gb.basis], 6)
+        counts = count_normal_words(XYZX, gb.tips, 6)
         assert [len(words[d]) for d in range(7)] == counts[:7]
 
     def test_weighted_generators(self):
         pres = parse_presentation(
             "algebra W ; kind noncommutative ; generators u:2 v:3 ;"
             " order deglex u > v ;")
-        counts = count_normal_words(pres, [], 6)
+        counts = count_normal_words(pres, WordMatcher(), 6)
         # degree 6 words: uuu, vv
         assert counts == [1, 0, 1, 1, 1, 2, 2]
 

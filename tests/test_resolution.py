@@ -12,8 +12,9 @@ from anick import resolution
 from anick.algebra import AlgebraError
 from anick.chains import Chain, OneLetterTipError
 from anick.cli import _report_json
+from anick.cli import main as cli_main
 from anick.linalg import sparse_rank
-from anick.noncommutative import nc_normal_form, normal_words
+from anick.noncommutative import WordMatcher, nc_normal_form, normal_words
 from anick.presentation import make_bn, parse_presentation, parse_poly
 from anick.resolution import (
     AnickResolution,
@@ -628,6 +629,42 @@ class TestIntegrality:
             assert terms == want.terms
             if name != "nonmonic":
                 assert all(type(c) is int for _, c in terms)
+
+
+class TestOneTipMatcher:
+    """The basis builds its tip matcher once and every consumer reads it:
+    constructions of WordMatcher are counted by wrapping its __init__."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        init = WordMatcher.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WordMatcher, "__init__", counting)
+        return built
+
+    def test_resolution_reads_the_basis_tips(self, built):
+        # completion's own matcher, the basis's tips, the tail graph's
+        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        report = verify_resolution(res)
+        assert report["ok"]
+        assert len(built) == 3
+        assert any(m is res.gb.tips for m in built)
+
+    @pytest.mark.parametrize("argv, most", [
+        (["gb"], 2), (["nf", "x*y*x"], 2), (["chains"], 2), (["hilbert"], 3),
+        (["anick"], 3)])
+    def test_commands(self, built, capsys, argv, most):
+        # completion's matcher, then gb.tips and the tail graph's where the
+        # command reads them
+        code = cli_main([argv[0], str(SAMPLES / "x2xy.alg"), *argv[1:]])
+        capsys.readouterr()
+        assert code == 0
+        assert len(built) <= most
 
 
 def reference_split(res, m, elem):
