@@ -1,20 +1,22 @@
 """Chains on an obstruction set, as paths in a graph of tails.
 
-Fix the antichain F of leading words.  The (-1)-chain is the empty word and
-the 0-chains are the generators, each its own tail.  An n-chain extends an
-(n-1)-chain g with tail r by a nonempty tail t such that r.t contains exactly
-one occurrence of a word of F, that occurrence ends at the last letter of
-r.t, and it starts strictly inside r (the tails must interlock; a tail
-starting cleanly after r would let unrelated words slip in).  A tail t is
-therefore the rest of an F-word whose proper prefix is a suffix of r.
+Fix the antichain F of leading words, given as its tips: a ``WordMatcher``
+on F, a basis's ``tips`` or ``antichain_matcher`` on a checked word list.
+The (-1)-chain is the empty word and the 0-chains are the generators, each
+its own tail.  An n-chain extends an (n-1)-chain g with tail r by a
+nonempty tail t such that r.t contains exactly one occurrence of a word of
+F, that occurrence ends at the last letter of r.t, and it starts strictly
+inside r (the tails must interlock; a tail starting cleanly after r would
+let unrelated words slip in), so t is the rest of an F-word whose proper
+prefix is a suffix of r.
 
 Whether t may follow r depends on r and t alone, so the chains are the paths
 from a generator in the tail graph: its nodes are tails, and an edge r -> t
 joins each tail to each rest that may follow it (Anick 1986; Ufnarovski's
 graph of chains).  The rests that may follow r are read off the overlaps of
-r with the F-words, which F's ``WordMatcher`` looks up by prefix, and the
-edges out of r are listed on the first visit to r, so r.t is matched
-against F once per (tail, rest) pair, not once per chain.
+r with the F-words, which the matcher looks up by prefix, and the edges out
+of r are listed on the first visit to r, so r.t is matched against F once
+per (tail, rest) pair, not once per chain.
 A ``TailGraph`` carries the bounds of its chains, and is all that the two
 walks take: ``enumerate_chains`` builds each chain word; ``chain_counts``
 counts the chains per (level, degree) over (tail, degree) states, and
@@ -30,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraError
-from .noncommutative import antichain_matcher
 
 
 class OneLetterTipError(AlgebraError):
@@ -56,18 +57,18 @@ class ChainSet:
 
 
 class TailGraph:
-    """Tail graph of the chains on obstructions to max_level, max_degree:
+    """Tail graph of the chains on the tips to max_level, max_degree:
     ``gens`` holds (generator, degree) pairs within the degree bound and
     ``follow(r)`` the edges out of the tail r as (t, degree of t) pairs."""
 
-    def __init__(self, pres, obstructions, max_level, max_degree):
+    def __init__(self, pres, tips, max_level, max_degree):
         if max_level < -1:
             raise AlgebraError("max_level must be at least -1")
         if max_degree < 0:
             raise AlgebraError("max_degree must be nonnegative")
         self.pres, self.max_level, self.max_degree = pres, max_level, max_degree
-        self._matcher = antichain_matcher(pres, obstructions)
-        for v in self._matcher.words:
+        self._matcher = tips
+        for v in tips.words:
             if len(v) == 1:
                 g = pres.format_monomial(v)
                 raise OneLetterTipError(

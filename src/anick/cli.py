@@ -24,7 +24,12 @@ from .hilbert import (
     hilbert_from_normal_words,
     rational_form,
 )
-from .noncommutative import nc_buchberger, nc_normal_form, nc_reduce_basis
+from .noncommutative import (
+    UnitIdealError,
+    nc_buchberger,
+    nc_normal_form,
+    nc_reduce_basis,
+)
 from .presentation import ParseError, make_bn, parse_poly, parse_presentation
 from .resolution import (
     AnickResolution,
@@ -113,7 +118,8 @@ def require_graded(pres):
 
 
 def certified_basis(pres, args):
-    """The basis completed to --max-degree, if it is certified there."""
+    """The basis completed to --max-degree, if it is certified there: the
+    one completion, which every noncommutative command reads."""
     gb = nc_buchberger(pres, max_degree=args.max_degree)
     if gb.certified_degree < args.max_degree:
         raise BoundError(
@@ -186,8 +192,7 @@ def cmd_nf(pres, args):
 def cmd_chains(pres, args):
     require_noncommutative(pres, "chains")
     gb = certified_basis(pres, args)
-    graph = TailGraph(pres, [g.leading[0] for g in gb.rules],
-                      args.max_level, args.max_degree)
+    graph = TailGraph(pres, gb.tips, args.max_level, args.max_degree)
     cs = enumerate_chains(graph)
     counts = chain_counts(graph)
     levels = {}
@@ -226,8 +231,7 @@ def cmd_hilbert(pres, args):
         gb = certified_basis(pres, args)
         series = hilbert_from_normal_words(gb, args.max_degree)
         try:
-            chain_series = hilbert_from_chains(
-                pres, gb.tips.words, args.max_degree)
+            chain_series = hilbert_from_chains(pres, gb.tips, args.max_degree)
         except OneLetterTipError:
             chain_series = None
     agree = None if chain_series is None else list(series) == list(chain_series)
@@ -284,7 +288,7 @@ def _report_json(report):
 def cmd_anick(pres, args):
     require_noncommutative(pres, "anick")
     require_graded(pres)
-    res = AnickResolution(pres, args.max_level, args.max_degree)
+    res = AnickResolution(certified_basis(pres, args), args.max_level)
     report = verify_resolution(res)
     # each level's chain words, formatted once for its rows, cols and chains
     words = [[pres.format_monomial(c.word) for c in res.levels[n]]
@@ -331,7 +335,7 @@ def cmd_anick(pres, args):
 def cmd_tor(pres, args):
     require_noncommutative(pres, "tor")
     require_graded(pres)
-    res = AnickResolution(pres, args.max_level + 1, args.max_degree)
+    res = AnickResolution(certified_basis(pres, args), args.max_level + 1)
     if res.split_failures:
         raise AlgebraError(
             f"{len(res.split_failures)} splittings failed the d(i(u)) = u "
@@ -385,7 +389,7 @@ def main(argv=None):
         check_args(args)
         pres = load_presentation(args)
         result = COMMANDS[args.command](pres, args)
-    except (ParseError, OneLetterTipError) as exc:
+    except (ParseError, OneLetterTipError, UnitIdealError) as exc:
         print(f"anick: {exc}", file=sys.stderr)
         return 2
     except BoundError as exc:

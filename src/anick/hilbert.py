@@ -99,15 +99,15 @@ def hilbert_from_normal_words(gb, max_degree):
     raise AlgebraError("expected an NcGB or CommGB")
 
 
-def hilbert_from_chains(pres, obstructions, max_degree):
-    """Inverse of the alternating chain sum, truncated at max_degree.
+def hilbert_from_chains(pres, tips, max_degree):
+    """Inverse of the alternating chain sum on the tips, to max_degree.
 
     Weights are at least 1 and tails are nonempty, so a chain of level n
     has degree at least n + 1: the levels up to max_degree hold every chain
     within range, and those are the levels counted.
     """
     q = [0] * (max_degree + 1)
-    graph = TailGraph(pres, obstructions, max_degree, max_degree)
+    graph = TailGraph(pres, tips, max_degree, max_degree)
     for n, row in chain_counts(graph).items():
         for d, k in row.items():
             q[d] += k if n % 2 else -k

@@ -79,7 +79,7 @@ class NcGB:
         if all(pres.is_homogeneous(f) for f in pres.relations):
             return self.complete_to_degree
         if all(ob.degree <= self.complete_to_degree
-               for ob in find_obstructions(pres, self.rules)):
+               for ob in find_obstructions(pres, self.tips)):
             return math.inf
         return -1
 
@@ -103,6 +103,10 @@ class Obstruction:
 def _require_noncommutative(pres):
     if pres.kind != NONCOMMUTATIVE:
         raise AlgebraError("free-algebra routine called on a commutative presentation")
+
+
+class UnitIdealError(AlgebraError):
+    """Completion reduced an element to a nonzero constant."""
 
 
 class WordMatcher:
@@ -291,21 +295,20 @@ def _reduce(pres, f, matcher, rules):
     return Polynomial(tuple(out))
 
 
-def find_obstructions(pres, basis):
-    """All overlap ambiguities among the basis leading words, which must be
-    an antichain (completion keeps them one).
+def find_obstructions(pres, tips):
+    """All overlap ambiguities among the words of a tip matcher on an
+    antichain: a basis's ``tips``, or ``antichain_matcher`` on a word list.
 
-    The tip matcher's ``overlaps`` of each word u give every j whose word
-    v overlaps u, as ``nc_buchberger`` finds them.  Ordered by ambiguity
-    degree, then the index pair, then the offset of the second word inside
-    the ambiguity.
+    The matcher's ``overlaps`` of each word u give every j whose word v
+    overlaps u, as ``nc_buchberger`` finds them; i and j are the tips' keys,
+    indices into the basis.  Ordered by ambiguity degree, then the index
+    pair, then the offset of the second word inside the ambiguity.
     """
     _require_noncommutative(pres)
-    matcher = antichain_matcher(pres, [g.leading[0] for g in basis])
-    words = matcher.words
+    words = tips.words
     out = []
     for i, u in enumerate(words):
-        for j, s in matcher.overlaps(u):
+        for j, s in tips.overlaps(u):
             right = words[j][s:]
             amb = u + right
             out.append(Obstruction(
@@ -364,7 +367,9 @@ def nc_buchberger(pres, max_degree=8):
     per letter and kept under the same serials as ``words``.
 
     Coefficients are ints wherever they are integral, in ``live`` and in
-    the basis's ``rules``, which are ``live``'s elements as they are.
+    the basis's ``rules``, which are ``live``'s elements as they are.  An
+    element that reduces to a nonzero constant raises ``UnitIdealError``:
+    the ideal is the whole algebra, and the empty word is no tip.
     """
     _require_noncommutative(pres)
     for g in pres.relations:
@@ -393,6 +398,9 @@ def nc_buchberger(pres, max_degree=8):
         if not h:
             return
         w = h.leading[0]
+        if not w:
+            raise UnitIdealError(f"the relations of {pres.name!r} generate "
+                                 "the whole algebra: their ideal contains 1")
         text = _text(w)
         dropped = [k for k in live if text in texts[k]]
         displaced = [live.pop(k) for k in dropped]

@@ -1,8 +1,8 @@
 """The resolution of the base field over a presented graded algebra.
 
-``AnickResolution(presentation, max_level, max_degree)`` completes the
-relations, enumerates the chains on the leading words and builds the
-differentials, all to its own bounds.
+``AnickResolution(gb, max_level)`` takes a graded basis completed to
+``gb.complete_to_degree``, enumerates the chains on its ``tips`` and builds
+the differentials, to max_level and that degree.
 
 Modules are C_n (x) A with C_n the free span of the n-chains; elements are
 dicts mapping (chain index, normal word) to a rational coefficient.  The
@@ -50,12 +50,17 @@ from functools import cache
 from .algebra import AlgebraError, BoundError, Polynomial
 from .chains import TailGraph, chain_counts, enumerate_chains
 from .linalg import sparse_rank
-from .noncommutative import (
-    _reduce,
-    count_normal_words,
-    nc_buchberger,
-    normal_words,
-)
+from .noncommutative import _reduce, count_normal_words, normal_words
+
+
+def _add_scaled(out, vector, scale):
+    """out += scale * vector on sparse dicts, dropping the keys that cancel."""
+    for k, v in vector.items():
+        acc = out.get(k, 0) + scale * v
+        if acc:
+            out[k] = acc
+        else:
+            out.pop(k, None)
 
 
 class AnickResolution:
@@ -67,13 +72,13 @@ class AnickResolution:
     algebra's normal-word counts to ``max_degree``.
     """
 
-    def __init__(self, presentation, max_level, max_degree):
+    def __init__(self, gb, max_level):
+        self.presentation = presentation = gb.presentation
         presentation.require_graded()
-        self.presentation = presentation
-        self.gb = gb = nc_buchberger(presentation, max_degree=max_degree)
+        self.gb = gb
         self.max_level = max_level
-        self.max_degree = max_degree
-        graph = TailGraph(presentation, gb.tips.words, max_level, max_degree)
+        self.max_degree = max_degree = gb.complete_to_degree
+        graph = TailGraph(presentation, gb.tips, max_level, max_degree)
         self.levels = enumerate_chains(graph).levels
         self.counts = chain_counts(graph)
         self._word_index = {
@@ -209,14 +214,8 @@ class AnickResolution:
                 gc, col = opened.pop(e)
                 s = {gc: 1}
                 for k, v in col.items():
-                    if k == e:
-                        continue
-                    for j, x in memo[k].items():
-                        acc = s.get(j, 0) - v * x
-                        if acc:
-                            s[j] = acc
-                        else:
-                            s.pop(j, None)
+                    if k != e:
+                        _add_scaled(s, memo[k], -v)
                 memo[e] = s
             else:
                 w = below[e[0]].word + e[1]
@@ -243,14 +242,8 @@ class AnickResolution:
                 stack.extend(k for k in col if k != e and k not in memo)
         out = {}
         for e, alpha in elem.items():
-            if not alpha:
-                continue
-            for k, v in memo[e].items():
-                acc = out.get(k, 0) + alpha * v
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
+            if alpha:
+                _add_scaled(out, memo[e], alpha)
         return out
 
     def split(self, m, elem):
@@ -268,12 +261,7 @@ class AnickResolution:
         self.split_checks += 1
         residue = {k: v for k, v in elem.items() if v}
         if back != residue:
-            for k, v in back.items():
-                acc = residue.get(k, 0) - v
-                if acc:
-                    residue[k] = acc
-                else:
-                    residue.pop(k, None)
+            _add_scaled(residue, back, -1)
             pres, below = self.presentation, self.levels[m - 1]
             keys = sorted(pres.heap_key(below[ci].word + s) for ci, s in residue)
             if len(keys) > 1 and keys[0] == keys[1]:
@@ -292,13 +280,7 @@ class AnickResolution:
         v = self.apply_d(n - 1, head)
         result = dict(head)
         if v:
-            correction = self.split(n - 1, v)
-            for k, val in correction.items():
-                acc = result.get(k, 0) - val
-                if acc:
-                    result[k] = acc
-                else:
-                    result.pop(k, None)
+            _add_scaled(result, self.split(n - 1, v), -1)
         self.element_degree(n - 1, result)
         return result
 

@@ -16,7 +16,7 @@ from anick.hilbert import (
     hilbert_from_chains,
     hilbert_from_normal_words,
 )
-from anick.noncommutative import nc_buchberger
+from anick.noncommutative import antichain_matcher, nc_buchberger
 from anick.presentation import make_bn, parse_poly, parse_presentation
 from anick.resolution import (
     AnickResolution,
@@ -118,7 +118,8 @@ def test_criterion_4_chain_enumeration(capsys):
 
     # single cube relation: levels 1..3 are x^3, x^4, x^6 and x^5 is absent
     p = pres_nc("generators x; order deglex x;")
-    cs = enumerate_chains(TailGraph(p, [p.word("x", "x", "x")], 3, 9))
+    cs = enumerate_chains(TailGraph(
+        p, antichain_matcher(p, [p.word("x", "x", "x")]), 3, 9))
     if words_of(p, cs, 1) != ["x^3"] or words_of(p, cs, 2) != ["x^4"] \
             or words_of(p, cs, 3) != ["x^6"]:
         problems.append("cube-relation levels differ")
@@ -127,7 +128,7 @@ def test_criterion_4_chain_enumeration(capsys):
     p = pres_nc("generators x y; order deglex x > y; relations x^2 + y^2;")
     gb = nc_buchberger(p, max_degree=8)
     tips = [g.leading[0] for g in gb.basis]
-    cs = enumerate_chains(TailGraph(p, tips, 6, 8))
+    cs = enumerate_chains(TailGraph(p, antichain_matcher(p, tips), 6, 8))
     for n in range(1, 7):
         want = {"x" + (f"^{n}" if n > 1 else "") + "*y^2",
                 f"x^{n + 1}" if n else "x"}
@@ -138,7 +139,7 @@ def test_criterion_4_chain_enumeration(capsys):
     p = make_bn(1)
     gb = nc_buchberger(p, max_degree=12)
     tips = [g.leading[0] for g in gb.basis]
-    cs = enumerate_chains(TailGraph(p, tips, 5, 16))
+    cs = enumerate_chains(TailGraph(p, antichain_matcher(p, tips), 5, 16))
     counts = [len(cs.levels[n]) for n in range(1, 6)]
     if counts != [6, 5, 6, 5, 6]:
         problems.append(f"B1 counts {counts}")
@@ -153,7 +154,7 @@ def test_criterion_4_chain_enumeration(capsys):
     p = make_bn(2)
     gb = nc_buchberger(p, max_degree=12)
     tips = [g.leading[0] for g in gb.basis]
-    cs = enumerate_chains(TailGraph(p, tips, 4, 12))
+    cs = enumerate_chains(TailGraph(p, antichain_matcher(p, tips), 4, 12))
     listed = {
         1: ["a2*b2*c2", "c0*a0", "c1*a1*b1", "c2*a2*b2", "b1*c1*a1",
             "b2*c2*a2", "c0*c1", "c1*c2", "b1*a0", "b2*a1"],
@@ -201,7 +202,8 @@ def test_criterion_5_hilbert_pipelines(capsys):
     p = pres_nc("generators x y; order deglex x > y; relations x^2 + y^2;")
     gb = nc_buchberger(p, max_degree=12)
     h1 = hilbert_from_normal_words(gb, 12)
-    h2 = hilbert_from_chains(p, [g.leading[0] for g in gb.basis], 12)
+    h2 = hilbert_from_chains(
+        p, antichain_matcher(p, [g.leading[0] for g in gb.basis]), 12)
     if list(h1) != [n + 1 for n in range(13)]:
         problems.append(f"square-relation counts {list(h1)}")
     if list(h2) != list(h1):
@@ -210,7 +212,7 @@ def test_criterion_5_hilbert_pipelines(capsys):
     free3 = pres_nc("generators x y z; order deglex x > y > z;")
     gb3 = nc_buchberger(free3, max_degree=12)
     f1 = hilbert_from_normal_words(gb3, 12)
-    f2 = hilbert_from_chains(free3, [], 12)
+    f2 = hilbert_from_chains(free3, antichain_matcher(free3, []), 12)
     if list(f1) != [3 ** n for n in range(13)] or list(f2) != list(f1):
         problems.append("free-algebra counts")
 
@@ -235,28 +237,28 @@ def test_criterion_5_hilbert_pipelines(capsys):
 
 def res_x2xy_wide():
     return cached("x2xy-4-12",
-                  lambda: AnickResolution(pres_x2xy(), 4, 12))
+                  lambda: AnickResolution(nc_buchberger(pres_x2xy(), 12), 4))
 
 
 def res_x2xy_deep():
     return cached("x2xy-3-14",
-                  lambda: AnickResolution(pres_x2xy(), 3, 14))
+                  lambda: AnickResolution(nc_buchberger(pres_x2xy(), 14), 3))
 
 
 def res_b1_wide():
-    return cached("b1-5-16", lambda: AnickResolution(make_bn(1), 5, 16))
+    return cached("b1-5-16", lambda: AnickResolution(nc_buchberger(make_bn(1), 16), 5))
 
 
 def res_b1_tor():
-    return cached("b1-6-12", lambda: AnickResolution(make_bn(1), 6, 12))
+    return cached("b1-6-12", lambda: AnickResolution(nc_buchberger(make_bn(1), 12), 6))
 
 
 def res_b2():
-    return cached("b2-3-12", lambda: AnickResolution(make_bn(2), 3, 12))
+    return cached("b2-3-12", lambda: AnickResolution(nc_buchberger(make_bn(2), 12), 3))
 
 
 def res_b2_deep():
-    return cached("b2-4-12", lambda: AnickResolution(make_bn(2), 4, 12))
+    return cached("b2-4-12", lambda: AnickResolution(nc_buchberger(make_bn(2), 12), 4))
 
 
 def test_criterion_6_resolution_verification(capsys):

@@ -11,7 +11,7 @@ from anick.chains import (
     chain_counts,
     enumerate_chains,
 )
-from anick.noncommutative import nc_buchberger
+from anick.noncommutative import antichain_matcher, nc_buchberger
 from anick.presentation import make_bn, parse_poly, parse_presentation
 from oracles import chain_decompositions, is_chain
 
@@ -40,13 +40,15 @@ class TestCubeChains:
     F = (named(FREE_X, "x", "x", "x"),)
 
     def test_levels(self):
-        cs = enumerate_chains(TailGraph(FREE_X, self.F, 3, 8))
+        cs = enumerate_chains(TailGraph(
+            FREE_X, antichain_matcher(FREE_X, self.F), 3, 8))
         assert level_words(cs, 1) == {("x",) * 0 + (0, 0, 0)}
         assert level_words(cs, 2) == {(0,) * 4}
         assert level_words(cs, 3) == {(0,) * 6}
 
     def test_x5_not_a_3_chain(self):
-        cs = enumerate_chains(TailGraph(FREE_X, self.F, 3, 8))
+        cs = enumerate_chains(TailGraph(
+            FREE_X, antichain_matcher(FREE_X, self.F), 3, 8))
         assert (0,) * 5 not in level_words(cs, 3)
         ok, _ = is_chain(FREE_X, (0,) * 5, self.F, 3)
         assert not ok
@@ -57,7 +59,8 @@ class TestCubeChains:
 
     def test_deeper_pattern(self):
         # levels alternate: even level 2m gives x^(3m+1), odd 2m+1 gives x^(3m+3)
-        cs = enumerate_chains(TailGraph(FREE_X, self.F, 7, 16))
+        cs = enumerate_chains(TailGraph(
+            FREE_X, antichain_matcher(FREE_X, self.F), 7, 16))
         for n in range(1, 8):
             words = level_words(cs, n)
             assert len(words) == 1
@@ -76,7 +79,8 @@ class TestSquareSumChains:
         assert set(self.F) == {(0, 0), (0, 1, 1)}
 
     def test_family(self):
-        cs = enumerate_chains(TailGraph(self.pres, self.F, 6, 16))
+        cs = enumerate_chains(TailGraph(
+            self.pres, antichain_matcher(self.pres, self.F), 6, 16))
         x, y = 0, 1
         for n in range(1, 7):
             expected = {(x,) * n + (y, y), (x,) * (n + 1)}
@@ -87,7 +91,8 @@ class TestSquareSumChains:
         # interlock with the previous one
         ok, _ = is_chain(self.pres, (0, 1, 1, 0, 0), self.F, 2)
         assert not ok
-        cs = enumerate_chains(TailGraph(self.pres, self.F, 2, 8))
+        cs = enumerate_chains(TailGraph(
+            self.pres, antichain_matcher(self.pres, self.F), 2, 8))
         assert (0, 1, 1, 0, 0) not in level_words(cs, 2)
 
 
@@ -99,7 +104,8 @@ class TestCompositionChains:
 
     def test_chain_words_are_tail_products(self):
         # n-chains are exactly x y^(k1) x y^(k2) ... y^(kn) x
-        cs = enumerate_chains(TailGraph(self.pres, self.F, 3, 9))
+        cs = enumerate_chains(TailGraph(
+            self.pres, antichain_matcher(self.pres, self.F), 3, 9))
         x, y = 0, 1
         for n in range(1, 4):
             expected = set()
@@ -112,7 +118,8 @@ class TestCompositionChains:
             assert level_words(cs, n) == expected
 
     def test_counts_by_degree(self):
-        counts = chain_counts(TailGraph(self.pres, self.F, 3, 9))
+        counts = chain_counts(TailGraph(
+            self.pres, antichain_matcher(self.pres, self.F), 3, 9))
         # degree d words x y^(k1) x ... y^(kn) x: compositions of d-n-1
         # into n nonnegative parts
         for n in range(1, 4):
@@ -131,8 +138,9 @@ class TestB1Chains:
         self.F = tuple(leading_words(self.pres, 12))
 
     def chains(self, max_level=5, max_degree=12):
-        return enumerate_chains(
-            TailGraph(self.pres, self.F, max_level, max_degree))
+        return enumerate_chains(TailGraph(
+            self.pres, antichain_matcher(self.pres, self.F), max_level,
+            max_degree))
 
     def test_level_1_is_obstruction_set(self):
         cs = self.chains()
@@ -216,7 +224,8 @@ class TestB2Chains:
         self.F = tuple(leading_words(self.pres, 12))
 
     def chains(self):
-        return enumerate_chains(TailGraph(self.pres, self.F, 4, 12))
+        return enumerate_chains(TailGraph(
+            self.pres, antichain_matcher(self.pres, self.F), 4, 12))
 
     def printed_level_2(self):
         p = self.pres
@@ -306,15 +315,17 @@ class TestB2Chains:
 
 class TestChainSetShape:
     def test_level_minus_one_and_zero(self):
-        cs = enumerate_chains(TailGraph(FREE_XY, ((0, 0),), 1, 4))
+        cs = enumerate_chains(TailGraph(
+            FREE_XY, antichain_matcher(FREE_XY, ((0, 0),)), 1, 4))
         assert cs.words(-1) == [()]
         assert set(cs.words(0)) == {(0,), (1,)}
-        counts = chain_counts(TailGraph(FREE_XY, ((0, 0),), 1, 4))
+        counts = chain_counts(TailGraph(
+            FREE_XY, antichain_matcher(FREE_XY, ((0, 0),)), 1, 4))
         assert counts[-1] == {0: 1}
         assert counts[0] == {1: 2}
 
     def test_empty_obstructions(self):
-        cs = enumerate_chains(TailGraph(FREE_XY, (), 3, 6))
+        cs = enumerate_chains(TailGraph(FREE_XY, antichain_matcher(FREE_XY, ()), 3, 6))
         for n in range(1, 4):
             assert cs.words(n) == []
 
@@ -324,25 +335,28 @@ class TestChainSetShape:
         for F in (((0,),), ((0,), (1, 1))):
             for max_level in (-1, 0, 3):
                 with pytest.raises(OneLetterTipError, match="leading word x;"):
-                    enumerate_chains(TailGraph(FREE_XY, F, max_level, 6))
+                    enumerate_chains(TailGraph(
+                        FREE_XY, antichain_matcher(FREE_XY, F), max_level, 6))
                 with pytest.raises(OneLetterTipError, match="leading word x;"):
-                    chain_counts(TailGraph(FREE_XY, F, max_level, 6))
+                    chain_counts(TailGraph(
+                        FREE_XY, antichain_matcher(FREE_XY, F), max_level, 6))
 
     def test_non_antichain_rejected(self):
         with pytest.raises(AlgebraError):
-            enumerate_chains(TailGraph(FREE_XY, ((0, 0), (0, 0, 1)), 2, 6))
+            enumerate_chains(TailGraph(
+                FREE_XY, antichain_matcher(FREE_XY, ((0, 0), (0, 0, 1))), 2, 6))
 
     def test_degree_bound_prunes(self):
         pres = FREE_XY.with_relations([parse_poly(FREE_XY, "x^2 + y^2")])
         F = tuple(leading_words(pres))
-        cs = enumerate_chains(TailGraph(pres, F, 5, 4))
+        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F), 5, 4))
         assert level_words(cs, 3) == {(0, 0, 0, 0)}
         assert cs.words(4) == []
 
     def test_min_degree_strictly_increases(self):
         pres = make_bn(1)
         F = tuple(leading_words(pres, 12))
-        cs = enumerate_chains(TailGraph(pres, F, 5, 12))
+        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F), 5, 12))
         mins = [min(pres.monomial_degree(c.word) for c in cs.levels[n])
                 for n in range(-1, 6)]
         assert all(a < b for a, b in zip(mins, mins[1:]))
@@ -352,7 +366,7 @@ class TestDecompositionOracle:
     def test_enumeration_matches_search(self):
         pres = FREE_XY.with_relations([parse_poly(FREE_XY, "x^2 - x*y")])
         F = tuple(leading_words(pres, 8))
-        cs = enumerate_chains(TailGraph(pres, F, 3, 7))
+        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F), 3, 7))
         for n in range(1, 4):
             enumerated = level_words(cs, n)
             for k in range(1, 8):
@@ -365,7 +379,7 @@ class TestDecompositionOracle:
     def test_unique_decomposition(self):
         pres = make_bn(1)
         F = tuple(leading_words(pres, 12))
-        cs = enumerate_chains(TailGraph(pres, F, 4, 12))
+        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F), 4, 12))
         for n in range(1, 5):
             for c in cs.levels[n]:
                 decomps = chain_decompositions(pres, c.word, F, n)
@@ -412,7 +426,8 @@ class TestEnumerationProperties:
         search accepts, each chain carries its word's degree, and each level
         is in descending term order."""
         pres, F, max_level, max_degree = case
-        cs = enumerate_chains(TailGraph(pres, F, max_level, max_degree))
+        cs = enumerate_chains(TailGraph(
+            pres, antichain_matcher(pres, F), max_level, max_degree))
         words = words_up_to_degree(pres, max_degree)
         for n in range(-1, max_level + 1):
             chains = cs.levels[n]
@@ -428,7 +443,8 @@ class TestEnumerationProperties:
         """No chain word is a proper prefix of another of its level, so a
         word has at most one (chain).(rest) factorization per level."""
         pres, F, max_level, max_degree = case
-        cs = enumerate_chains(TailGraph(pres, F, max_level, max_degree))
+        cs = enumerate_chains(TailGraph(
+            pres, antichain_matcher(pres, F), max_level, max_degree))
         for chains in cs.levels.values():
             level = {c.word for c in chains}
             assert not any(c.word[:k] in level
@@ -452,10 +468,10 @@ class TestCountProperties:
         """Counting paths of the tail graph gives the tally of the
         enumerated chains, empty rows and the (-1)-row included."""
         pres, F, max_level, max_degree = case
-        graph = TailGraph(pres, F, max_level, max_degree)
+        graph = TailGraph(pres, antichain_matcher(pres, F), max_level, max_degree)
         cs = enumerate_chains(graph)
         # one graph shared by both, walked by the enumeration first, and a
         # fresh graph counted before any enumeration
         assert chain_counts(graph) == tally(cs)
-        assert chain_counts(
-            TailGraph(pres, F, max_level, max_degree)) == tally(cs)
+        assert chain_counts(TailGraph(
+            pres, antichain_matcher(pres, F), max_level, max_degree)) == tally(cs)

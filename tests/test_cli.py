@@ -359,6 +359,31 @@ class TestOneLetterTip:
         assert data["agree"] is None
 
 
+class TestUnitIdeal:
+    """Relations whose ideal holds a nonzero constant generate the whole
+    algebra, which has no leading words: every command exits 2.  anick and
+    tor refuse the two inhomogeneous cases as ungraded before completing."""
+
+    @pytest.fixture(params=["2;", "x - 1; x*x - 2;", "x*y - y*x - 1; x*x;"],
+                    ids=["constant", "x=1", "weyl"])
+    def path(self, request, tmp_path):
+        path = tmp_path / "w.alg"
+        path.write_text("algebra w; kind noncommutative; generators x y; "
+                        f"order deglex x > y; relations {request.param}")
+        return path
+
+    @pytest.mark.parametrize("argv", [["gb"], ["nf", "x"], ["chains"],
+                                      ["hilbert"], ["anick"], ["tor"]])
+    def test_every_command_exits_2(self, capsys, path, argv):
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (2, "")
+        if argv[0] in ("anick", "tor") and "relations 2;" not in path.read_text():
+            assert "is not graded" in err
+        else:
+            assert err == ("anick: the relations of 'w' generate the whole "
+                           "algebra: their ideal contains 1\n")
+
+
 class TestDeterminism:
     CASES = [
         ("gb", str(SAMPLES / "x2xy.alg"), "--max-degree", "8"),

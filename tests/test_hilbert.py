@@ -23,7 +23,7 @@ from anick.hilbert import (
     series_one,
     series_sub,
 )
-from anick.noncommutative import NcGB, nc_buchberger
+from anick.noncommutative import NcGB, antichain_matcher, nc_buchberger
 from anick.presentation import free_product, make_bn, parse_poly, parse_presentation
 from oracles import (
     generator_product_series,
@@ -119,7 +119,9 @@ class TestFractionBoundary:
         p = make_bn(1)
         gb = nc_buchberger(p, max_degree=8)
         h = hilbert_from_normal_words(gb, 8)
-        results = [h, hilbert_from_chains(p, [f.leading[0] for f in gb.basis], 8),
+        results = [h, hilbert_from_chains(
+                       p, antichain_matcher(p, [f.leading[0] for f in gb.basis]),
+                       8),
                    series_inverse(h), free_product_series(h, h),
                    *rational_form(h)]
         for s in results:
@@ -156,23 +158,26 @@ class TestChainSeries:
         p = pres_nc("generators x y ; order deglex x > y ; relations x^2 + y^2 ;")
         gb = nc_buchberger(p, max_degree=8)
         F = [f.leading[0] for f in gb.basis]
-        assert hilbert_from_chains(p, F, 8) == hilbert_from_normal_words(gb, 8)
+        assert hilbert_from_chains(
+            p, antichain_matcher(p, F), 8) == hilbert_from_normal_words(gb, 8)
 
     def test_free_algebra(self):
         p = pres_nc("generators x y ; order deglex x > y ;")
-        assert hilbert_from_chains(p, (), 6) == geometric(2, 6)
+        assert hilbert_from_chains(p, antichain_matcher(p, ()), 6) == geometric(2, 6)
 
     def test_truncated_single_generator(self):
         p = pres_nc("generators x ; order deglex x ; relations x^3 ;")
         gb = nc_buchberger(p, max_degree=8)
-        got = hilbert_from_chains(p, [f.leading[0] for f in gb.basis], 6)
+        got = hilbert_from_chains(
+            p, antichain_matcher(p, [f.leading[0] for f in gb.basis]), 6)
         assert got == series([1, 1, 1, 0, 0, 0, 0])
 
     def test_bn_agreement(self):
         p = make_bn(1)
         gb = nc_buchberger(p, max_degree=8)
         F = [f.leading[0] for f in gb.basis]
-        assert hilbert_from_chains(p, F, 8) == hilbert_from_normal_words(gb, 8)
+        assert hilbert_from_chains(
+            p, antichain_matcher(p, F), 8) == hilbert_from_normal_words(gb, 8)
 
 
 class TestFreeProductSeries:
@@ -400,11 +405,11 @@ class TestSeriesProperties:
         gb = nc_buchberger(pres, max_degree=7)
         tips = [f.leading[0] for f in gb.basis]
         if all(len(t) >= 2 for t in tips):
-            assert hilbert_from_chains(pres, tips, 7) == \
+            assert hilbert_from_chains(pres, antichain_matcher(pres, tips), 7) == \
                 hilbert_from_normal_words(gb, 7)
         else:
             with pytest.raises(OneLetterTipError):
-                hilbert_from_chains(pres, tips, 7)
+                hilbert_from_chains(pres, antichain_matcher(pres, tips), 7)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(graded_presentations(), graded_presentations(names="xyz"))

@@ -15,6 +15,7 @@ from anick.noncommutative import (
     NcGB,
     Obstruction,
     WordMatcher,
+    antichain_matcher,
     count_normal_words,
     find_obstructions,
     nc_buchberger,
@@ -354,10 +355,15 @@ class TestNormalFormReference:
         assert nc_normal_form(pres, f, basis) == reference_normal_form(pres, f, basis)
 
 
+def tips_of(pres, basis):
+    """The antichain-checked matcher on the basis's leading words."""
+    return antichain_matcher(pres, [g.leading[0] for g in basis])
+
+
 class TestObstructions:
     def test_self_overlap(self):
         basis = [parse_poly(FREE_XY, "x^2 - x*y")]
-        obs = find_obstructions(FREE_XY, basis)
+        obs = find_obstructions(FREE_XY, tips_of(FREE_XY, basis))
         assert len(obs) == 1
         ob = obs[0]
         assert ob.ambiguity == FREE_XY.word("x", "x", "x")
@@ -365,32 +371,32 @@ class TestObstructions:
 
     def test_cross_overlap(self):
         basis = [parse_poly(XYZ, "x^2"), parse_poly(XYZ, "x*y - z*x")]
-        obs = find_obstructions(XYZ, basis)
+        obs = find_obstructions(XYZ, tips_of(XYZ, basis))
         ambs = {XYZ.format_monomial(ob.ambiguity) for ob in obs}
         assert "x^2*y" in ambs
         assert "x^3" in ambs
 
     def test_disjoint_alphabets(self):
         basis = [parse_poly(XYZ, "x^2"), parse_poly(XYZ, "y*z")]
-        obs = find_obstructions(XYZ, basis)
+        obs = find_obstructions(XYZ, tips_of(XYZ, basis))
         ambs = {ob.ambiguity for ob in obs}
         assert ambs == {XYZ.word("x", "x", "x")}
 
     def test_non_antichain_rejected(self):
         basis = [parse_poly(XYZ, "y*x*x*z"), parse_poly(XYZ, "x^2")]
         with pytest.raises(AlgebraError):
-            find_obstructions(XYZ, basis)
+            find_obstructions(XYZ, tips_of(XYZ, basis))
         with pytest.raises(AlgebraError):
             verify_diamond(NcGB(XYZ, tuple(basis), 4))
 
     def test_duplicate_leading_words_rejected(self):
         basis = [parse_poly(XYZ, "x*y"), parse_poly(XYZ, "x*y + z^2")]
         with pytest.raises(AlgebraError):
-            find_obstructions(XYZ, basis)
+            find_obstructions(XYZ, tips_of(XYZ, basis))
 
     def test_sorted_by_degree(self):
         gb = nc_buchberger(X2XY, max_degree=8)
-        obs = find_obstructions(X2XY, list(gb.basis))
+        obs = find_obstructions(X2XY, tips_of(X2XY, list(gb.basis)))
         degs = [ob.degree for ob in obs]
         assert degs == sorted(degs)
 
@@ -401,7 +407,7 @@ class TestObstructions:
         @given(antichains())
         def check(case):
             pres, basis = case
-            obs = find_obstructions(pres, basis)
+            obs = find_obstructions(pres, tips_of(pres, basis))
             assert obs == reference_obstructions(pres, basis)
             several.append(any(
                 sum(ob.i == ob.j == k for ob in obs) >= 2 for k in range(len(basis))))
@@ -417,19 +423,19 @@ class TestSPolynomial:
     def test_matches_reference_on_every_obstruction(self, case):
         pres, degree = case
         basis = nc_buchberger(pres, max_degree=degree).basis
-        for ob in find_obstructions(pres, basis):
+        for ob in find_obstructions(pres, tips_of(pres, basis)):
             assert (nc_s_polynomial(pres, ob, basis)
                     == reference_s_polynomial(pres, ob, basis))
 
     def test_self_overlap_cancellation(self):
         basis = [parse_poly(FREE_XY, "x^2 - x*y")]
-        ob = find_obstructions(FREE_XY, basis)[0]
+        ob = find_obstructions(FREE_XY, tips_of(FREE_XY, basis))[0]
         s = nc_s_polynomial(FREE_XY, ob, basis)
         assert s == parse_poly(FREE_XY, "x*x*y - x*y*x")
 
     def test_cross_overlap_value(self):
         basis = [parse_poly(XYZ, "x^2"), parse_poly(XYZ, "x*y - z*x")]
-        obs = [ob for ob in find_obstructions(XYZ, basis)
+        obs = [ob for ob in find_obstructions(XYZ, tips_of(XYZ, basis))
                if ob.ambiguity == XYZ.word("x", "x", "y")]
         assert len(obs) == 1
         s = nc_s_polynomial(XYZ, obs[0], basis)
@@ -437,7 +443,7 @@ class TestSPolynomial:
 
     def test_stale_rejected(self):
         basis = [parse_poly(FREE_XY, "x^2 - x*y")]
-        ob = find_obstructions(FREE_XY, basis)[0]
+        ob = find_obstructions(FREE_XY, tips_of(FREE_XY, basis))[0]
         other = [parse_poly(FREE_XY, "x*y*x")]
         with pytest.raises(AlgebraError):
             nc_s_polynomial(FREE_XY, ob, other)
@@ -479,17 +485,15 @@ class TestCompletion:
         gb = nc_buchberger(XYZX, max_degree=8)
         assert verify_diamond(gb) > 0
 
-    def test_antichain_invariant(self):
-        pres = XYZ.with_relations([
-            parse_poly(XYZ, "x^2"),
-            parse_poly(XYZ, "y*x*x*y + z"),
-        ])
-        gb = nc_buchberger(pres, max_degree=6)
-        words = [f.leading[0] for f in gb.basis]
-        for i, u in enumerate(words):
-            for j, v in enumerate(words):
-                if i != j:
-                    assert not occurrences(u, v)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_presentations())
+    @example((XYZ.with_relations([parse_poly(XYZ, "x^2"),
+                                  parse_poly(XYZ, "y*x*x*y + z")]), 6))
+    def test_antichain_invariant(self, case):
+        # the tail graph and find_obstructions take a basis's tips unchecked;
+        # antichain_matcher raises on a repeated word or one inside another
+        pres, degree = case
+        antichain_matcher(pres, nc_buchberger(pres, max_degree=degree).tips.words)
 
 
 def all_fractions(basis):

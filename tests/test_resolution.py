@@ -1,5 +1,6 @@
 """Resolution differentials, splittings, verification, Tor, minimality."""
 
+import io
 import pathlib
 import random
 from fractions import Fraction
@@ -14,7 +15,12 @@ from anick.chains import Chain, OneLetterTipError
 from anick.cli import _report_json
 from anick.cli import main as cli_main
 from anick.linalg import sparse_rank
-from anick.noncommutative import WordMatcher, nc_normal_form, normal_words
+from anick.noncommutative import (
+    WordMatcher,
+    nc_buchberger,
+    nc_normal_form,
+    normal_words,
+)
 from anick.presentation import make_bn, parse_presentation, parse_poly
 from anick.resolution import (
     AnickResolution,
@@ -73,14 +79,15 @@ _CACHE = {}
 def resolution_xfam(max_level=4, max_degree=12):
     key = ("xfam", max_level, max_degree)
     if key not in _CACHE:
-        _CACHE[key] = AnickResolution(presentation_xfam(), max_level, max_degree)
+        _CACHE[key] = AnickResolution(
+            nc_buchberger(presentation_xfam(), max_degree), max_level)
     return _CACHE[key]
 
 
 def resolution_bn(n, max_level, max_degree=12):
     key = ("bn", n, max_level, max_degree)
     if key not in _CACHE:
-        _CACHE[key] = AnickResolution(make_bn(n), max_level, max_degree)
+        _CACHE[key] = AnickResolution(nc_buchberger(make_bn(n), max_degree), max_level)
     return _CACHE[key]
 
 
@@ -377,7 +384,7 @@ class TestB2Differentials:
         assert totals == {-1: 1, 0: 9, 1: 10, 2: 9, 3: 10}
 
     def test_tor_ranks_each_block_once(self, monkeypatch):
-        res = AnickResolution(presentation_sample("x2xy"), 5, 14)
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 14), 5)
         blocks = {(n, res.levels[n][ci].degree)
                   for n, entries in tensor_with_k(res).items()
                   for _, ci in entries}
@@ -401,7 +408,7 @@ class TestB2Differentials:
 class TestFreeAlgebra:
     def test_tor_stops_after_generators(self):
         pres = presentation_free("x y z")
-        res = AnickResolution(pres, max_level=3, max_degree=6)
+        res = AnickResolution(nc_buchberger(pres, 6), max_level=3)
         tor = tor_dimensions(res)
         assert tor[-1] == {0: 1}
         assert tor[0] == {1: 3}
@@ -479,7 +486,7 @@ class TestBounds:
 class TestNegativeControls:
     def test_corrupted_differential_fails_verification(self):
         pres = presentation_xfam()
-        res = AnickResolution(pres, max_level=3, max_degree=8)
+        res = AnickResolution(nc_buchberger(pres, 8), max_level=3)
         ci = chain_index(res, 2, "x x x")
         target = chain_index(res, 1, "x x")
         res.diff[2][ci] = dict(res.diff[2][ci])
@@ -490,7 +497,7 @@ class TestNegativeControls:
 
     def test_dropped_term_breaks_exactness(self):
         pres = presentation_xfam()
-        res = AnickResolution(pres, max_level=3, max_degree=8)
+        res = AnickResolution(nc_buchberger(pres, 8), max_level=3)
         ci = chain_index(res, 2, "x x x")
         row = dict(res.diff[2][ci])
         key = (chain_index(res, 1, "x y x"), ())
@@ -504,7 +511,7 @@ class TestNegativeControls:
     def test_every_splitting_failure_is_counted(self, monkeypatch):
         # with d_0 doubled, subtracting d_0(w[0] (x) w[1:]) leaves -1 (x) w,
         # so the level-0 split meets its lead again and raises
-        res = AnickResolution(presentation_sample("x2xy"), 3, 6)
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 6), 3)
         assert res.split_failures == []
         words = normal_words(res.gb, 3)
         diff0 = res.diff[0]
@@ -565,7 +572,7 @@ class TestModularExactness:
 
     @pytest.mark.parametrize("name", ["x2xy", "xyzx"])
     def test_sign_flip_matches_exact_ranks(self, name):
-        res = AnickResolution(presentation_sample(name), 3, 8)
+        res = AnickResolution(nc_buchberger(presentation_sample(name), 8), 3)
         row = dict(res.diff[2][0])
         key = next(iter(row))
         row[key] = -row[key]
@@ -575,7 +582,7 @@ class TestModularExactness:
     def test_lower_term_flip_keeps_the_leading_term_shape(self):
         # the leading terms still pass checks (a)-(c) and their bounds miss
         # the exact ranks, so only the failed d.d = 0 keeps them out
-        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 8), 3)
         row = dict(res.diff[2][0])
         key = list(row)[-1]
         row[key] = -row[key]
@@ -597,12 +604,12 @@ class TestIntegrality:
     def test_monic_integral_basis_gives_int_differentials(self, name):
         pres = (make_bn(int(name[1:])) if name.startswith("B")
                 else presentation_sample(name))
-        coeffs = diff_coefficients(AnickResolution(pres, 3, 6))
+        coeffs = diff_coefficients(AnickResolution(nc_buchberger(pres, 6), 3))
         assert coeffs
         assert all(type(v) is int for v in coeffs)
 
     def test_non_monic_presentation_stays_exact(self):
-        res = AnickResolution(presentation_non_monic(), 3, 8)
+        res = AnickResolution(nc_buchberger(presentation_non_monic(), 8), 3)
         assert Fraction(-3, 2) in diff_coefficients(res)
         report = verify_resolution(res)
         assert report["ok"]
@@ -622,7 +629,7 @@ class TestIntegrality:
         # every word it reduced must have the library's normal form
         pres = (make_bn(2) if name == "B2" else presentation_non_monic()
                 if name == "nonmonic" else presentation_sample(name))
-        res = AnickResolution(pres, 3, 8)
+        res = AnickResolution(nc_buchberger(pres, 8), 3)
         assert len(res._nf_cache) > 10
         for word, terms in res._nf_cache.items():
             want = nc_normal_form(pres, pres.monomial_poly(word), res.gb.basis)
@@ -648,20 +655,36 @@ class TestOneTipMatcher:
         return built
 
     def test_resolution_reads_the_basis_tips(self, built):
-        # completion's own matcher, the basis's tips, the tail graph's
-        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        # completion's own matcher and the basis's tips, which the tail
+        # graph reads too
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 8), 3)
         report = verify_resolution(res)
         assert report["ok"]
-        assert len(built) == 3
+        assert len(built) == 2
         assert any(m is res.gb.tips for m in built)
 
     @pytest.mark.parametrize("argv, most", [
-        (["gb"], 2), (["nf", "x*y*x"], 2), (["chains"], 2), (["hilbert"], 3),
-        (["anick"], 3)])
+        (["gb"], 2), (["nf", "x*y*x"], 2), (["chains"], 2), (["hilbert"], 2),
+        (["anick"], 2), (["tor"], 2)])
     def test_commands(self, built, capsys, argv, most):
-        # completion's matcher, then gb.tips and the tail graph's where the
-        # command reads them
+        # completion's matcher, then gb.tips where the command reads it, or
+        # nf's own matcher
         code = cli_main([argv[0], str(SAMPLES / "x2xy.alg"), *argv[1:]])
+        capsys.readouterr()
+        assert code == 0
+        assert len(built) <= most
+
+    @pytest.mark.parametrize("argv, most", [
+        (["gb"], 2), (["hilbert"], 2), (["chains"], 2),
+        (["nf", "x*y*x*y*y"], 3)])
+    def test_inhomogeneous_certificate_reads_the_tips(self, built, capsys,
+                                                      monkeypatch, argv, most):
+        # the certificate finds the overlaps through gb.tips; nf adds its
+        # own matcher
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "algebra h; kind noncommutative; generators x y; "
+            "order deglex x > y; relations x*y*x = y; y*y = x;"))
+        code = cli_main([argv[0], "-", *argv[1:]])
         capsys.readouterr()
         assert code == 0
         assert len(built) <= most
@@ -818,7 +841,7 @@ class TestSplitOracle:
     @given(graded_presentations(), st.randoms(use_true_random=False))
     def test_random_graded_presentations(self, case, rng):
         pres, level, degree = case
-        res = AnickResolution(pres, level, degree)
+        res = AnickResolution(nc_buchberger(pres, degree), level)
         assert_splits_match_reference(res, rng, kernel_samples=5)
 
     @pytest.mark.parametrize("name, level, degree", [
@@ -826,7 +849,7 @@ class TestSplitOracle:
     def test_samples_and_bn(self, name, level, degree):
         pres = (make_bn(int(name[1:])) if name.startswith("B")
                 else presentation_sample(name))
-        res = AnickResolution(pres, level, degree)
+        res = AnickResolution(nc_buchberger(pres, degree), level)
         assert_splits_match_reference(res, random.Random(name),
                                       kernel_samples=50)
 
@@ -845,7 +868,7 @@ class TestSplitLinearity:
     @given(graded_presentations(), st.randoms(use_true_random=False))
     def test_random_graded_presentations(self, case, rng):
         pres, level, degree = case
-        res = AnickResolution(pres, level, degree)
+        res = AnickResolution(nc_buchberger(pres, degree), level)
         for n in range(res.max_level + 1):
             if not res.levels[n]:
                 continue
@@ -888,7 +911,7 @@ class TestSplitErrors:
         # test_chains), so two pairs never share a word, a word has at most
         # one chain factorization, and with descent no generator is
         # revisited; a tie needs a level with a copy of a chain
-        res = AnickResolution(presentation_xfam(), 2, 6)
+        res = AnickResolution(nc_buchberger(presentation_xfam(), 6), 2)
         res.levels[0] = res.levels[0] + (res.levels[0][0],)
         yx = res.presentation.word("y", "x")
         elem = {(0, yx): 1, (len(res.levels[0]) - 1, yx): 1}
@@ -935,7 +958,7 @@ class TestLeadingTermRanks:
     @pytest.mark.parametrize("name", ["x2xy", "xyzx", "x2y2", "free3", "B1",
                                       "B2", "B3", "nonmonic"])
     def test_every_block_settled_by_leading_terms(self, name):
-        res = AnickResolution(presentation_named(name), 3, 8)
+        res = AnickResolution(nc_buchberger(presentation_named(name), 8), 3)
         report = verify_resolution(res)
         assert report["ok"]
         assert report["exactness"]["ranked_blocks"] == 0
@@ -969,21 +992,21 @@ class TestLeadingTermRanks:
     def test_bounds_never_exceed_exact_ranks(self, case):
         pres, level, degree = case
         self.assert_bounds_below_exact_ranks(
-            AnickResolution(pres, level, degree))
+            AnickResolution(nc_buchberger(pres, degree), level))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(small_presentations(homogeneous=st.just(True), max_degree=6))
     def test_bounds_on_small_presentations(self, case):
         pres, degree = case
         try:
-            res = AnickResolution(pres, 3, degree)
+            res = AnickResolution(nc_buchberger(pres, degree), 3)
         except OneLetterTipError:
             return
         self.assert_bounds_below_exact_ranks(res)
 
     def test_doubled_head_declines(self, monkeypatch):
         # the top differential has nothing above it, so d.d = 0 still holds
-        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 8), 3)
         res.diff[3][0] = {k: 2 * v for k, v in res.diff[3][0].items()}
         assert leading_term_ranks(res, 8) is None
         got = verify_resolution(res)
@@ -994,7 +1017,7 @@ class TestLeadingTermRanks:
     def test_term_above_the_head_declines(self, monkeypatch):
         # add to d_3(g) the column of some g' (x) w whose leading word is
         # larger than g: a column operation, so d.d = 0 and the ranks hold
-        res = AnickResolution(presentation_sample("xyzx"), 3, 8)
+        res = AnickResolution(nc_buchberger(presentation_sample("xyzx"), 8), 3)
         pres, top, index = res.presentation, res.levels[3], res._word_index[2]
         words = normal_words(res.gb, 8)
         ci, col = next(
@@ -1028,7 +1051,7 @@ class TestLeadingTermRanks:
     def test_tail_holding_a_tip_declines(self, monkeypatch):
         # extend one chain's tail by a whole tip: t.w is never normal, so
         # no column of that chain has the leading pair counted for it
-        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 8), 3)
         g = res.levels[3][0]
         self.replace_top_chain(res, 0, g.parent,
                                g.tail + res.gb.basis[0].leading[0])
@@ -1039,7 +1062,7 @@ class TestLeadingTermRanks:
     def test_tail_prefix_of_a_sibling_declines(self, monkeypatch):
         # give one chain the parent of another and a proper prefix of its
         # tail
-        res = AnickResolution(presentation_sample("x2xy"), 3, 8)
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 8), 3)
         top = res.levels[3]
         ci, g = next((ci, g) for ci, g in enumerate(top) if len(g.tail) > 1)
         cj = next(cj for cj in range(len(top)) if cj != ci)
