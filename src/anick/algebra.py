@@ -176,10 +176,11 @@ class Presentation:
             return ()
         return (0,) * self.ngens
 
-    def gen_monomial(self, index):
+    def gen_monomial(self, index, exponent=1):
+        """The power of one generator."""
         if self.kind == NONCOMMUTATIVE:
-            return (index,)
-        return tuple(1 if i == index else 0 for i in range(self.ngens))
+            return (index,) * exponent
+        return tuple(exponent if i == index else 0 for i in range(self.ngens))
 
     def word(self, *names):
         """Monomial from generator names, multiplied left to right."""

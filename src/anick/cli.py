@@ -264,25 +264,12 @@ def cmd_hilbert(pres, args):
 
 
 def _report_json(report):
-    dd = report["dd_zero"]
-    split = report["splitting"]
-    euler = report["euler"]
-    exact = report["exactness"]
-    return {
-        "ok": report["ok"],
-        "dd_zero": {"checked": dd["checked"],
-                    "failures": [list(f) for f in dd["failures"]],
-                    "ok": dd["ok"]},
-        "splitting": {"checked": split["checked"],
-                      "failure_count": split["failure_count"],
-                      "ok": split["ok"]},
-        "euler": dict(euler),
-        "exactness": {
-            "degree": exact["degree"],
-            "ok": exact["ok"],
-            "blocks": [dict(b) for b in exact["blocks"]],
-        },
-    }
+    """The verification report as built, less the splitting's failures and
+    the count of ranked blocks, which stay in memory."""
+    out = dict(report)
+    for key, drop in ("splitting", "failures"), ("exactness", "ranked_blocks"):
+        out[key] = {k: v for k, v in report[key].items() if k != drop}
+    return out
 
 
 def cmd_anick(pres, args):

@@ -472,20 +472,30 @@ def nc_reduce_basis(gb):
     return NcGB(pres, tuple(monic), gb.complete_to_degree)
 
 
+def _normal_word_table(pres, matcher, max_degree):
+    """The words of each degree <= max_degree that the matcher reads from
+    each state without completing a tip, as state -> counts by degree, for
+    the states the empty word reaches, listed breadth first.  The row of
+    () is the Hilbert count; a chain's bound reads the row of its tail."""
+    letters = [(x, pres.generator_degree(x)) for x in range(pres.ngens)]
+    edges, queue = {}, [()]
+    for state in queue:
+        if state not in edges:
+            edges[state] = out = [(t, dx) for x, dx in letters
+                                  if (t := matcher.step(state, x)) is not None]
+            queue.extend(t for t, _ in out)
+    table = {state: [1] + [0] * max_degree for state in edges}
+    for e in range(1, max_degree + 1):
+        for state, out in edges.items():
+            table[state][e] = sum(table[t][e - dx] for t, dx in out if dx <= e)
+    return table
+
+
 def count_normal_words(pres, matcher, max_degree):
     """Number of words of each degree <= max_degree in which the matcher
-    finds no tip; exact integers by dynamic programming over its states."""
+    finds no tip; exact integers from the normal-word table."""
     _require_noncommutative(pres)
-    degrees = [pres.generator_degree(i) for i in range(pres.ngens)]
-    dp = [{} for _ in range(max_degree + 1)]
-    dp[0][()] = 1
-    for d, row in enumerate(dp):
-        for state, c in row.items():
-            for letter, deg in enumerate(degrees):
-                t = matcher.step(state, letter) if d + deg <= max_degree else None
-                if t is not None:
-                    dp[d + deg][t] = dp[d + deg].get(t, 0) + c
-    return [sum(row.values()) for row in dp]
+    return _normal_word_table(pres, matcher, max_degree)[()]
 
 
 def normal_words(gb, max_degree):

@@ -237,49 +237,47 @@ def parse_poly(pres, text):
 
 
 def _parse_poly_tokens(p, pres):
-    lhs = _parse_sum(p, pres)
+    """A sum, or an equation L = R as L - R, built as one polynomial."""
+    acc = {}
+    _parse_sum(p, pres, acc, 1)
     if p.at_punct("="):
         p.next()
-        rhs = _parse_sum(p, pres)
-        return pres.sub(lhs, rhs)
-    return lhs
+        _parse_sum(p, pres, acc, -1)
+    return pres.poly(acc)
 
 
-def _parse_sum(p, pres):
-    negate = False
+def _parse_sum(p, pres, acc, side):
+    """Add side times each signed term of a sum into acc."""
+    sign = side
     if p.at_punct("-"):
         p.next()
-        negate = True
+        sign = -side
     elif p.at_punct("+"):
         p.next()
-    poly = _parse_term(p, pres)
-    if negate:
-        poly = pres.neg(poly)
-    while p.at_punct("+") or p.at_punct("-"):
-        op = p.next().value
-        term = _parse_term(p, pres)
-        poly = pres.sub(poly, term) if op == "-" else pres.add(poly, term)
-    return poly
+    while True:
+        c, m = _parse_term(p, pres)
+        acc[m] = acc.get(m, 0) + sign * c
+        if not (p.at_punct("+") or p.at_punct("-")):
+            return
+        sign = -side if p.next().value == "-" else side
 
 
 def _parse_term(p, pres):
-    poly = pres.constant(1)
-    saw_factor = False
+    """A product of numbers and generator powers, as (coefficient,
+    monomial); a power is expanded once."""
+    c, m = 1, pres.one()
     while True:
-        tok = p.peek()
+        tok = p.next()
         if tok.kind == "int":
-            p.next()
-            num = tok.value
             if p.at_punct("/"):
                 p.next()
                 dtok = p.next()
                 if dtok.kind != "int" or dtok.value == 0:
                     p.fail("denominator must be a nonzero integer", dtok)
-                poly = pres.scale(Fraction(num, dtok.value), poly)
+                c *= Fraction(tok.value, dtok.value)
             else:
-                poly = pres.scale(num, poly)
+                c *= tok.value
         elif tok.kind == "name":
-            p.next()
             try:
                 idx = pres.generator_index(tok.value)
             except AlgebraError:
@@ -291,19 +289,12 @@ def _parse_term(p, pres):
                 if etok.kind != "int" or etok.value < 1:
                     p.fail("exponent must be a positive integer", etok)
                 exp = etok.value
-            g = pres.monomial_poly(pres.gen_monomial(idx))
-            for _ in range(exp):
-                poly = pres.mul(poly, g)
+            m = pres.monomial_mul(m, pres.gen_monomial(idx, exp))
         else:
             p.fail("expected a number or generator", tok)
-        saw_factor = True
-        if p.at_punct("*"):
-            p.next()
-            continue
-        break
-    if not saw_factor:
-        p.fail("empty term")
-    return poly
+        if not p.at_punct("*"):
+            return c, m
+        p.next()
 
 
 def serialize_presentation(pres):

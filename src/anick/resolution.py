@@ -45,12 +45,11 @@ open.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .algebra import AlgebraError, BoundError, Polynomial
 from .chains import TailGraph, chain_counts, enumerate_chains
 from .linalg import sparse_rank
-from .noncommutative import _reduce, count_normal_words, normal_words
+from .noncommutative import (_normal_word_table, _reduce, count_normal_words,
+                             normal_words)
 
 
 def _add_scaled(out, vector, scale):
@@ -331,11 +330,11 @@ def leading_term_ranks(res, max_degree):
     them, a pair of the largest leading word occurs in no other column, so
     its coefficient vanishes: the columns are independent.  L[n][e] counts
     them, the pairs (g, w) with g of level n, deg g + deg w = e and no tip
-    in t.w: the words of degree e - deg g that the tip matcher reads from
-    its state after t without completing a tip.  L[-1][e] = [e = 0] is the
-    rank of the augmentation.  L[n] + L[n+1] counts each basis pair f (x) m
-    of C_n (x) A once: with tail(f).m normal, or as the chain of f and the
-    shortest prefix of m that completes a tip, with the rest of m.
+    in t.w: entry e - deg g in the normal-word table's row of the state
+    after t.  L[-1][e] = [e = 0] is the rank of the augmentation.  L[n] +
+    L[n+1] counts each basis pair f (x) m of C_n (x) A once: with
+    tail(f).m normal, or as the chain of f and the shortest prefix of m
+    that completes a tip, with the rest of m.
     """
     pres, tips = res.presentation, res.gb.tips
     for n in range(res.max_level + 1):
@@ -353,15 +352,7 @@ def leading_term_ranks(res, max_degree):
             tails.sort()
             if any(b[:len(a)] == a for a, b in zip(tails, tails[1:])):
                 return None
-    letters = [(x, pres.generator_degree(x)) for x in range(pres.ngens)]
-
-    @cache
-    def avoiding(state, e):
-        """Words of degree e read from state without completing a tip."""
-        return (e == 0) + sum(
-            avoiding(t, e - dx) for x, dx in letters
-            if dx <= e and (t := tips.step(state, x)) is not None)
-
+    table = _normal_word_table(pres, tips, max_degree)
     bounds = {-1: [1] + [0] * max_degree}
     for n in range(res.max_level + 1):
         row = bounds[n] = [0] * (max_degree + 1)
@@ -369,8 +360,9 @@ def leading_term_ranks(res, max_degree):
             state = ()
             for x in g.tail:
                 state = tips.step(state, x)
+            counts = table[state]
             for e in range(g.degree, max_degree + 1):
-                row[e] += avoiding(state, e - g.degree)
+                row[e] += counts[e - g.degree]
     return bounds
 
 
@@ -410,6 +402,9 @@ def verify_resolution(res, rank_budget=4000):
     When d.d = 0 fails, no block is certified by bounds, and every matrix
     goes to route 2.  Route 1 settles every block where its checks pass,
     so route 2 serves only differentials that fail them.
+
+    Keys are in JSON order; the CLI prints all but ``splitting.failures``
+    and ``exactness.ranked_blocks``.
     """
     report = {"ok": True}
 
@@ -466,9 +461,8 @@ def verify_resolution(res, rank_budget=4000):
                        "rank_out": rank_out, "rank_in": rank_in,
                        "ok": rank_out + rank_in == dim})
     report["exactness"] = {
-        "degree": rank_degree, "blocks": blocks,
-        "ok": all(b["ok"] for b in blocks),
-        "ranked_blocks": len(ranked)}
+        "degree": rank_degree, "ok": all(b["ok"] for b in blocks),
+        "blocks": blocks, "ranked_blocks": len(ranked)}
     report["ok"] = all(report[k]["ok"] for k in
                        ("dd_zero", "splitting", "euler", "exactness"))
     return report

@@ -109,6 +109,13 @@ class TestCommutativeOrders:
         assert p.monomial_mul((2, 1), (0, 3)) == (2, 4)
 
 
+@pytest.mark.parametrize("pres", [free_xy(), comm_xy()])
+def test_gen_monomial_power(pres):
+    assert pres.gen_monomial(1) == pres.word("y")
+    assert pres.gen_monomial(1, 3) == pres.word("y", "y", "y")
+    assert pres.gen_monomial(0, 1) == pres.word("x")
+
+
 class TestPolynomialArithmetic:
     def test_exact_fractions(self):
         p = free_xy()

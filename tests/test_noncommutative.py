@@ -13,6 +13,7 @@ from anick.algebra import AlgebraError, BoundError, Polynomial
 from anick.hilbert import hilbert_from_normal_words
 from anick.noncommutative import (
     NcGB,
+    _normal_word_table,
     Obstruction,
     WordMatcher,
     antichain_matcher,
@@ -872,3 +873,40 @@ class TestAutomaton:
         has = any(occurrences(word, tip) for tip in tips)
         assert (state is None) == has
         assert (state is None) == bool(m.hits(word))
+
+
+class TestNormalWordTable:
+    """The one count of words over the tip automaton, from every state."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(antichains())
+    @example((FREE_XY, [FREE_XY.monomial_poly((0, 1, 0)),
+                        FREE_XY.monomial_poly((1, 1))]))
+    @example((WEIGHTED, [WEIGHTED.monomial_poly((1, 0, 1)),
+                         WEIGHTED.monomial_poly((2, 2))]))
+    def test_matches_brute_force(self, case):
+        pres, basis = case
+        tips = [g.leading[0] for g in basis]
+        matcher = WordMatcher(tips)
+        degree = 6
+        table = _normal_word_table(pres, matcher, degree)
+        # the states the empty word reaches: () and, the tips being an
+        # antichain, every proper prefix of a tip
+        assert next(iter(table)) == ()
+        assert set(table) == {()} | {t[:s] for t in tips for s in range(1, len(t))}
+        by_degree = {d: [] for d in range(degree + 1)}
+        for w in words_up_to(pres, degree):
+            by_degree[pres.monomial_degree(w)].append(w)
+        for state, counts in table.items():
+            assert counts == [sum(not matcher.hits(state + w) for w in words)
+                              for words in by_degree.values()]
+        assert count_normal_words(pres, matcher, degree) == table[()]
+
+
+def words_up_to(pres, max_degree):
+    """Every word of degree at most max_degree, shortest first."""
+    out = [()]
+    for w in out:
+        out.extend(w + (x,) for x in range(pres.ngens)
+                   if pres.monomial_degree(w + (x,)) <= max_degree)
+    return out

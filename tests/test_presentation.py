@@ -1,8 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anick.algebra import COMMUTATIVE, NONCOMMUTATIVE, DEGLEX, AlgebraError
+from anick.algebra import (
+    COMMUTATIVE,
+    NONCOMMUTATIVE,
+    DEGLEX,
+    AlgebraError,
+    Presentation,
+)
 from anick.presentation import (
     ParseError,
     free_product,
@@ -119,6 +127,77 @@ class TestParsing:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_presentation(FREE_XY + "surprise")
+
+
+@st.composite
+def sums(draw, pres):
+    """A sum of terms as text, with the polynomial it stands for built
+    without the parser: each term is a sign and a product of integers,
+    rationals p/q and generator powers, and the first term's sign may be
+    written or left out."""
+    names = [g.name for g in pres.generators]
+    text, expected = [], {}
+    for k in range(draw(st.integers(1, 4))):
+        sign = draw(st.sampled_from(("+", "-", "") if k == 0 else ("+", "-")))
+        coefficient, monomial, factors = 1, pres.one(), []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(("int", "rational", "power")))
+            if kind == "power":
+                x = draw(st.integers(0, len(names) - 1))
+                e = draw(st.integers(1, 4))
+                factors.append(names[x] if e == 1 and draw(st.booleans())
+                               else f"{names[x]}^{e}")
+                for _ in range(e):
+                    monomial = pres.monomial_mul(monomial, pres.gen_monomial(x))
+            else:
+                num = draw(st.integers(0, 9))
+                den = draw(st.integers(1, 9)) if kind == "rational" else 1
+                factors.append(f"{num}/{den}" if kind == "rational" else str(num))
+                coefficient *= Fraction(num, den)
+        text.append(f"{sign} {'*'.join(factors)}" if sign else "*".join(factors))
+        c = -coefficient if sign == "-" else coefficient
+        expected[monomial] = expected.get(monomial, 0) + c
+    return " ".join(text), pres.poly(expected)
+
+
+@st.composite
+def equations(draw):
+    kind = draw(st.sampled_from((NONCOMMUTATIVE, COMMUTATIVE)))
+    pres = parse_presentation(f"algebra E ; kind {kind} ; generators x y z ;"
+                              " order deglex x > y > z ;")
+    return pres, draw(sums(pres)), draw(sums(pres))
+
+
+class TestEquations:
+    """An equation L = R is the polynomial L - R, however many terms R has
+    and whatever their signs."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(equations())
+    def test_equation_is_difference(self, case):
+        pres, (left, f), (right, g) = case
+        assert parse_poly(pres, left) == f
+        assert parse_poly(pres, right) == g
+        assert parse_poly(pres, f"{left} = {right}") == pres.sub(
+            parse_poly(pres, left), parse_poly(pres, right))
+        assert parse_poly(pres, f"{left} = {right}") == pres.sub(f, g)
+
+    def test_one_polynomial_built(self, monkeypatch):
+        p = parse_presentation(FREE_XY)
+        x50y = p.monomial_mul(p.gen_monomial(0, 50), p.gen_monomial(1))
+        want = p.poly({x50y: 1, p.word("x"): Fraction(-3, 2),
+                       p.word("y", "y"): -1})
+        built = []
+        poly = Presentation.poly
+        monkeypatch.setattr(Presentation, "poly", lambda self, mapping: (
+            built.append(mapping), poly(self, mapping))[1])
+        assert parse_poly(p, "x^50*y - 1/2*x = y^2 + x") == want
+        assert len(built) == 1
+
+    def test_long_power(self):
+        p = parse_presentation(FREE_XY)
+        (term,) = parse_poly(p, "x^100000*y").terms
+        assert term == ((0,) * 100000 + (1,), 1)
 
 
 class TestRoundTrip:

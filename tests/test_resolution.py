@@ -1,6 +1,8 @@
 """Resolution differentials, splittings, verification, Tor, minimality."""
 
+import copy
 import io
+import json
 import pathlib
 import random
 from fractions import Fraction
@@ -529,6 +531,46 @@ class TestNegativeControls:
         assert report["splitting"]["failure_count"] == 6
         assert len(report["splitting"]["failures"]) == 4
         assert _report_json(report)["splitting"]["failure_count"] == 6
+
+
+class TestReportJson:
+    """anick prints verify_resolution's report as built, less the two
+    entries that stay in memory: the splitting's failures and the count of
+    ranked blocks."""
+
+    @staticmethod
+    def assert_printed_as_built(report):
+        want = copy.deepcopy(report)
+        del want["splitting"]["failures"]
+        del want["exactness"]["ranked_blocks"]
+        assert json.dumps(_report_json(report), indent=2) == \
+            json.dumps(want, indent=2)
+        # the report itself keeps both
+        assert "failures" in report["splitting"]
+        assert "ranked_blocks" in report["exactness"]
+
+    @pytest.mark.parametrize("name", ["x2xy", "xyzx", "B2"])
+    def test_report_as_built(self, name):
+        res = AnickResolution(nc_buchberger(presentation_named(name), 8), 3)
+        self.assert_printed_as_built(verify_resolution(res))
+
+    def test_failed_report_as_built(self):
+        res = AnickResolution(nc_buchberger(presentation_xfam(), 8), 3)
+        ci = chain_index(res, 2, "x x x")
+        row = dict(res.diff[2][ci])
+        del row[chain_index(res, 1, "x y x"), ()]
+        res.diff[2][ci] = row
+        report = verify_resolution(res)
+        assert report["dd_zero"]["failures"]
+        assert report["exactness"]["ranked_blocks"] > 0
+        self.assert_printed_as_built(report)
+
+    def test_new_entry_passes_through(self):
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 6), 3)
+        report = verify_resolution(res)
+        report["homotopy"] = {"checked": 3, "failures": [], "ok": True}
+        assert _report_json(report)["homotopy"] == report["homotopy"]
+        self.assert_printed_as_built(report)
 
 
 class TestTensorMatrices:
