@@ -247,9 +247,6 @@ class Presentation:
     def monomial_poly(self, m, coefficient=1):
         return self.poly({m: coefficient})
 
-    def constant(self, c):
-        return self.poly({self.one(): c})
-
     def add(self, f, g):
         acc = dict(f.terms)
         for m, c in g.terms:
@@ -261,9 +258,6 @@ class Presentation:
         for m, c in g.terms:
             acc[m] = acc.get(m, 0) - c
         return self.poly(acc)
-
-    def neg(self, f):
-        return Polynomial(tuple((m, -c) for m, c in f.terms))
 
     def scale(self, c, f):
         c = Fraction(c)

@@ -11,20 +11,21 @@ let unrelated words slip in), so t is the rest of an F-word whose proper
 prefix is a suffix of r.
 
 Whether t may follow r depends on r and t alone, so the chains are the paths
-from a generator in the tail graph: its nodes are tails, and an edge r -> t
-joins each tail to each rest that may follow it (Anick 1986; Ufnarovski's
-graph of chains).  The rests that may follow r are read off the overlaps of
-r with the F-words, which the matcher looks up by prefix, and the edges out
-of r are listed on the first visit to r, so r.t is matched against F once
-per (tail, rest) pair, not once per chain.
-A ``TailGraph`` carries the bounds of its chains, and is all that the two
-walks take: ``enumerate_chains`` builds each chain word; ``chain_counts``
-counts the chains per (level, degree) over (tail, degree) states, and
-builds no word.  A caller that needs both walks one graph twice.
+from the empty tail () in the tail graph: its nodes are tails, an edge
+r -> t joins each tail to each rest that may follow it, and the rests after
+() are the generators, so an n-chain is a path of n + 1 edges (Anick 1986;
+Ufnarovski's graph of chains).  The rests that may follow r are read off
+the overlaps of r with the F-words, which the matcher looks up by prefix,
+and the edges out of r are listed on the first visit to r, so r.t is
+matched against F once per (tail, rest) pair, not once per chain.
+A ``TailGraph`` carries the bounds of its chains.  ``enumerate_chains``
+builds each chain word, level by level, and ``ChainSet.counts`` tallies
+the words it built; ``hilbert_from_chains`` counts the same paths, signed
+and by degree alone, and builds no word.
 Each chain word's decomposition into tails is unique, so paths and chains
 correspond one to one; the enumeration asserts this.  A one-letter F-word
 is a generator that is not a normal word, yet every generator is a 0-chain,
-so no chain set on F is right for the algebra; both refuse it.
+so no chain set on F is right for the algebra; the tail graph refuses it.
 """
 
 from __future__ import annotations
@@ -55,11 +56,21 @@ class ChainSet:
     def words(self, level):
         return [c.word for c in self.levels.get(level, ())]
 
+    def counts(self):
+        """Number of chains per (level, degree): {level: {degree: count}}
+        for -1 <= level <= max_level."""
+        out = {}
+        for n, chains in self.levels.items():
+            row = out[n] = {}
+            for c in chains:
+                row[c.degree] = row.get(c.degree, 0) + 1
+        return out
+
 
 class TailGraph:
     """Tail graph of the chains on the tips to max_level, max_degree:
-    ``gens`` holds (generator, degree) pairs within the degree bound and
-    ``follow(r)`` the edges out of the tail r as (t, degree of t) pairs."""
+    ``follow(r)`` lists the edges out of the tail r as (t, degree of t)
+    pairs; those out of the empty tail () lead to the generators."""
 
     def __init__(self, pres, tips, max_level, max_degree):
         if max_level < -1:
@@ -74,9 +85,8 @@ class TailGraph:
                 raise OneLetterTipError(
                     f"presentation {pres.name!r} has the one-letter leading word "
                     f"{g}; chains need the redundant generator {g} removed")
-        self._edges = {}
-        self.gens = [((i,), pres.generator_degree(i)) for i in range(pres.ngens)
-                     if pres.generator_degree(i) <= max_degree]
+        self._edges = {(): [((i,), pres.generator_degree(i))
+                            for i in range(pres.ngens)]}
 
     def follow(self, r):
         out = self._edges.get(r)
@@ -95,11 +105,7 @@ def enumerate_chains(graph):
     pres, max_level, max_degree = graph.pres, graph.max_level, graph.max_degree
     root = Chain(word=(), degree=0, tail=(), parent=None)
     levels = {-1: (root,)}
-    if max_level >= 0:
-        levels[0] = tuple(sorted(
-            (Chain(word=g, degree=d, tail=g, parent=root) for g, d in graph.gens),
-            key=lambda c: (-c.degree, c.word)))
-    for n in range(1, max_level + 1):
+    for n in range(max_level + 1):
         produced = {}
         for parent in levels[n - 1]:
             for t, dt in graph.follow(parent.tail):
@@ -117,24 +123,3 @@ def enumerate_chains(graph):
         levels[n] = tuple(sorted(produced.values(),
                                  key=lambda c: (-c.degree, c.word)))
     return ChainSet(levels, max_level, max_degree)
-
-
-def chain_counts(graph):
-    """Number of chains per (level, degree) on a ``TailGraph``:
-    {level: {degree: count}} for -1 <= level <= graph.max_level, the same
-    table as a tally of ``enumerate_chains(graph)``, counted without words."""
-    out = {-1: {0: 1}}
-    # chains of the current level per (tail, degree)
-    states = dict.fromkeys(graph.gens, 1)
-    for n in range(graph.max_level + 1):
-        if n:
-            nxt = {}
-            for (r, d), k in states.items():
-                for t, dt in graph.follow(r):
-                    if d + dt <= graph.max_degree:
-                        nxt[t, d + dt] = nxt.get((t, d + dt), 0) + k
-            states = nxt
-        row = out[n] = {}
-        for (_, d), k in states.items():
-            row[d] = row.get(d, 0) + k
-    return out

@@ -17,7 +17,7 @@ import sys
 from functools import cache
 
 from .algebra import COMMUTATIVE, AlgebraError, BoundError, Polynomial
-from .chains import OneLetterTipError, TailGraph, chain_counts, enumerate_chains
+from .chains import OneLetterTipError, TailGraph, enumerate_chains
 from .commutative import comm_buchberger, comm_normal_form, comm_reduce_basis
 from .hilbert import (
     hilbert_from_chains,
@@ -192,9 +192,9 @@ def cmd_nf(pres, args):
 def cmd_chains(pres, args):
     require_noncommutative(pres, "chains")
     gb = certified_basis(pres, args)
-    graph = TailGraph(pres, gb.tips, args.max_level, args.max_degree)
-    cs = enumerate_chains(graph)
-    counts = chain_counts(graph)
+    cs = enumerate_chains(
+        TailGraph(pres, gb.tips, args.max_level, args.max_degree))
+    counts = cs.counts()
     levels = {}
     for n in range(-1, cs.max_level + 1):
         levels[str(n)] = {

@@ -22,10 +22,10 @@ from math import lcm
 from operator import mul
 
 from .algebra import AlgebraError, BoundError
-from .chains import TailGraph, chain_counts
+from .chains import TailGraph
 from .commutative import CommGB, comm_normal_monomials
 from .linalg import _reduce_row
-from .noncommutative import NcGB, count_normal_words
+from .noncommutative import NcGB, _path_table, count_normal_words
 
 
 def series(coefficients):
@@ -102,16 +102,14 @@ def hilbert_from_normal_words(gb, max_degree):
 def hilbert_from_chains(pres, tips, max_degree):
     """Inverse of the alternating chain sum on the tips, to max_degree.
 
-    Weights are at least 1 and tails are nonempty, so a chain of level n
-    has degree at least n + 1: the levels up to max_degree hold every chain
-    within range, and those are the levels counted.
+    An n-chain is a path of n + 1 edges from () in the tail graph, so the
+    graph's path table with sign -1 counts it with the sign (-1)^(n+1) of
+    the chain sum, the (-1)-chain as the empty path.  Every edge has degree
+    at least 1, so the degree bound alone reaches every chain of degree
+    <= max_degree, at any level: the root row is the chain sum.
     """
-    q = [0] * (max_degree + 1)
     graph = TailGraph(pres, tips, max_degree, max_degree)
-    for n, row in chain_counts(graph).items():
-        for d, k in row.items():
-            q[d] += k if n % 2 else -k
-    return series_inverse(tuple(q))
+    return series_inverse(_path_table(graph.follow, max_degree, -1)[()])
 
 
 def free_product_series(ha, hb):

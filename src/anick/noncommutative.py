@@ -472,23 +472,35 @@ def nc_reduce_basis(gb):
     return NcGB(pres, tuple(monic), gb.complete_to_degree)
 
 
-def _normal_word_table(pres, matcher, max_degree):
-    """The words of each degree <= max_degree that the matcher reads from
-    each state without completing a tip, as state -> counts by degree, for
-    the states the empty word reaches, listed breadth first.  The row of
-    () is the Hilbert count; a chain's bound reads the row of its tail."""
-    letters = [(x, pres.generator_degree(x)) for x in range(pres.ngens)]
+def _path_table(follow, max_degree, sign=1):
+    """Signed path counts of a graph whose edges have degree >= 1, for the
+    states the root () reaches, listed breadth first: table[state][e] is
+    the sum over the paths of degree e from state of sign**(their number
+    of edges), so table[state][0] = 1; ``follow(state)`` lists the edges
+    out of state as (target, degree) pairs."""
     edges, queue = {}, [()]
     for state in queue:
         if state not in edges:
-            edges[state] = out = [(t, dx) for x, dx in letters
-                                  if (t := matcher.step(state, x)) is not None]
+            edges[state] = out = follow(state)
             queue.extend(t for t, _ in out)
     table = {state: [1] + [0] * max_degree for state in edges}
     for e in range(1, max_degree + 1):
         for state, out in edges.items():
-            table[state][e] = sum(table[t][e - dx] for t, dx in out if dx <= e)
+            table[state][e] = sign * sum(table[t][e - dt]
+                                         for t, dt in out if dt <= e)
     return table
+
+
+def _normal_word_table(pres, matcher, max_degree):
+    """The words of each degree <= max_degree that the matcher reads from
+    each state without completing a tip: the path table of its automaton.
+    The row of () is the Hilbert count; a chain's bound reads the row of
+    its tail."""
+    letters = [(x, pres.generator_degree(x)) for x in range(pres.ngens)]
+    return _path_table(
+        lambda state: [(t, dx) for x, dx in letters
+                       if (t := matcher.step(state, x)) is not None],
+        max_degree)
 
 
 def count_normal_words(pres, matcher, max_degree):

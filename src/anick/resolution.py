@@ -46,7 +46,7 @@ open.
 from __future__ import annotations
 
 from .algebra import AlgebraError, BoundError, Polynomial
-from .chains import TailGraph, chain_counts, enumerate_chains
+from .chains import TailGraph, enumerate_chains
 from .linalg import sparse_rank
 from .noncommutative import (_normal_word_table, _reduce, count_normal_words,
                              normal_words)
@@ -77,9 +77,9 @@ class AnickResolution:
         self.gb = gb
         self.max_level = max_level
         self.max_degree = max_degree = gb.complete_to_degree
-        graph = TailGraph(presentation, gb.tips, max_level, max_degree)
-        self.levels = enumerate_chains(graph).levels
-        self.counts = chain_counts(graph)
+        cs = enumerate_chains(
+            TailGraph(presentation, gb.tips, max_level, max_degree))
+        self.levels, self.counts = cs.levels, cs.counts()
         self._word_index = {
             n: {c.word: k for k, c in enumerate(chains)}
             for n, chains in self.levels.items()}

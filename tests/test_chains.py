@@ -5,13 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anick.algebra import AlgebraError
-from anick.chains import (
-    OneLetterTipError,
-    TailGraph,
-    chain_counts,
-    enumerate_chains,
-)
-from anick.noncommutative import antichain_matcher, nc_buchberger
+from anick.chains import OneLetterTipError, TailGraph, enumerate_chains
+from anick.hilbert import hilbert_from_chains
+from anick.noncommutative import _path_table, antichain_matcher, nc_buchberger
 from anick.presentation import make_bn, parse_poly, parse_presentation
 from oracles import chain_decompositions, is_chain
 
@@ -118,8 +114,8 @@ class TestCompositionChains:
             assert level_words(cs, n) == expected
 
     def test_counts_by_degree(self):
-        counts = chain_counts(TailGraph(
-            self.pres, antichain_matcher(self.pres, self.F), 3, 9))
+        counts = enumerate_chains(TailGraph(
+            self.pres, antichain_matcher(self.pres, self.F), 3, 9)).counts()
         # degree d words x y^(k1) x ... y^(kn) x: compositions of d-n-1
         # into n nonnegative parts
         for n in range(1, 4):
@@ -319,8 +315,7 @@ class TestChainSetShape:
             FREE_XY, antichain_matcher(FREE_XY, ((0, 0),)), 1, 4))
         assert cs.words(-1) == [()]
         assert set(cs.words(0)) == {(0,), (1,)}
-        counts = chain_counts(TailGraph(
-            FREE_XY, antichain_matcher(FREE_XY, ((0, 0),)), 1, 4))
+        counts = cs.counts()
         assert counts[-1] == {0: 1}
         assert counts[0] == {1: 2}
 
@@ -331,15 +326,14 @@ class TestChainSetShape:
 
     def test_one_letter_tip_rejected(self):
         # a tip x has no rest, so it would leave x without chains; neither
-        # consumer of the tail graph answers, at any bound
+        # the enumeration nor the chain-inverse series answers, at any bound
         for F in (((0,),), ((0,), (1, 1))):
             for max_level in (-1, 0, 3):
                 with pytest.raises(OneLetterTipError, match="leading word x;"):
                     enumerate_chains(TailGraph(
                         FREE_XY, antichain_matcher(FREE_XY, F), max_level, 6))
-                with pytest.raises(OneLetterTipError, match="leading word x;"):
-                    chain_counts(TailGraph(
-                        FREE_XY, antichain_matcher(FREE_XY, F), max_level, 6))
+            with pytest.raises(OneLetterTipError, match="leading word x;"):
+                hilbert_from_chains(FREE_XY, antichain_matcher(FREE_XY, F), 6)
 
     def test_non_antichain_rejected(self):
         with pytest.raises(AlgebraError):
@@ -464,14 +458,21 @@ def tally(cs):
 class TestCountProperties:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(weighted_antichains())
-    def test_counts_match_enumeration(self, case):
-        """Counting paths of the tail graph gives the tally of the
-        enumerated chains, empty rows and the (-1)-row included."""
-        pres, F, max_level, max_degree = case
-        graph = TailGraph(pres, antichain_matcher(pres, F), max_level, max_degree)
+    def test_signed_path_count_matches_enumeration(self, case):
+        """The root row of the tail graph's path table with sign -1 is the
+        alternating sum of the enumerated chains by degree, every level
+        taken, the (-1)-chain included; ``ChainSet.counts`` is their tally."""
+        pres, F, _, max_degree = case
+        graph = TailGraph(pres, antichain_matcher(pres, F), max_degree, max_degree)
         cs = enumerate_chains(graph)
+        counts = tally(cs)
+        assert cs.counts() == counts
+        chain_sum = [0] * (max_degree + 1)
+        for n, row in counts.items():
+            for d, k in row.items():
+                chain_sum[d] += (-1) ** (n + 1) * k
         # one graph shared by both, walked by the enumeration first, and a
         # fresh graph counted before any enumeration
-        assert chain_counts(graph) == tally(cs)
-        assert chain_counts(TailGraph(
-            pres, antichain_matcher(pres, F), max_level, max_degree)) == tally(cs)
+        assert _path_table(graph.follow, max_degree, -1)[()] == chain_sum
+        fresh = TailGraph(pres, antichain_matcher(pres, F), max_degree, max_degree)
+        assert _path_table(fresh.follow, max_degree, -1)[()] == chain_sum
