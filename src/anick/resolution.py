@@ -40,16 +40,18 @@ graded exactness ranks, the Euler identity, tensoring with the base field,
 Tor dimensions (exact integer ranks), and the minimality test.  Exactness
 ranks take two routes: a lower bound read off the leading terms of d_n,
 which builds no column, and exact ranks over Q for the blocks it leaves
-open.
+open.  The checks read ``normal_word_table``, ``hilbert`` and ``dims``:
+one table, built on first read.  Tor and the minimality test build none.
 """
 
 from __future__ import annotations
 
+from functools import cached_property, reduce
+
 from .algebra import AlgebraError, BoundError, Polynomial
 from .chains import TailGraph, enumerate_chains
 from .linalg import sparse_rank
-from .noncommutative import (_normal_word_table, _reduce, count_normal_words,
-                             normal_words)
+from .noncommutative import _normal_word_table, _reduce, normal_words
 
 
 def _add_scaled(out, vector, scale):
@@ -67,8 +69,10 @@ class AnickResolution:
 
     Every internal splitting is audited for d(i(u)) = u; failures are
     collected, not raised, so a verification report can show them.
-    ``counts`` holds the chains per (level, degree) and ``hilbert`` the
-    algebra's normal-word counts to ``max_degree``.
+    ``counts`` holds the chains per (level, degree).  Built on first read:
+    ``normal_word_table``, the normal words per degree from each state of
+    ``gb.tips``; ``hilbert``, its row of the empty state; and ``dims``,
+    dims[n][d] = dim of the degree-d part of C_n (x) A, -1 <= n <= max_level.
     """
 
     def __init__(self, gb, max_level):
@@ -86,7 +90,6 @@ class AnickResolution:
         self._chain_lengths = {
             n: sorted({len(c.word) for c in chains})
             for n, chains in self.levels.items()}
-        self.hilbert = count_normal_words(presentation, gb.tips, max_degree)
         self._nf_cache = {}
         self.split_checks = 0
         self.split_failures = []
@@ -98,6 +101,22 @@ class AnickResolution:
         self._split_memo = None
 
     # -- plumbing ----------------------------------------------------------
+
+    @cached_property
+    def normal_word_table(self):
+        return _normal_word_table(self.presentation, self.gb.tips,
+                                  self.max_degree)
+
+    @cached_property
+    def hilbert(self):
+        return self.normal_word_table[()]
+
+    @cached_property
+    def dims(self):
+        h = self.hilbert
+        return {n: [sum(k * h[d - dc] for dc, k in self.counts[n].items()
+                        if dc <= d) for d in range(len(h))]
+                for n in range(-1, self.max_level + 1)}
 
     def _nf_word(self, word):
         """Normal form of a single word as a terms tuple, reduced by the
@@ -287,13 +306,6 @@ class AnickResolution:
 # -- verification ------------------------------------------------------------
 
 
-def module_dimension(res, n, degree, h):
-    """dim of the degree-d part of C_n (x) A, from the chain counts and the
-    algebra's counts h."""
-    return sum(k * h[degree - dc] for dc, k in res.counts[n].items()
-               if dc <= degree)
-
-
 def euler_horizon(res):
     """Largest degree where levels beyond max_level provably cannot reach."""
     if all(res.counts[n] for n in range(res.max_level + 1)):
@@ -330,12 +342,15 @@ def leading_term_ranks(res, max_degree):
     them, a pair of the largest leading word occurs in no other column, so
     its coefficient vanishes: the columns are independent.  L[n][e] counts
     them, the pairs (g, w) with g of level n, deg g + deg w = e and no tip
-    in t.w: entry e - deg g in the normal-word table's row of the state
+    in t.w: entry e - deg g in ``res.normal_word_table``'s row of the state
     after t.  L[-1][e] = [e = 0] is the rank of the augmentation.  L[n] +
     L[n+1] counts each basis pair f (x) m of C_n (x) A once: with
     tail(f).m normal, or as the chain of f and the shortest prefix of m
     that completes a tip, with the rest of m.
     """
+    if max_degree > res.max_degree:
+        raise BoundError(f"leading-term ranks asked to degree {max_degree}, "
+                         f"past the built degree {res.max_degree}")
     pres, tips = res.presentation, res.gb.tips
     for n in range(res.max_level + 1):
         below, index = res.levels[n - 1], res._word_index[n - 1]
@@ -352,15 +367,11 @@ def leading_term_ranks(res, max_degree):
             tails.sort()
             if any(b[:len(a)] == a for a, b in zip(tails, tails[1:])):
                 return None
-    table = _normal_word_table(pres, tips, max_degree)
     bounds = {-1: [1] + [0] * max_degree}
     for n in range(res.max_level + 1):
         row = bounds[n] = [0] * (max_degree + 1)
         for g in res.levels[n]:
-            state = ()
-            for x in g.tail:
-                state = tips.step(state, x)
-            counts = table[state]
+            counts = res.normal_word_table[reduce(tips.step, g.tail, ())]
             for e in range(g.degree, max_degree + 1):
                 row[e] += counts[e - g.degree]
     return bounds
@@ -368,17 +379,12 @@ def leading_term_ranks(res, max_degree):
 
 def block_rank_degree(res, budget):
     """Largest degree whose cumulative column count stays within budget."""
-    h = res.hilbert
     total = 0
-    chosen = -1
     for d in range(res.max_degree + 1):
-        cost = sum(module_dimension(res, n, d, h)
-                   for n in range(0, res.max_level + 1))
-        if total + cost > budget and chosen >= 0:
-            break
-        total += cost
-        chosen = d
-    return max(chosen, 0)
+        total += sum(res.dims[n][d] for n in range(res.max_level + 1))
+        if total > budget and d:
+            return d - 1
+    return max(res.max_degree, 0)
 
 
 def verify_resolution(res, rank_budget=4000):
@@ -386,7 +392,8 @@ def verify_resolution(res, rank_budget=4000):
 
     Exactness ranks cost memory quadratic in the graded dimensions, so their
     degree is the largest whose cumulative block columns fit in rank_budget.
-    The other three checks always run to the full built degree.
+    The other three checks always run to the full built degree.  Every
+    dimension is read from ``res.dims``, built on the bounds' own table.
 
     Every reported rank is the rank over Q.  Once d.d = 0 holds on the
     generators, it holds on all of C (x) A by right A-linearity, so
@@ -424,21 +431,14 @@ def verify_resolution(res, rank_budget=4000):
                            "ok": not res.split_failures}
 
     horizon = euler_horizon(res)
-    h = res.hilbert
-    euler_failures = []
-    for d in range(horizon + 1):
-        total = 0
-        for n in range(-1, res.max_level + 1):
-            sign = -1 if n % 2 == 0 else 1
-            total += sign * module_dimension(res, n, d, h)
-        if total != (1 if d == 0 else 0):
-            euler_failures.append(d)
+    euler_failures = [d for d in range(horizon + 1) if sum(
+        (-1) ** (n + 1) * row[d] for n, row in res.dims.items()) != (d == 0)]
     report["euler"] = {"degree": horizon, "failures": euler_failures,
                        "ok": not euler_failures}
 
     rank_degree = block_rank_degree(res, rank_budget)
     degrees = range(rank_degree + 1)
-    dims = {(n, d): module_dimension(res, n, d, h)
+    dims = {(n, d): res.dims[n][d]
             for n in range(-1, res.max_level) for d in degrees}
     # rational ranks only; level -1 is the augmentation, rank 1 in degree 0
     ranks = {(-1, d): 1 if d == 0 else 0 for d in degrees}

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anick import resolution
-from anick.algebra import AlgebraError
+from anick import noncommutative, resolution
+from anick.algebra import AlgebraError, BoundError
 from anick.chains import Chain, OneLetterTipError
 from anick.cli import _report_json
 from anick.cli import main as cli_main
 from anick.linalg import sparse_rank
 from anick.noncommutative import (
     WordMatcher,
+    count_normal_words,
     nc_buchberger,
     nc_normal_form,
     normal_words,
@@ -31,7 +32,6 @@ from anick.resolution import (
     euler_horizon,
     is_minimal,
     leading_term_ranks,
-    module_dimension,
     tensor_with_k,
     tor_dimensions,
     verify_resolution,
@@ -472,10 +472,11 @@ class TestBounds:
 
     def test_module_dimension_counts(self):
         res = resolution_xfam()
-        h = [1, 2, 3, 4, 5]  # normal words of x^2 -> xy per degree
-        assert module_dimension(res, -1, 3, h) == 4
+        # normal words of x^2 -> xy per degree
+        assert res.hilbert[:5] == [1, 2, 3, 4, 5]
+        assert res.dims[-1][3] == 4
         # level 1 chains x y^k x: degrees 2..: dim_3 = h1 + h0
-        assert module_dimension(res, 1, 3, h) == 3
+        assert res.dims[1][3] == 3
 
     def test_rank_degree_budget(self):
         res = resolution_bn(1, 5)
@@ -732,6 +733,40 @@ class TestOneTipMatcher:
         assert len(built) <= most
 
 
+class TestOneNormalWordTable:
+    """The resolution builds its normal-word table on first read and keeps
+    it: builds are counted by wrapping ``_normal_word_table`` in both
+    modules that call it."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        table = noncommutative._normal_word_table
+
+        def counting(*args):
+            built.append(args)
+            return table(*args)
+
+        for module in (noncommutative, resolution):
+            monkeypatch.setattr(module, "_normal_word_table", counting)
+        return built
+
+    def test_verification_builds_one_table(self, built):
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 8), 3)
+        assert built == []
+        assert verify_resolution(res)["ok"]
+        assert leading_term_ranks(res, 5) is not None
+        assert len(built) == 1
+        assert res.hilbert is res.normal_word_table[()]
+
+    @pytest.mark.parametrize("command, count", [("anick", 1), ("tor", 0)])
+    def test_commands(self, built, capsys, command, count):
+        code = cli_main([command, str(SAMPLES / "x2xy.alg")])
+        capsys.readouterr()
+        assert code == 0
+        assert len(built) == count
+
+
 def reference_split(res, m, elem):
     """Splitting i_m for m >= 0 by scanning: key every pending pair on each
     step, take the largest, and try every m-chain of the level as a prefix
@@ -875,6 +910,26 @@ def graded_presentations(draw):
             draw(st.integers(4, 7)))
 
 
+class TestResolutionTables:
+    """The module dimensions and the Hilbert counts, read off the
+    resolution's one normal-word table, against enumerated words."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(graded_presentations())
+    def test_dims_count_basis_pairs(self, case):
+        # dims[n][d] counts the pairs (c, w) of C_n (x) A in degree d, and
+        # hilbert is the normal-word count, read off the shared table
+        pres, level, degree = case
+        res = AnickResolution(nc_buchberger(pres, degree), level)
+        words = normal_words(res.gb, res.max_degree)
+        assert set(res.dims) == set(range(-1, level + 1))
+        for n, row in res.dims.items():
+            assert row == [sum(len(words[d - c.degree]) for c in res.levels[n]
+                               if c.degree <= d) for d in range(degree + 1)]
+        assert res.hilbert == count_normal_words(pres, res.gb.tips, degree)
+        assert res.hilbert == [len(words[d]) for d in range(degree + 1)]
+
+
 class TestSplitOracle:
     """The memoized splitting and prefix index in _isplit against the chain
     scan, at every level including i_0."""
@@ -1010,6 +1065,17 @@ class TestLeadingTermRanks:
             assert bounds[n][d] == rank
         assert "ranked_blocks" not in _report_json(report)["exactness"]
 
+    def test_past_the_built_degree(self):
+        # no chain or differential exists past degree 6, so no bound
+        pres = presentation_sample("x2xy")
+        low = AnickResolution(nc_buchberger(pres, 6), 3)
+        with pytest.raises(BoundError):
+            leading_term_ranks(low, 9)
+        high = leading_term_ranks(AnickResolution(nc_buchberger(pres, 9), 3), 9)
+        assert high[1] == [0, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert leading_term_ranks(low, 6) == {
+            n: row[:7] for n, row in high.items()}
+
     @staticmethod
     def assert_bounds_below_exact_ranks(res):
         """L <= the exact rank on every block within the rank budget, and
@@ -1024,8 +1090,7 @@ class TestLeadingTermRanks:
             assert bounds[n][d] <= rank
         for n in range(-1, res.max_level):
             for d in range(degree + 1):
-                assert bounds[n][d] + bounds[n + 1][d] == \
-                    module_dimension(res, n, d, res.hilbert)
+                assert bounds[n][d] + bounds[n + 1][d] == res.dims[n][d]
                 assert (bounds[n][d], bounds[n + 1][d]) == \
                     (ranks[n, d], ranks[n + 1, d])
 
