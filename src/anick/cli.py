@@ -33,6 +33,7 @@ from .noncommutative import (
 from .presentation import ParseError, make_bn, parse_poly, parse_presentation
 from .resolution import (
     AnickResolution,
+    dd_failures,
     is_minimal,
     tor_dimensions,
     verify_resolution,
@@ -323,9 +324,10 @@ def cmd_tor(pres, args):
     require_noncommutative(pres, "tor")
     require_graded(pres)
     res = AnickResolution(certified_basis(pres, args), args.max_level + 1)
-    if res.split_failures:
+    failures = dd_failures(res)
+    if failures:
         raise AlgebraError(
-            f"{len(res.split_failures)} splittings failed the d(i(u)) = u "
+            f"{len(failures)} splittings failed the d(i(u)) = u "
             "audit, so the complex is not a resolution; no Tor reported")
     table = tor_dimensions(res)
     minimal, witness = is_minimal(res)

@@ -35,13 +35,14 @@ of an integral element.  This is a per-term fast path, not a second mode:
 a normal-form coefficient that is not an integer stays a Fraction, and the
 arithmetic stays exact for any basis.
 
-Everything downstream lives here too: the d.d = 0 and splitting checks,
-graded exactness ranks, the Euler identity, tensoring with the base field,
-Tor dimensions (exact integer ranks), and the minimality test.  Exactness
-ranks take two routes: a lower bound read off the leading terms of d_n,
-which builds no column, and exact ranks over Q for the blocks it leaves
-open.  The checks read ``normal_word_table``, ``hilbert`` and ``dims``:
-one table, built on first read.  Tor and the minimality test build none.
+Everything downstream lives here too: ``dd_failures``, the one d.d = 0
+check of the built columns, graded exactness ranks, the Euler identity,
+tensoring with the base field, Tor dimensions (exact integer ranks), and
+the minimality test.  Exactness ranks take two routes: a lower bound read
+off the leading terms of d_n, which builds no column, and exact ranks over
+Q for the blocks it leaves open.  The checks read ``normal_word_table``,
+``hilbert`` and ``dims``: one table, built on first read.  Tor and the
+minimality test build none; they read ``tensored``.
 """
 
 from __future__ import annotations
@@ -67,12 +68,12 @@ def _add_scaled(out, vector, scale):
 class AnickResolution:
     """Differentials d_n for 0 <= n <= max_level on the chain generators.
 
-    Every internal splitting is audited for d(i(u)) = u; failures are
-    collected, not raised, so a verification report can show them.
-    ``counts`` holds the chains per (level, degree).  Built on first read:
-    ``normal_word_table``, the normal words per degree from each state of
-    ``gb.tips``; ``hilbert``, its row of the empty state; and ``dims``,
-    dims[n][d] = dim of the degree-d part of C_n (x) A, -1 <= n <= max_level.
+    ``split_checks`` counts the columns built with a splitting, which
+    ``dd_failures`` checks.  ``counts`` holds the chains per (level, degree).
+    Built on first read: ``normal_word_table``, the normal words per degree
+    from each state of ``gb.tips``; ``hilbert``, its row of the empty state;
+    ``dims``, dims[n][d] = dim of the degree-d part of C_n (x) A; and
+    ``tensored``, the scalar parts of the d_n, keyed (row, column).
     """
 
     def __init__(self, gb, max_level):
@@ -92,7 +93,6 @@ class AnickResolution:
             for n, chains in self.levels.items()}
         self._nf_cache = {}
         self.split_checks = 0
-        self.split_failures = []
         self.diff = {0: [{(0, c.word): 1} for c in self.levels[0]]}
         for n in range(1, max_level + 1):
             # i_{n-1} on basis pairs, used only while d_n is built
@@ -117,6 +117,12 @@ class AnickResolution:
         return {n: [sum(k * h[d - dc] for dc, k in self.counts[n].items()
                         if dc <= d) for d in range(len(h))]
                 for n in range(-1, self.max_level + 1)}
+
+    @cached_property
+    def tensored(self):
+        return {n: {(cj, ci): coeff for ci, column in enumerate(self.diff[n])
+                    for (cj, w), coeff in column.items() if not w}
+                for n in range(self.max_level + 1)}
 
     def _nf_word(self, word):
         """Normal form of a single word as a terms tuple, reduced by the
@@ -210,7 +216,7 @@ class AnickResolution:
         met there has a normal word s = t c, t the tail of g, and then
         d_m(g (x) c) = d_m(g) c keeps the shape that ``leading_term_ranks``
         checks on d_m(g).  So every d_n is built as the loop built it.
-        ``split``'s audit sees the passed-over pairs.
+        ``split``'s audit and ``dd_failures`` see the passed-over pairs.
 
         The memo lives in ``_split_memo`` while the constructor builds the
         differentials.  Any other call fills a memo of its own, since
@@ -266,17 +272,16 @@ class AnickResolution:
 
     def split(self, m, elem):
         """i_m for any m >= 0, by the one routine ``_isplit``, with the
-        d(i(u)) = u audit.
+        d(i(u)) = u audit; the constructor calls ``_isplit`` alone.
 
         When the audit fails, the residue u - d(i(u)) is the sum of the
         pairs that ``_isplit`` passed over, and its lead is the first lead
         on which the leading-pair loop fails: that lead raises when it ties
         with another pair or admits no factorization.  Any other failure
-        is recorded in ``split_failures``.
+        raises "failed the d(i(u)) = u audit".
         """
         result = self._isplit(m, elem)
         back = self.apply_d(m, result)
-        self.split_checks += 1
         residue = {k: v for k, v in elem.items() if v}
         if back != residue:
             _add_scaled(residue, back, -1)
@@ -289,7 +294,8 @@ class AnickResolution:
                 raise AlgebraError(
                     f"kernel leading word {pres.format_monomial(w)} admits no "
                     f"(chain).(normal word) factorization at level {m}")
-            self.split_failures.append((m, elem, back))
+            raise AlgebraError(
+                f"a splitting at level {m} failed the d(i(u)) = u audit")
         return result
 
     def _build_d(self, n, chain):
@@ -298,7 +304,8 @@ class AnickResolution:
         v = self.apply_d(n - 1, head)
         result = dict(head)
         if v:
-            _add_scaled(result, self.split(n - 1, v), -1)
+            self.split_checks += 1
+            _add_scaled(result, self._isplit(n - 1, v), -1)
         self.element_degree(n - 1, result)
         return result
 
@@ -387,8 +394,22 @@ def block_rank_degree(res, budget):
     return max(res.max_degree, 0)
 
 
+def dd_failures(res):
+    """(n, ci) of each stored column with d_{n-1}(d_n(g)) != 0, 1 <= n <=
+    max_level: the one d.d computation."""
+    return [(n, ci) for n in range(1, res.max_level + 1)
+            for ci, column in enumerate(res.diff[n])
+            if res.apply_d(n - 1, column)]
+
+
 def verify_resolution(res, rank_budget=4000):
     """Full audit: d.d = 0, splitting, Euler identity, graded exactness.
+
+    d.d = 0 and the splitting are one check, ``dd_failures`` on the stored
+    columns.  Each is d_n(g) = h - i(v), h = parent (x) tail, v = d(h); d
+    is linear over exact arithmetic, so d(d_n(g)) = v - d(i(v)), which
+    vanishes iff the splitting of v passes d(i(u)) = u.  "splitting"
+    counts the ``split_checks`` columns with v != 0; it fails with d.d.
 
     Exactness ranks cost memory quadratic in the graded dimensions, so their
     degree is the largest whose cumulative block columns fit in rank_budget.
@@ -415,20 +436,13 @@ def verify_resolution(res, rank_budget=4000):
     """
     report = {"ok": True}
 
-    failures = []
-    checked = 0
-    for n in range(1, res.max_level + 1):
-        for ci in range(len(res.levels[n])):
-            checked += 1
-            if res.apply_d(n - 1, res.diff[n][ci]):
-                failures.append((n, ci))
-    report["dd_zero"] = {"checked": checked, "failures": failures,
-                         "ok": not failures}
-
+    failures = dd_failures(res)
+    report["dd_zero"] = {
+        "checked": sum(len(res.diff[n]) for n in range(1, res.max_level + 1)),
+        "failures": failures, "ok": not failures}
     report["splitting"] = {"checked": res.split_checks,
-                           "failure_count": len(res.split_failures),
-                           "failures": res.split_failures[:4],
-                           "ok": not res.split_failures}
+                           "failure_count": len(failures),
+                           "failures": failures[:4], "ok": not failures}
 
     horizon = euler_horizon(res)
     euler_failures = [d for d in range(horizon + 1) if sum(
@@ -471,28 +485,10 @@ def verify_resolution(res, rank_budget=4000):
 # -- Tor, minimality ----------------------------------------------------------
 
 
-def tensor_with_k(res):
-    """Scalar parts of the differentials: matrices C_n -> C_{n-1}.
-
-    Entry keys are (row index at level n-1, column index at level n).
-    """
-    out = {}
-    for n in range(0, res.max_level + 1):
-        m = {}
-        for ci in range(len(res.levels[n])):
-            for (cj, w), coeff in res.diff[n][ci].items():
-                if not w:
-                    m[(cj, ci)] = coeff
-        out[n] = m
-    return out
-
-
 def is_minimal(res):
     """Whether all tensored differentials vanish; witness = (level, row
     chain word, column chain word) of the first nonzero entry."""
-    tensored = tensor_with_k(res)
-    for n in range(0, res.max_level + 1):
-        entries = tensored[n]
+    for n, entries in res.tensored.items():
         if entries:
             cj, ci = min(entries, key=lambda rc: (rc[1], rc[0]))
             return False, (n, res.levels[n - 1][cj].word, res.levels[n][ci].word)
@@ -509,7 +505,7 @@ def tor_dimensions(res):
     need them.
     """
     ranks = {-1: {}}
-    for n, entries in tensor_with_k(res).items():
+    for n, entries in res.tensored.items():
         cols = {}
         for (cj, ci), coeff in entries.items():
             d = res.levels[n][ci].degree

@@ -21,7 +21,6 @@ from anick.presentation import make_bn, parse_poly, parse_presentation
 from anick.resolution import (
     AnickResolution,
     is_minimal,
-    tensor_with_k,
     tor_dimensions,
     verify_resolution,
 )
@@ -400,7 +399,7 @@ def test_criterion_8_minimality_and_tor(capsys):
     problems = []
 
     res1 = res_b1_tor()
-    tensored = tensor_with_k(res1)
+    tensored = res1.tensored
     for n in range(0, 6):
         if tensored[n]:
             problems.append(f"B1 tensored d_{n} nonzero")

@@ -1,6 +1,7 @@
 """Resolution differentials, splittings, verification, Tor, minimality."""
 
 import copy
+import functools
 import io
 import json
 import pathlib
@@ -32,7 +33,6 @@ from anick.resolution import (
     euler_horizon,
     is_minimal,
     leading_term_ranks,
-    tensor_with_k,
     tor_dimensions,
     verify_resolution,
 )
@@ -388,7 +388,7 @@ class TestB2Differentials:
     def test_tor_ranks_each_block_once(self, monkeypatch):
         res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 14), 5)
         blocks = {(n, res.levels[n][ci].degree)
-                  for n, entries in tensor_with_k(res).items()
+                  for n, entries in res.tensored.items()
                   for _, ci in entries}
         calls = []
 
@@ -460,9 +460,11 @@ class TestStructuralInvariants:
             res.split(0, {(0, ()): Fraction(1)})
 
     def test_splitting_audit_log(self):
-        res = resolution_bn(1, 5)
+        # B1 to level 5 builds only 7 columns with a splitting; the count
+        # is of the constructor's splittings, not of split calls since
+        res = resolution_bn(2, 4)
         assert res.split_checks > 10
-        assert res.split_failures == []
+        assert verify_resolution(res)["splitting"]["ok"]
 
 
 class TestBounds:
@@ -514,24 +516,33 @@ class TestNegativeControls:
     def test_every_splitting_failure_is_counted(self, monkeypatch):
         # with d_0 doubled, subtracting d_0(w[0] (x) w[1:]) leaves -1 (x) w,
         # so the level-0 split meets its lead again and raises
-        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 6), 3)
-        assert res.split_failures == []
+        gb = nc_buchberger(presentation_sample("x2xy"), 6)
+        res = AnickResolution(gb, 3)
+        assert verify_resolution(res)["splitting"]["ok"]
         words = normal_words(res.gb, 3)
         diff0 = res.diff[0]
         res.diff[0] = [{k: 2 * v for k, v in row.items()} for row in diff0]
         with pytest.raises(AlgebraError, match="failed to descend"):
             res.split(0, {(0, words[2][0]): 1})
         res.diff[0] = diff0
-        # a splitting that returns 2 i(u) fails the d(i(u)) = u audit
-        isplit = res._isplit
-        monkeypatch.setattr(res, "_isplit", lambda m, u: {
-            k: 2 * v for k, v in isplit(m, u).items()})
-        for w in (words[1] + words[2] + words[3])[:6]:
-            res.split(0, {(0, w): 1})
+        # a splitting that returns 2 i(u) fails d(i(u)) = u: every column
+        # built with one fails d.d = 0, and a direct split raises
+        isplit = AnickResolution._isplit
+        monkeypatch.setattr(AnickResolution, "_isplit", lambda self, m, u: {
+            k: 2 * v for k, v in isplit(self, m, u).items()})
+        res = AnickResolution(gb, 3)
         report = verify_resolution(res)
-        assert report["splitting"]["failure_count"] == 6
+        failures = report["dd_zero"]["failures"]
+        assert report["splitting"]["failure_count"] == len(failures) == \
+            res.split_checks == 25
+        assert report["splitting"]["failures"] == failures[:4]
         assert len(report["splitting"]["failures"]) == 4
-        assert _report_json(report)["splitting"]["failure_count"] == 6
+        assert not report["splitting"]["ok"] and not report["ok"]
+        assert _report_json(report)["splitting"]["failure_count"] == 25
+        for w in (words[1] + words[2] + words[3])[:6]:
+            with pytest.raises(AlgebraError,
+                               match=r"failed the d\(i\(u\)\) = u audit"):
+                res.split(0, {(0, w): 1})
 
 
 class TestReportJson:
@@ -577,7 +588,7 @@ class TestReportJson:
 class TestTensorMatrices:
     def test_scalar_parts_only(self):
         res = resolution_bn(2, 4)
-        tensored = tensor_with_k(res)
+        tensored = res.tensored
         assert tensored[0] == {}
         assert tensored[1] == {}
         assert tensored[2] == {}
@@ -731,6 +742,52 @@ class TestOneTipMatcher:
         capsys.readouterr()
         assert code == 0
         assert len(built) <= most
+
+
+class TestOneDdCheck:
+    """The constructor builds each column with ``_isplit`` alone, and
+    ``dd_failures`` checks the stored columns once per command: calls are
+    counted by wrapping the methods and functions by name."""
+
+    @staticmethod
+    def counting(calls, fn):
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapped
+
+    def test_constructor_never_calls_split(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(AnickResolution, "split",
+                            self.counting(calls, AnickResolution.split))
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 10), 5)
+        assert res.split_checks == 381
+        assert calls == []
+
+    def test_verification_applies_d_once_per_column(self, monkeypatch):
+        res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 10), 5)
+        calls = []
+        monkeypatch.setattr(AnickResolution, "apply_d",
+                            self.counting(calls, AnickResolution.apply_d))
+        report = verify_resolution(res)
+        assert report["ok"]
+        assert report["exactness"]["ranked_blocks"] == 0
+        assert len(calls) == report["dd_zero"]["checked"]
+
+    @pytest.mark.parametrize("command, tensored", [("anick", 0), ("tor", 1)])
+    def test_commands(self, monkeypatch, capsys, command, tensored):
+        checks, built = [], []
+        wrapped = self.counting(checks, resolution.dd_failures)
+        monkeypatch.setattr(resolution, "dd_failures", wrapped)
+        monkeypatch.setattr("anick.cli.dd_failures", wrapped)
+        prop = functools.cached_property(
+            self.counting(built, AnickResolution.tensored.func))
+        prop.__set_name__(AnickResolution, "tensored")
+        monkeypatch.setattr(AnickResolution, "tensored", prop)
+        code = cli_main([command, str(SAMPLES / "x2xy.alg")])
+        capsys.readouterr()
+        assert code == 0
+        assert (len(checks), len(built)) == (1, tensored)
 
 
 class TestOneNormalWordTable:
