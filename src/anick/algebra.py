@@ -80,15 +80,6 @@ class Polynomial:
             raise AlgebraError("zero polynomial has no leading term")
         return self.terms[0]
 
-    def monomials(self):
-        return tuple(m for m, _ in self.terms)
-
-    def coefficient(self, monomial):
-        for m, c in self.terms:
-            if m == monomial:
-                return c
-        return Fraction(0)
-
 
 class Presentation:
     """A presented algebra over the rationals.
@@ -219,15 +210,6 @@ class Presentation:
         if self._unit_degrees:
             return (-len(word), word)
         return (-sum(map(self._degrees.__getitem__, word)), word)
-
-    def compare(self, a, b):
-        """-1, 0 or 1 as a is smaller than, equal to, or larger than b."""
-        ka, kb = self.term_key(a), self.term_key(b)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
 
     # -- polynomials -------------------------------------------------------
 

@@ -144,7 +144,7 @@ def cmd_gb(pres, args):
         degree = None
     else:
         gb = certified_basis(pres, args)
-        basis = nc_reduce_basis(gb).basis
+        basis = nc_reduce_basis(gb).rules
         degree = gb.complete_to_degree
     data = {
         "algebra": pres.name,

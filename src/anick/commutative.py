@@ -18,14 +18,10 @@ from .algebra import COMMUTATIVE, AlgebraError, Presentation
 
 @dataclass
 class CommGB:
-    """A commutative basis together with its presentation.
-
-    ``reduced`` marks whether ``basis`` is the reduced basis.
-    """
+    """A commutative basis together with its presentation."""
 
     presentation: Presentation
     basis: tuple
-    reduced: bool = False
 
 
 def divides(a, b):
@@ -130,7 +126,7 @@ def comm_reduce_basis(gb):
                for k, g in enumerate(kept)]
     monic = [pres.scale(1 / g.leading[1], g) for g in reduced]
     monic.sort(key=lambda g: pres.term_key(g.leading[0]), reverse=True)
-    return CommGB(pres, tuple(monic), reduced=True)
+    return CommGB(pres, tuple(monic))
 
 
 def comm_normal_monomials(pres, basis, max_degree):

@@ -1,11 +1,11 @@
 """Truncated power series and the Hilbert series pipelines.
 
 A series is a tuple of Fractions, index = degree; the tuple length fixes the
-truncation order and binary operations require equal truncation.  Hilbert
-series of a presented graded algebra can be computed three independent ways:
-counting normal words, inverting the alternating sum of chain counts, and
-(for free products) combining factor series.  Their agreement is the main
-cross-check of the whole machine.
+truncation order.  The Hilbert series of a presented graded algebra is
+computed by two independent pipelines: counting normal words, and inverting
+the alternating sum of chain counts.  Their agreement is the main
+cross-check of the whole machine.  The free-product identity
+1/H = 1/H_A + 1/H_B - 1 is a third route, kept as a test oracle.
 
 The pipelines compute in ints where the numbers are integral and return
 Fractions.  The Hilbert series H of a graded algebra and 1/H are integral
@@ -30,38 +30,6 @@ from .noncommutative import NcGB, _path_table, count_normal_words
 
 def series(coefficients):
     return tuple(Fraction(c) for c in coefficients)
-
-
-def series_one(truncation):
-    return (Fraction(1),) + (Fraction(0),) * truncation
-
-
-def _check_same(a, b):
-    if len(a) != len(b):
-        raise AlgebraError("series truncation mismatch")
-
-
-def series_add(a, b):
-    _check_same(a, b)
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def series_sub(a, b):
-    _check_same(a, b)
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def series_mul(a, b):
-    _check_same(a, b)
-    n = len(a)
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j in range(n - i):
-            if b[j]:
-                out[i + j] += x * b[j]
-    return tuple(out)
 
 
 def series_inverse(a):
@@ -110,17 +78,6 @@ def hilbert_from_chains(pres, tips, max_degree):
     """
     graph = TailGraph(pres, tips, max_degree, max_degree)
     return series_inverse(_path_table(graph.follow, max_degree, -1)[()])
-
-
-def free_product_series(ha, hb):
-    """Series of the free product from the factors:
-    1/H = 1/H_A + 1/H_B - 1."""
-    _check_same(ha, hb)
-    if not ha or ha[0] != 1 or hb[0] != 1:
-        raise AlgebraError("factor series must have constant term 1")
-    one = series_one(len(ha) - 1)
-    q = series_sub(series_add(series_inverse(ha), series_inverse(hb)), one)
-    return series_inverse(q)
 
 
 def _least_numerator_degree(s, dq):

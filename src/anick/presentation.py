@@ -297,22 +297,6 @@ def _parse_term(p, pres):
         p.next()
 
 
-def serialize_presentation(pres):
-    """Render a presentation back to parseable text."""
-    lines = [f"algebra {pres.name} ;", f"kind {pres.kind} ;"]
-    gparts = []
-    for g in pres.generators:
-        gparts.append(g.name if g.degree == 1 else f"{g.name}:{g.degree}")
-    lines.append(f"generators {' '.join(gparts)} ;")
-    chain = " > ".join(g.name for g in pres.generators)
-    lines.append(f"order {pres.order} {chain} ;")
-    if pres.relations:
-        lines.append("relations")
-        for rel in pres.relations:
-            lines.append(f"    {pres.format_poly(rel)} ;")
-    return "\n".join(lines) + "\n"
-
-
 def make_bn(n):
     """The algebra B_n on generators a_i, b_i, c_i for 0 <= i <= n.
 
@@ -337,28 +321,3 @@ def make_bn(n):
         relations.append(w(f"c{i}", f"c{j}"))
         relations.append(w(f"b{j}", f"a{i}"))
     return pres.with_relations(relations)
-
-
-def free_product(p, q):
-    """Free product of two noncommutative presentations.
-
-    Generators of ``q`` keep their names unless they collide with ``p``'s,
-    in which case they gain a trailing apostrophe.  The order is deglex with
-    all of ``p``'s generators above all of ``q``'s.
-    """
-    if p.kind != NONCOMMUTATIVE or q.kind != NONCOMMUTATIVE:
-        raise AlgebraError("free products are defined for noncommutative presentations")
-    taken = {g.name for g in p.generators}
-    gens = list(p.generators)
-    shift = p.ngens
-    for g in q.generators:
-        name = g.name
-        while name in taken:
-            name += "'"
-        taken.add(name)
-        gens.append(Generator(len(gens), name, g.degree))
-    out = Presentation(f"{p.name}_star_{q.name}", NONCOMMUTATIVE, gens, DEGLEX)
-    relations = list(p.relations)
-    for rel in q.relations:
-        relations.append(out.poly({tuple(i + shift for i in m): c for m, c in rel.terms}))
-    return out.with_relations(relations)

@@ -7,16 +7,30 @@ rescanning the work for its largest monomial and the basis
 for the rewriting rule, chain decompositions by recursive search, the
 completion certificate by re-resolving every ambiguity, reduced bases by
 reducing until nothing changes, the Hilbert series of a free (or
-exterior) algebra on given generator degrees, series inverses by the
-recurrence in Fractions, and rational fits by one dense Gauss-Jordan solve
-over Fractions per (numerator degree, denominator degree) pair.
+exterior) algebra on given generator degrees, the Hilbert series of a free
+product from its factors' by the identity 1/H = 1/H_A + 1/H_B - 1, series
+inverses by the recurrence in Fractions, and rational fits by one dense
+Gauss-Jordan solve over Fractions per (numerator degree, denominator
+degree) pair.
+
+Nothing here comes from ``anick.hilbert``: the series arithmetic is this
+module's own, and every series is inverted by ``reference_series_inverse``,
+never by the library's ``series_inverse``, which the chain pipeline uses.
+The module also builds the free product of two presentations and prints a
+presentation back to parseable text, for the tests of the parser and of
+the free-product identity.
 """
 
 from fractions import Fraction
 
-from anick.algebra import AlgebraError
+from anick.algebra import (
+    DEGLEX,
+    NONCOMMUTATIVE,
+    AlgebraError,
+    Generator,
+    Presentation,
+)
 from anick.commutative import CommGB, comm_normal_form, divides
-from anick.hilbert import series_inverse, series_mul, series_one
 from anick.noncommutative import NcGB, Obstruction, antichain_matcher
 
 
@@ -198,25 +212,7 @@ def restart_comm_reduce_basis(gb):
                 changed = True
     monic = [pres.scale(1 / g.leading[1], g) for g in kept]
     monic.sort(key=lambda g: pres.term_key(g.leading[0]), reverse=True)
-    return CommGB(pres, tuple(monic), reduced=True)
-
-
-def generator_product_series(degrees, max_degree, exterior=False):
-    """Product over generators of (1 - t^deg)^-1, or (1 + t^deg) for the
-    exterior variant."""
-    out = series_one(max_degree)
-    for w in degrees:
-        if w < 1:
-            raise AlgebraError("generator degrees must be >= 1")
-        factor = [Fraction(0)] * (max_degree + 1)
-        factor[0] = Fraction(1)
-        if w <= max_degree:
-            factor[w] = Fraction(1) if exterior else Fraction(-1)
-        factor = tuple(factor)
-        if not exterior:
-            factor = series_inverse(factor)
-        out = series_mul(out, factor)
-    return out
+    return CommGB(pres, tuple(monic))
 
 
 def reference_series_inverse(a):
@@ -234,6 +230,68 @@ def reference_series_inverse(a):
             acc += a[i] * out[k - i]
         out[k] = -inv0 * acc
     return tuple(out)
+
+
+def series_one(truncation):
+    return (Fraction(1),) + (Fraction(0),) * truncation
+
+
+def _check_same(a, b):
+    if len(a) != len(b):
+        raise AlgebraError("series truncation mismatch")
+
+
+def series_add(a, b):
+    _check_same(a, b)
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def series_sub(a, b):
+    _check_same(a, b)
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def series_mul(a, b):
+    _check_same(a, b)
+    n = len(a)
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j in range(n - i):
+            if b[j]:
+                out[i + j] += x * b[j]
+    return tuple(out)
+
+
+def free_product_series(ha, hb):
+    """Series of the free product from the factors:
+    1/H = 1/H_A + 1/H_B - 1."""
+    _check_same(ha, hb)
+    if not ha or ha[0] != 1 or hb[0] != 1:
+        raise AlgebraError("factor series must have constant term 1")
+    one = series_one(len(ha) - 1)
+    q = series_sub(series_add(reference_series_inverse(ha),
+                              reference_series_inverse(hb)), one)
+    return reference_series_inverse(q)
+
+
+def generator_product_series(degrees, max_degree, exterior=False):
+    """Product over generators of (1 - t^deg)^-1, or (1 + t^deg) for the
+    exterior variant."""
+    out = series_one(max_degree)
+    for w in degrees:
+        if w < 1:
+            raise AlgebraError("generator degrees must be >= 1")
+        factor = [Fraction(0)] * (max_degree + 1)
+        factor[0] = Fraction(1)
+        if w <= max_degree:
+            factor[w] = Fraction(1) if exterior else Fraction(-1)
+        factor = tuple(factor)
+        if not exterior:
+            factor = reference_series_inverse(factor)
+        out = series_mul(out, factor)
+    return out
 
 
 def dense_solve(matrix, rhs):
@@ -298,3 +356,44 @@ def search_rational_form(s, max_den_degree=6):
                 continue
             return tuple(p_full[:dp + 1]), q
     return None
+
+
+def free_product(p, q):
+    """Free product of two noncommutative presentations.
+
+    Generators of ``q`` keep their names unless they collide with ``p``'s,
+    in which case they gain a trailing apostrophe.  The order is deglex with
+    all of ``p``'s generators above all of ``q``'s.
+    """
+    if p.kind != NONCOMMUTATIVE or q.kind != NONCOMMUTATIVE:
+        raise AlgebraError("free products are defined for noncommutative presentations")
+    taken = {g.name for g in p.generators}
+    gens = list(p.generators)
+    shift = p.ngens
+    for g in q.generators:
+        name = g.name
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        gens.append(Generator(len(gens), name, g.degree))
+    out = Presentation(f"{p.name}_star_{q.name}", NONCOMMUTATIVE, gens, DEGLEX)
+    relations = list(p.relations)
+    for rel in q.relations:
+        relations.append(out.poly({tuple(i + shift for i in m): c for m, c in rel.terms}))
+    return out.with_relations(relations)
+
+
+def serialize_presentation(pres):
+    """Render a presentation back to parseable text."""
+    lines = [f"algebra {pres.name} ;", f"kind {pres.kind} ;"]
+    gparts = []
+    for g in pres.generators:
+        gparts.append(g.name if g.degree == 1 else f"{g.name}:{g.degree}")
+    lines.append(f"generators {' '.join(gparts)} ;")
+    chain = " > ".join(g.name for g in pres.generators)
+    lines.append(f"order {pres.order} {chain} ;")
+    if pres.relations:
+        lines.append("relations")
+        for rel in pres.relations:
+            lines.append(f"    {pres.format_poly(rel)} ;")
+    return "\n".join(lines) + "\n"

@@ -11,11 +11,7 @@ import json
 from anick.chains import TailGraph, enumerate_chains
 from anick.cli import main as cli_main
 from anick.commutative import comm_buchberger, comm_reduce_basis
-from anick.hilbert import (
-    free_product_series,
-    hilbert_from_chains,
-    hilbert_from_normal_words,
-)
+from anick.hilbert import hilbert_from_chains, hilbert_from_normal_words
 from anick.noncommutative import antichain_matcher, nc_buchberger
 from anick.presentation import make_bn, parse_poly, parse_presentation
 from anick.resolution import (
@@ -24,7 +20,7 @@ from anick.resolution import (
     tor_dimensions,
     verify_resolution,
 )
-from oracles import verify_diamond
+from oracles import free_product_series, verify_diamond
 
 _CACHE = {}
 

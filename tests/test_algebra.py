@@ -9,6 +9,7 @@ from anick.algebra import (
     LEX,
     AlgebraError,
     Generator,
+    Polynomial,
     Presentation,
 )
 
@@ -57,28 +58,28 @@ class TestDeglexWords:
         p = free_xy()
         x3 = p.word("x", "x", "x")
         y2 = p.word("y", "y")
-        assert p.compare(x3, y2) == 1
+        assert p.term_key(x3) > p.term_key(y2)
 
     def test_tie_broken_left_to_right(self):
         # with x > y: x^3 > x*y^2 ; listing y first flips the comparison
         p = free_xy(("x", "y"))
         x3 = p.word("x", "x", "x")
         xy2 = p.word("x", "y", "y")
-        assert p.compare(x3, xy2) == 1
+        assert p.term_key(x3) > p.term_key(xy2)
         q = free_xy(("y", "x"))
         assert [g.name for g in q.generators] == ["y", "x"]
-        assert q.compare(q.word("x", "x", "x"), q.word("x", "y", "y")) == -1
+        assert q.term_key(q.word("x", "x", "x")) < q.term_key(q.word("x", "y", "y"))
 
     def test_prefix_is_smaller(self):
         p = free_xy()
-        assert p.compare(p.word("x"), p.word("x", "x")) == -1
+        assert p.term_key(p.word("x")) < p.term_key(p.word("x", "x"))
 
     def test_weighted_degrees(self):
         p = Presentation(
             "W", NONCOMMUTATIVE,
             [Generator(0, "x", 3), Generator(1, "y", 1)], DEGLEX)
         assert p.monomial_degree(p.word("x", "y")) == 4
-        assert p.compare(p.word("x"), p.word("y", "y")) == 1
+        assert p.term_key(p.word("x")) > p.term_key(p.word("y", "y"))
 
     @pytest.mark.parametrize("weights", [(1, 2, 3), (1, 1, 1)])
     def test_word_degree_is_the_weight_sum(self, weights):
@@ -96,13 +97,13 @@ class TestDeglexWords:
 class TestCommutativeOrders:
     def test_deglex_exponents(self):
         p = comm_xy()
-        assert p.compare(p.word("x", "x"), p.word("x", "y")) == 1
-        assert p.compare(p.word("x", "y"), p.word("y", "y")) == 1
-        assert p.compare(p.word("x"), p.word("y", "y")) == -1
+        assert p.term_key(p.word("x", "x")) > p.term_key(p.word("x", "y"))
+        assert p.term_key(p.word("x", "y")) > p.term_key(p.word("y", "y"))
+        assert p.term_key(p.word("x")) < p.term_key(p.word("y", "y"))
 
     def test_lex_ignores_degree(self):
         p = comm_xy(kind=LEX)
-        assert p.compare(p.word("x"), p.word("y", "y")) == 1
+        assert p.term_key(p.word("x")) > p.term_key(p.word("y", "y"))
 
     def test_monomial_mul_adds_exponents(self):
         p = comm_xy()
@@ -147,7 +148,7 @@ class TestPolynomialArithmetic:
         p = comm_xy()
         s = p.add(p.monomial_poly(p.word("x")), p.monomial_poly(p.word("y")))
         sq = p.mul(s, s)
-        assert sq.coefficient(p.word("x", "y")) == 2
+        assert dict(sq.terms)[p.word("x", "y")] == 2
 
     def test_leading_term_tracks_order(self):
         p = free_xy()
@@ -198,3 +199,12 @@ class TestFormatting:
         f = p.poly({p.word("x", "x"): 1, p.word("x", "y"): Fraction(-1, 2)})
         assert p.format_poly(f) == "x^2 - 1/2*x*y"
         assert p.format_poly(p.scale(-1, f)) == "-x^2 + 1/2*x*y"
+
+    def test_int_and_integral_fraction_print_alike(self):
+        # gb prints a basis's int rules, not their Fraction view
+        p = free_xy()
+        terms = ((p.word("x", "x"), 3), (p.word("x", "y"), -1),
+                 (p.word("y"), 1), (p.one(), -2))
+        as_fractions = Polynomial(tuple((m, Fraction(c)) for m, c in terms))
+        assert (p.format_poly(Polynomial(terms))
+                == p.format_poly(as_fractions) == "3*x^2 - x*y + y - 2")

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anick.cli import _series_json, build_parser, main
-from anick.presentation import parse_presentation, serialize_presentation
+from anick.presentation import parse_presentation
 from anick.resolution import AnickResolution
+from oracles import serialize_presentation
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 

@@ -79,9 +79,9 @@ class TestSPolynomial:
     def test_reduces_to_degree_four_element(self):
         f, g = polys(X12, "x1^2 + x2^2", "x2^3 - x1*x2^2")
         s = comm_s_polynomial(X12, f, g)
-        assert X12.compare(s.leading[0], (2, 2)) == -1
+        assert X12.term_key(s.leading[0]) < X12.term_key((2, 2))
         h = comm_normal_form(X12, s, [f, g])
-        assert h.monomials() == ((0, 4),)
+        assert [m for m, _ in h.terms] == [(0, 4)]
 
 
 class TestBuchberger:
@@ -127,7 +127,6 @@ class TestReducedBasis:
     def test_main_example(self):
         gb = comm_buchberger(X12, polys(X12, "x1^2 + x2^2", "x1^3 + x2^3"))
         red = comm_reduce_basis(gb)
-        assert red.reduced
         assert set(red.basis) == set(polys(
             X12, "x1^2 + x2^2", "x1*x2^2 - x2^3", "x2^4"))
 

@@ -12,23 +12,23 @@ from anick.chains import OneLetterTipError
 from anick.commutative import comm_buchberger, comm_reduce_basis
 from anick.hilbert import (
     _least_numerator_degree,
-    free_product_series,
     hilbert_from_chains,
     hilbert_from_normal_words,
     rational_form,
     series,
-    series_add,
     series_inverse,
-    series_mul,
-    series_one,
-    series_sub,
 )
 from anick.noncommutative import NcGB, antichain_matcher, nc_buchberger
-from anick.presentation import free_product, make_bn, parse_poly, parse_presentation
+from anick.presentation import make_bn, parse_poly, parse_presentation
 from oracles import (
+    free_product,
+    free_product_series,
     generator_product_series,
     reference_series_inverse,
     search_rational_form,
+    series_add,
+    series_mul,
+    series_one,
 )
 
 
