@@ -130,25 +130,20 @@ def comm_reduce_basis(gb):
 
 
 def comm_normal_monomials(pres, basis, max_degree):
-    """All normal monomials of degree <= max_degree, grouped by degree."""
+    """All normal monomials of degree <= max_degree, grouped by degree;
+    walked from an explicit stack, not by recursion."""
     _require_commutative(pres)
     lead = [g.leading[0] for g in basis]
     out = {d: [] for d in range(max_degree + 1)}
-    n = pres.ngens
-
-    def rec(m, pos):
+    stack = [(pres.one(), 0)]
+    while stack:
+        m, pos = stack.pop()
         d = pres.monomial_degree(m)
-        if d > max_degree:
-            return
-        if any(divides(l, m) for l in lead):
-            return
+        if d > max_degree or any(divides(l, m) for l in lead):
+            continue
         out[d].append(m)
-        for i in range(pos, n):
-            e = list(m)
-            e[i] += 1
-            rec(tuple(e), i)
-
-    rec(pres.one(), 0)
+        stack.extend((m[:i] + (m[i] + 1,) + m[i + 1:], i)
+                     for i in range(pos, pres.ngens))
     for d in out:
         out[d].sort(key=pres.term_key, reverse=True)
     return out

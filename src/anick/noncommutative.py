@@ -33,7 +33,6 @@ Fraction, and no division of two ints ever gives a float.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -140,7 +139,6 @@ class WordMatcher:
         self.words = []
         self._index = {}
         self._ends = {}
-        self._tally = {}
         self._starts, self._delta = None, {}
         for w in words:
             self.add(w)
@@ -152,10 +150,8 @@ class WordMatcher:
         k = len(self.words)
         self.words.append(word)
         self._index.setdefault(word, []).append(k)
-        end = (word[-1], len(word))
-        self._tally[end] = self._tally.get(end, 0) + 1
-        if self._tally[end] == 1:
-            bisect.insort(self._ends.setdefault(word[-1], []), len(word))
+        ends = self._ends.setdefault(word[-1], {})
+        ends[len(word)] = ends.get(len(word), 0) + 1
         self._starts, self._delta = None, {}
         return k
 
@@ -166,11 +162,10 @@ class WordMatcher:
         ks.remove(k)
         if not ks:
             del self._index[word]
-        end = (word[-1], len(word))
-        self._tally[end] -= 1
-        if not self._tally[end]:
-            del self._tally[end]
-            self._ends[word[-1]].remove(len(word))
+        ends = self._ends[word[-1]]
+        ends[len(word)] -= 1
+        if not ends[len(word)]:
+            del ends[len(word)]
         self._starts, self._delta = None, {}
 
     @property
@@ -188,7 +183,7 @@ class WordMatcher:
         for end, letter in enumerate(word, 1):
             for n in self._ends.get(letter, ()):
                 if n > end:
-                    break
+                    continue
                 ks = get(word[end - n:end])
                 if ks is not None:
                     out.extend((k, end - n) for k in ks)

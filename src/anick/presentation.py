@@ -1,7 +1,10 @@
 """Text format for presentations, plus built-in presentation families.
 
 The format is line-oriented only by convention; statements end with ``;`` and
-whitespace is free.  Comments run from ``#`` to end of line.
+whitespace (space, tab, carriage return, newline) is free.  Comments run
+from ``#`` to end of line.  A name starts with a letter (``str.isalpha``)
+and continues with letters, digits, ``_`` or ``'``; an integer is a run of
+decimal digits of any script.  Errors give a line and column, from 1.
 
 ::
 
@@ -26,6 +29,8 @@ be written as an equation ``lhs = rhs``, which stands for ``lhs - rhs``.
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import (
@@ -50,62 +55,38 @@ class ParseError(AlgebraError):
         super().__init__(message)
 
 
-_PUNCT = {";", ":", ">", "+", "-", "*", "^", "/", "="}
+# One alternative per token kind, tried in this order; "other" catches
+# every character the format does not use.  [^\W\d_] is wider than
+# str.isalpha (it admits ², ½, ①), so _tokenize checks a name's start.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<blank>[ \t\r]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<name>[^\W\d_][\w']*)
+  | (?P<int>\d+)
+  | (?P<punct>[;:>+\-*^/=])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind, value, line, col):
-        self.kind = kind  # "name" | "int" | "punct" | "end"
-        self.value = value
-        self.line = line
-        self.col = col
+_Token = namedtuple("_Token", "kind value line col")  # kind "end" ends the stream
 
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", None, line, col))
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "other" or kind == "name" and not lexeme[0].isalpha():
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind in ("name", "int", "punct"):
+            tokens.append(_Token(kind, int(lexeme) if kind == "int" else lexeme,
+                                 line, col))
+        # the end token sits after the last character read, except that
+        # a comment with no newline after it leaves it at the "#"
+        pos = m.start() if kind == "comment" else m.end()
+    tokens.append(_Token("end", None, line, pos - line_start + 1))
     return tokens
 
 
@@ -145,6 +126,11 @@ class _Parser:
     def at_punct(self, value):
         tok = self.peek()
         return tok.kind == "punct" and tok.value == value
+
+    def expect_end(self):
+        tok = self.peek()
+        if tok.kind != "end":
+            self.fail(f"unexpected trailing input {tok.value!r}", tok)
 
 
 def parse_presentation(text):
@@ -218,9 +204,7 @@ def parse_presentation(text):
                 p.fail("relation reduces to zero", rel_tok)
             relations.append(poly)
             p.expect_punct(";")
-    tok = p.peek()
-    if tok.kind != "end":
-        p.fail(f"unexpected trailing input {tok.value!r}", tok)
+    p.expect_end()
     if relations:
         pres = pres.with_relations(relations)
     return pres
@@ -230,9 +214,7 @@ def parse_poly(pres, text):
     """Parse one polynomial against an existing presentation."""
     p = _Parser(_tokenize(text))
     poly = _parse_poly_tokens(p, pres)
-    tok = p.peek()
-    if tok.kind != "end":
-        p.fail(f"unexpected trailing input {tok.value!r}", tok)
+    p.expect_end()
     return poly
 
 

@@ -132,6 +132,14 @@ class TestHilbert:
         assert data["chain_inverse"] is None
         assert data["agree"] is None
 
+    def test_commutative_series_at_high_degree(self, capsys, tmp_path):
+        # one normal monomial per degree, far past the recursion limit
+        path = tmp_path / "kx.alg"
+        path.write_text("algebra k; kind commutative; generators x;"
+                        " order deglex x;")
+        data = run_json(capsys, "hilbert", path, "--max-degree", 1500)
+        assert data["normal_words"] == [1] * 1501
+
     def test_series_json_coefficients(self):
         got = _series_json((3, Fraction(-4), Fraction(1, 2), 0, Fraction(0)))
         assert got == [3, -4, "1/2", 0, 0]

@@ -13,6 +13,7 @@ from anick.algebra import (
 )
 from anick.presentation import (
     ParseError,
+    _tokenize,
     make_bn,
     parse_poly,
     parse_presentation,
@@ -197,6 +198,88 @@ class TestEquations:
         p = parse_presentation(FREE_XY)
         (term,) = parse_poly(p, "x^100000*y").terms
         assert term == ((0,) * 100000 + (1,), 1)
+
+
+# The format's characters and words, plus characters it must reject or
+# read in other scripts: a superscript, a vulgar fraction, a circled digit
+# (all str.isdigit or numeric, none decimal), an Arabic-Indic three, two
+# letters outside ASCII, two line breaks that are not "\n", and an
+# undecodable stdin byte as the surrogate escape decodes it.
+SCANNER_TEXT = st.lists(st.sampled_from(
+    list("xy09 \t\r\n#;:>+-*^/='_")
+    + ["algebra", "kind", "noncommutative", "generators", "order", "deglex",
+       "relations", "x'", "y_1", "# c\n"]
+    + ["\u00b2", "\u00bd", "\u2460", "\u0663", "\u00e9", "\u01c5", "\x0b", "\x0c",
+       b"\xff".decode("utf-8", "surrogateescape")]), max_size=30).map("".join)
+
+HEADERS = ("", "algebra a; kind noncommutative; generators x y;",
+           "algebra a; kind noncommutative; generators x y; order deglex x > y;"
+           " relations ")
+
+
+def _offset(text, line, col):
+    """The index in text of a 1-based (line, column) position."""
+    starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    return starts[line - 1] + col - 1
+
+
+def _skippable(gap):
+    """Whether gap is only blanks, newlines and comments."""
+    return all(not part.partition("#")[0].strip(" \t\r")
+               for part in gap.split("\n"))
+
+
+class TestScanner:
+    """Every position the scanner reports is the index of what it names."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(SCANNER_TEXT)
+    def test_tokens_point_at_their_lexemes(self, text):
+        try:
+            tokens = _tokenize(text)
+        except ParseError as err:
+            ch = text[_offset(text, err.line, err.col)]
+            assert str(err).endswith(f"unexpected character {ch!r}")
+            return
+        done = 0
+        for tok in tokens[:-1]:
+            at = _offset(text, tok.line, tok.col)
+            assert at >= done and _skippable(text[done:at])
+            if tok.kind == "int":
+                done = at
+                while done < len(text) and text[done].isdecimal():
+                    done += 1
+                assert int(text[at:done]) == tok.value
+            else:
+                done = at + len(tok.value)
+                assert text[at:done] == tok.value
+        assert _skippable(text[done:])
+        # the end token: past the text, or at a last comment with no newline
+        at = _offset(text, tokens[-1].line, tokens[-1].col)
+        assert at >= done and (at == len(text) or text[at] == "#"
+                               and "\n" not in text[at:])
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.sampled_from(HEADERS), SCANNER_TEXT)
+    def test_error_points_at_what_it_names(self, header, text):
+        text = header + text
+        try:
+            parse_presentation(text)
+        except ParseError as err:
+            at = _offset(text, err.line, err.col)
+            if "unexpected character" in str(err):
+                assert str(err).endswith(f"unexpected character {text[at]!r}")
+            else:
+                assert at in [_offset(text, t.line, t.col)
+                              for t in _tokenize(text)]
+
+    def test_end_after_trailing_comment(self):
+        # with no newline after the comment, end of input is reported at
+        # the "#", not past the comment's last character
+        with pytest.raises(ParseError) as info:
+            parse_presentation(
+                "algebra a; kind noncommutative; generators x y # gens")
+        assert str(info.value) == "line 1, column 48: expected a generator name"
 
 
 class TestRoundTrip:
