@@ -196,13 +196,10 @@ def cmd_chains(pres, args):
     cs = enumerate_chains(
         TailGraph(pres, gb.tips, args.max_level, args.max_degree))
     counts = cs.counts()
-    levels = {}
-    for n in range(-1, cs.max_level + 1):
-        levels[str(n)] = {
-            "words": ["1"] if n == -1 else
-                     [pres.format_monomial(w) for w in cs.words(n)],
-            "by_degree": {str(d): c for d, c in sorted(counts[n].items())},
-        }
+    levels = {str(n): {
+        "words": [pres.format_monomial(w) for w in cs.words(n)],
+        "by_degree": {str(d): c for d, c in sorted(counts[n].items())},
+    } for n in range(-1, cs.max_level + 1)}
     data = {
         "algebra": pres.name,
         "max_level": cs.max_level,

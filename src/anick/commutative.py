@@ -10,6 +10,7 @@ lemma.  :func:`comm_reduce_basis` turns the result into the reduced basis
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,29 +83,26 @@ def comm_s_polynomial(pres, f, g):
 
 
 def comm_buchberger(pres, gens=None):
-    """Complete the relations (or gens) to a Groebner basis."""
+    """Complete the relations (or gens) to a Groebner basis.  Each pair is
+    queued once, when its later element is appended."""
     _require_commutative(pres)
-    if gens is None:
-        gens = pres.relations
-    basis = [g for g in gens if g]
-    if not basis:
-        return CommGB(pres, ())
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-    while pending:
+    basis, queue = [], []
 
-        def pair_key(pair):
-            i, j = pair
-            l = exp_lcm(basis[i].leading[0], basis[j].leading[0])
-            return (pres.monomial_degree(l), i, j)
+    def append(g):
+        for t, f in enumerate(basis):
+            lcm = exp_lcm(f.leading[0], g.leading[0])
+            heapq.heappush(queue, (pres.monomial_degree(lcm), t, len(basis)))
+        basis.append(g)
 
-        i, j = min(pending, key=pair_key)
-        pending.discard((i, j))
+    for g in pres.relations if gens is None else gens:
+        if g:
+            append(g)
+    while queue:
+        _, i, j = heapq.heappop(queue)
         s = comm_s_polynomial(pres, basis[i], basis[j])
         h = comm_normal_form(pres, s, basis)
         if h:
-            k = len(basis)
-            basis.append(h)
-            pending.update((t, k) for t in range(k))
+            append(h)
     return CommGB(pres, tuple(basis))
 
 

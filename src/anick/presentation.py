@@ -81,8 +81,12 @@ def _tokenize(text):
         if kind == "newline":
             line, line_start = line + 1, m.end()
         elif kind in ("name", "int", "punct"):
-            tokens.append(_Token(kind, int(lexeme) if kind == "int" else lexeme,
-                                 line, col))
+            try:
+                value = int(lexeme) if kind == "int" else lexeme
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal of {len(lexeme)} digits"
+                                 " is too long", line, col) from None
+            tokens.append(_Token(kind, value, line, col))
         # the end token sits after the last character read, except that
         # a comment with no newline after it leaves it at the "#"
         pos = m.start() if kind == "comment" else m.end()

@@ -95,10 +95,8 @@ class AnickResolution:
         self.split_checks = 0
         self.diff = {0: [{(0, c.word): 1} for c in self.levels[0]]}
         for n in range(1, max_level + 1):
-            # i_{n-1} on basis pairs, used only while d_n is built
-            self._split_memo = {}
-            self.diff[n] = [self._build_d(n, c) for c in self.levels[n]]
-        self._split_memo = None
+            memo = {}  # s_{n-1} on basis pairs, shared while d_n is built
+            self.diff[n] = [self._build_d(n, c, memo) for c in self.levels[n]]
 
     # -- plumbing ----------------------------------------------------------
 
@@ -179,7 +177,7 @@ class AnickResolution:
                 out.append((gi, w[k:]))
         return out
 
-    def _isplit(self, m, elem):
+    def _isplit(self, m, elem, memo):
         """Splitting i_m for m >= 0: level m-1 kernel elements to level m.
 
         i_m is the linear map sum u_e e -> sum u_e s(e) over basis pairs
@@ -218,14 +216,12 @@ class AnickResolution:
         checks on d_m(g).  So every d_n is built as the loop built it.
         ``split``'s audit and ``dd_failures`` see the passed-over pairs.
 
-        The memo lives in ``_split_memo`` while the constructor builds the
-        differentials.  Any other call fills a memo of its own, since
-        ``diff`` may have changed since.
+        The caller owns ``memo``, s on the pairs met so far at level m, filled
+        in place: the constructor shares one per level, and ``split`` passes
+        a fresh one, since ``diff`` may have changed since the build.
         """
         pres = self.presentation
         below = self.levels[m - 1]
-        memo = {} if self._split_memo is None else \
-            self._split_memo.setdefault(m, {})
         stack = [e for e, alpha in elem.items() if alpha]
         opened = {}
         while stack:
@@ -280,7 +276,7 @@ class AnickResolution:
         with another pair or admits no factorization.  Any other failure
         raises "failed the d(i(u)) = u audit".
         """
-        result = self._isplit(m, elem)
+        result = self._isplit(m, elem, {})
         back = self.apply_d(m, result)
         residue = {k: v for k, v in elem.items() if v}
         if back != residue:
@@ -298,14 +294,14 @@ class AnickResolution:
                 f"a splitting at level {m} failed the d(i(u)) = u audit")
         return result
 
-    def _build_d(self, n, chain):
+    def _build_d(self, n, chain, memo):
         pi = self._word_index[n - 1][chain.parent.word]
         head = {(pi, chain.tail): 1}
         v = self.apply_d(n - 1, head)
         result = dict(head)
         if v:
             self.split_checks += 1
-            _add_scaled(result, self._isplit(n - 1, v), -1)
+            _add_scaled(result, self._isplit(n - 1, v, memo), -1)
         self.element_degree(n - 1, result)
         return result
 

@@ -281,6 +281,14 @@ class TestScanner:
                 "algebra a; kind noncommutative; generators x y # gens")
         assert str(info.value) == "line 1, column 48: expected a generator name"
 
+    def test_overlong_integer_literal(self):
+        # past the interpreter's int-string limit (4300 digits by default)
+        # a literal is a ParseError at its position, not a ValueError
+        with pytest.raises(ParseError) as info:
+            parse_presentation(FREE_XY + "relations x^" + "1" * 5000 + " ;")
+        assert str(info.value) == \
+            "line 6, column 13: integer literal of 5000 digits is too long"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [FREE_XY, X2XY])

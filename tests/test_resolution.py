@@ -528,8 +528,9 @@ class TestNegativeControls:
         # a splitting that returns 2 i(u) fails d(i(u)) = u: every column
         # built with one fails d.d = 0, and a direct split raises
         isplit = AnickResolution._isplit
-        monkeypatch.setattr(AnickResolution, "_isplit", lambda self, m, u: {
-            k: 2 * v for k, v in isplit(self, m, u).items()})
+        monkeypatch.setattr(
+            AnickResolution, "_isplit", lambda self, m, u, memo: {
+                k: 2 * v for k, v in isplit(self, m, u, memo).items()})
         res = AnickResolution(gb, 3)
         report = verify_resolution(res)
         failures = report["dd_zero"]["failures"]
@@ -1039,6 +1040,36 @@ class TestSplitLinearity:
                 head = {(index[chain.parent.word], chain.tail): 1}
                 tail = reference_split(res, n - 1, res.apply_d(n - 1, head))
                 assert row == combine(1, head, -1, tail)
+
+
+class TestSharedSplitMemo:
+    """One memo may serve many ``_isplit`` calls at a level: each call
+    returns what it returns with a fresh memo, and on kernel elements what
+    ``split`` returns, failures included."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(graded_presentations(), st.randoms(use_true_random=False))
+    def test_random_graded_presentations(self, case, rng):
+        pres, level, degree = case
+        res = AnickResolution(nc_buchberger(pres, degree), level)
+        for m in range(res.max_level + 1):
+            shared = {}
+            below = list(enumerate(res.levels[m - 1]))
+            for _ in range(12 if below else 0):
+                ci, c = rng.choice(below)
+                d = rng.randint(c.degree, res.max_degree)
+                w = random_normal_word(res, rng, d - c.degree)
+                if w is None:
+                    continue
+                e = {(ci, w): 1}
+                assert outcome(res._isplit, m, e, shared) == \
+                    outcome(res._isplit, m, e, {})
+            chains = res.levels[m]
+            for _ in range(5 if chains else 0):
+                d = rng.randint(min(c.degree for c in chains), res.max_degree)
+                u = res.apply_d(m, random_element(res, rng, m, d))
+                assert outcome(res._isplit, m, u, shared) == \
+                    outcome(res.split, m, u)
 
 
 class TestSplitErrors:
