@@ -39,9 +39,9 @@ class BoundError(AlgebraError):
 
 @dataclass(frozen=True)
 class Generator:
-    """A named generator with its position and grading weight."""
+    """A named generator with its grading weight; its index is its
+    position in the presentation's list."""
 
-    index: int
     name: str
     degree: int = 1
 
@@ -86,8 +86,8 @@ class Presentation:
 
     ``order`` is ``"deglex"`` (degree first, then letter by letter) or
     ``"lex"`` (commutative algebras only, since lex does not well-order the
-    free monoid).  Generator ``i`` must have index ``i``, and the list runs
-    from the largest generator under the order to the smallest.
+    free monoid).  Generator ``i`` is the list's entry ``i``, and the list
+    runs from the largest generator under the order to the smallest.
 
     Instances are immutable after construction.  ``relations`` may be empty
     (a free or polynomial algebra).  Use :meth:`with_relations` to attach
@@ -100,9 +100,7 @@ class Presentation:
         generators = tuple(generators)
         if not generators:
             raise AlgebraError("a presentation needs at least one generator")
-        for pos, g in enumerate(generators):
-            if g.index != pos:
-                raise AlgebraError("generator indices must be dense and in list order")
+        for g in generators:
             if g.degree < 1:
                 raise AlgebraError(f"generator {g.name!r} has degree {g.degree}; weights must be >= 1")
         names = [g.name for g in generators]
@@ -119,7 +117,7 @@ class Presentation:
         self._degrees = tuple(g.degree for g in generators)
         # with unit weights a word's degree is its length
         self._unit_degrees = all(d == 1 for d in self._degrees)
-        self._by_name = {g.name: g.index for g in generators}
+        self._by_name = {g.name: i for i, g in enumerate(generators)}
         relations = tuple(relations)
         for rel in relations:
             if not isinstance(rel, Polynomial):

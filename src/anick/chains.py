@@ -18,10 +18,11 @@ Ufnarovski's graph of chains).  The rests that may follow r are read off
 the overlaps of r with the F-words, which the matcher looks up by prefix,
 and the edges out of r are listed on the first visit to r, so r.t is
 matched against F once per (tail, rest) pair, not once per chain.
-A ``TailGraph`` carries the bounds of its chains.  ``enumerate_chains``
-builds each chain word, level by level, and ``ChainSet.counts`` tallies
-the words it built; ``hilbert_from_chains`` counts the same paths, signed
-and by degree alone, and builds no word.
+A ``TailGraph`` depends on F alone and holds no bounds; a bound only says
+where a walk stops.  ``enumerate_chains`` builds each chain word to a level
+and degree bound, level by level, and ``ChainSet.counts`` tallies the
+words it built; ``hilbert_from_chains`` counts the same paths, signed and
+by degree alone, and builds no word.
 Each chain word's decomposition into tails is unique, so paths and chains
 correspond one to one; the enumeration asserts this.  A one-letter F-word
 is a generator that is not a normal word, yet every generator is a 0-chain,
@@ -50,15 +51,10 @@ class Chain:
 @dataclass
 class ChainSet:
     levels: dict
-    max_level: int
-    max_degree: int
-
-    def words(self, level):
-        return [c.word for c in self.levels.get(level, ())]
 
     def counts(self):
         """Number of chains per (level, degree): {level: {degree: count}}
-        for -1 <= level <= max_level."""
+        for each enumerated level."""
         out = {}
         for n, chains in self.levels.items():
             row = out[n] = {}
@@ -68,17 +64,12 @@ class ChainSet:
 
 
 class TailGraph:
-    """Tail graph of the chains on the tips to max_level, max_degree:
-    ``follow(r)`` lists the edges out of the tail r as (t, degree of t)
-    pairs; those out of the empty tail () lead to the generators."""
+    """Tail graph of the chains on the tips: ``follow(r)`` lists the edges
+    out of the tail r as (t, degree of t) pairs; those out of the empty
+    tail () lead to the generators."""
 
-    def __init__(self, pres, tips, max_level, max_degree):
-        if max_level < -1:
-            raise AlgebraError("max_level must be at least -1")
-        if max_degree < 0:
-            raise AlgebraError("max_degree must be nonnegative")
-        self.pres, self.max_level, self.max_degree = pres, max_level, max_degree
-        self._matcher = tips
+    def __init__(self, pres, tips):
+        self.pres, self._matcher = pres, tips
         for v in tips.words:
             if len(v) == 1:
                 g = pres.format_monomial(v)
@@ -100,9 +91,12 @@ class TailGraph:
         return out
 
 
-def enumerate_chains(graph):
-    """All chains on a ``TailGraph`` within its level and degree bounds."""
-    pres, max_level, max_degree = graph.pres, graph.max_level, graph.max_degree
+def enumerate_chains(graph, max_level, max_degree):
+    """All chains on a ``TailGraph`` to max_level and max_degree."""
+    if max_level < -1:
+        raise AlgebraError("max_level must be at least -1")
+    if max_degree < 0:
+        raise AlgebraError("max_degree must be nonnegative")
     root = Chain(word=(), degree=0, tail=(), parent=None)
     levels = {-1: (root,)}
     for n in range(max_level + 1):
@@ -115,11 +109,11 @@ def enumerate_chains(graph):
                 word = parent.word + t
                 if word in produced:
                     raise AlgebraError(
-                        f"chain word {pres.format_monomial(word)} admits two "
+                        f"chain word {graph.pres.format_monomial(word)} admits two "
                         f"decompositions at level {n}")
                 produced[word] = Chain(word=word, degree=degree, tail=t,
                                        parent=parent)
         # each level lists its chains largest first
         levels[n] = tuple(sorted(produced.values(),
                                  key=lambda c: (-c.degree, c.word)))
-    return ChainSet(levels, max_level, max_degree)
+    return ChainSet(levels)

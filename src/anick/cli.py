@@ -193,26 +193,26 @@ def cmd_nf(pres, args):
 def cmd_chains(pres, args):
     require_noncommutative(pres, "chains")
     gb = certified_basis(pres, args)
-    cs = enumerate_chains(
-        TailGraph(pres, gb.tips, args.max_level, args.max_degree))
+    cs = enumerate_chains(TailGraph(pres, gb.tips), args.max_level,
+                          args.max_degree)
     counts = cs.counts()
     levels = {str(n): {
-        "words": [pres.format_monomial(w) for w in cs.words(n)],
+        "words": [pres.format_monomial(c.word) for c in chains],
         "by_degree": {str(d): c for d, c in sorted(counts[n].items())},
-    } for n in range(-1, cs.max_level + 1)}
+    } for n, chains in cs.levels.items()}
     data = {
         "algebra": pres.name,
-        "max_level": cs.max_level,
-        "max_degree": cs.max_degree,
+        "max_level": args.max_level,
+        "max_degree": args.max_degree,
         "levels": levels,
-        "totals": {str(n): len(cs.levels[n])
-                   for n in range(0, cs.max_level + 1)},
+        "totals": {str(n): len(chains)
+                   for n, chains in cs.levels.items() if n >= 0},
     }
     if args.format == "json":
         return data
-    lines = [f"chains of {pres.name} to level {cs.max_level}, "
-             f"degree {cs.max_degree}"]
-    for n in range(1, cs.max_level + 1):
+    lines = [f"chains of {pres.name} to level {args.max_level}, "
+             f"degree {args.max_degree}"]
+    for n in range(1, args.max_level + 1):
         words = levels[str(n)]["words"]
         lines.append(f"level {n} ({len(words)}):")
         lines += [f"  {w}" for w in words]
@@ -262,12 +262,11 @@ def cmd_hilbert(pres, args):
 
 
 def _report_json(report):
-    """The verification report as built, less the splitting's failures and
-    the count of ranked blocks, which stay in memory."""
-    out = dict(report)
-    for key, drop in ("splitting", "failures"), ("exactness", "ranked_blocks"):
-        out[key] = {k: v for k, v in report[key].items() if k != drop}
-    return out
+    """The verification report as built, less the count of ranked blocks,
+    which stays in memory."""
+    exactness = {k: v for k, v in report["exactness"].items()
+                 if k != "ranked_blocks"}
+    return {**report, "exactness": exactness}
 
 
 def cmd_anick(pres, args):

@@ -82,9 +82,9 @@ def comm_s_polynomial(pres, f, g):
     return pres.sub(sf, sg)
 
 
-def comm_buchberger(pres, gens=None):
-    """Complete the relations (or gens) to a Groebner basis.  Each pair is
-    queued once, when its later element is appended."""
+def comm_buchberger(pres):
+    """Complete the relations to a Groebner basis.  Each pair is queued
+    once, when its later element is appended."""
     _require_commutative(pres)
     basis, queue = [], []
 
@@ -94,9 +94,8 @@ def comm_buchberger(pres, gens=None):
             heapq.heappush(queue, (pres.monomial_degree(lcm), t, len(basis)))
         basis.append(g)
 
-    for g in pres.relations if gens is None else gens:
-        if g:
-            append(g)
+    for g in pres.relations:
+        append(g)
     while queue:
         _, i, j = heapq.heappop(queue)
         s = comm_s_polynomial(pres, basis[i], basis[j])

@@ -76,7 +76,7 @@ def hilbert_from_chains(pres, tips, max_degree):
     at least 1, so the degree bound alone reaches every chain of degree
     <= max_degree, at any level: the root row is the chain sum.
     """
-    graph = TailGraph(pres, tips, max_degree, max_degree)
+    graph = TailGraph(pres, tips)
     return series_inverse(_path_table(graph.follow, max_degree, -1)[()])
 
 

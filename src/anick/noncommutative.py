@@ -334,7 +334,7 @@ def nc_s_polynomial(pres, ob, basis):
         ((m, c) for m, c in acc.items() if c), key=lambda mc: heap_key(mc[0]))))
 
 
-def nc_buchberger(pres, max_degree=8):
+def nc_buchberger(pres, max_degree):
     """Complete the relations up to ambiguity degree max_degree.
 
     ``live`` maps insertion serials to the elements still in the basis, and
@@ -473,6 +473,8 @@ def _path_table(follow, max_degree, sign=1):
     the sum over the paths of degree e from state of sign**(their number
     of edges), so table[state][0] = 1; ``follow(state)`` lists the edges
     out of state as (target, degree) pairs."""
+    if max_degree < 0:
+        raise AlgebraError("max_degree must be nonnegative")
     edges, queue = {}, [()]
     for state in queue:
         if state not in edges:

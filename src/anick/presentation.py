@@ -178,6 +178,8 @@ def parse_presentation(text):
     order_tok = p.expect_name()
     if order_tok.value not in (DEGLEX, LEX):
         p.fail(f"order must be deglex or lex, got {order_tok.value!r}", order_tok)
+    if order_tok.value == LEX and kind == NONCOMMUTATIVE:
+        p.fail("lex does not well-order the free monoid; use deglex", order_tok)
     chain = []
     while not p.at_punct(";"):
         tok = p.next()
@@ -195,7 +197,7 @@ def parse_presentation(text):
     p.expect_punct(";")
     if sorted(chain) != sorted(weights):
         p.fail("order chain must mention every generator exactly once", order_tok)
-    gens = [Generator(i, nm, weights[nm]) for i, nm in enumerate(chain)]
+    gens = [Generator(nm, weights[nm]) for nm in chain]
     pres = Presentation(name_tok.value, kind, gens, order_tok.value)
 
     relations = []
@@ -292,7 +294,7 @@ def make_bn(n):
     if n < 1:
         raise AlgebraError("make_bn needs n >= 1")
     names = [f"{letter}{i}" for i in range(n, -1, -1) for letter in "abc"]
-    gens = [Generator(k, nm) for k, nm in enumerate(names)]
+    gens = [Generator(nm) for nm in names]
     pres = Presentation(f"B{n}", NONCOMMUTATIVE, gens, DEGLEX)
 
     def w(*names):

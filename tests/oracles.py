@@ -375,7 +375,7 @@ def free_product(p, q):
         while name in taken:
             name += "'"
         taken.add(name)
-        gens.append(Generator(len(gens), name, g.degree))
+        gens.append(Generator(name, g.degree))
     out = Presentation(f"{p.name}_star_{q.name}", NONCOMMUTATIVE, gens, DEGLEX)
     relations = list(p.relations)
     for rel in q.relations:

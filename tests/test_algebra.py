@@ -18,34 +18,29 @@ def free_xy(names=("x", "y")):
     """Free algebra on x and y, generators listed largest first."""
     return Presentation(
         "F", NONCOMMUTATIVE,
-        [Generator(i, nm) for i, nm in enumerate(names)], DEGLEX)
+        [Generator(nm) for nm in names], DEGLEX)
 
 
 def comm_xy(kind=DEGLEX, names=("x", "y")):
     return Presentation(
         "P", COMMUTATIVE,
-        [Generator(i, nm) for i, nm in enumerate(names)], kind)
+        [Generator(nm) for nm in names], kind)
 
 
 class TestConstruction:
-    def test_sparse_indices_rejected(self):
-        with pytest.raises(AlgebraError):
-            Presentation("A", NONCOMMUTATIVE,
-                         [Generator(0, "x"), Generator(2, "y")], DEGLEX)
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(AlgebraError):
             Presentation("A", NONCOMMUTATIVE,
-                         [Generator(0, "x"), Generator(1, "x")], DEGLEX)
+                         [Generator("x"), Generator("x")], DEGLEX)
 
     def test_zero_degree_rejected(self):
         with pytest.raises(AlgebraError):
-            Presentation("A", NONCOMMUTATIVE, [Generator(0, "x", 0)], DEGLEX)
+            Presentation("A", NONCOMMUTATIVE, [Generator("x", 0)], DEGLEX)
 
     def test_lex_noncommutative_rejected(self):
         with pytest.raises(AlgebraError):
             Presentation("A", NONCOMMUTATIVE,
-                         [Generator(0, "x"), Generator(1, "y")], LEX)
+                         [Generator("x"), Generator("y")], LEX)
 
     def test_zero_relation_rejected(self):
         p = free_xy()
@@ -77,7 +72,7 @@ class TestDeglexWords:
     def test_weighted_degrees(self):
         p = Presentation(
             "W", NONCOMMUTATIVE,
-            [Generator(0, "x", 3), Generator(1, "y", 1)], DEGLEX)
+            [Generator("x", 3), Generator("y", 1)], DEGLEX)
         assert p.monomial_degree(p.word("x", "y")) == 4
         assert p.term_key(p.word("x")) > p.term_key(p.word("y", "y"))
 
@@ -86,8 +81,7 @@ class TestDeglexWords:
         # unit weights take the length shortcut; others sum the weights
         p = Presentation(
             "W", NONCOMMUTATIVE,
-            [Generator(i, nm, w) for i, (nm, w)
-             in enumerate(zip("xyz", weights))], DEGLEX)
+            [Generator(nm, w) for nm, w in zip("xyz", weights)], DEGLEX)
         for word in [(), (0,), (2,), (1, 2), (2, 0, 1, 1), (0, 0, 2, 1, 2)]:
             generic = sum(weights[i] for i in word)
             assert p.monomial_degree(word) == generic

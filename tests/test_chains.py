@@ -29,7 +29,7 @@ def named(pres, *names):
 
 
 def level_words(cs, n):
-    return set(cs.words(n))
+    return {c.word for c in cs.levels[n]}
 
 
 class TestCubeChains:
@@ -37,14 +37,14 @@ class TestCubeChains:
 
     def test_levels(self):
         cs = enumerate_chains(TailGraph(
-            FREE_X, antichain_matcher(FREE_X, self.F), 3, 8))
+            FREE_X, antichain_matcher(FREE_X, self.F)), 3, 8)
         assert level_words(cs, 1) == {("x",) * 0 + (0, 0, 0)}
         assert level_words(cs, 2) == {(0,) * 4}
         assert level_words(cs, 3) == {(0,) * 6}
 
     def test_x5_not_a_3_chain(self):
         cs = enumerate_chains(TailGraph(
-            FREE_X, antichain_matcher(FREE_X, self.F), 3, 8))
+            FREE_X, antichain_matcher(FREE_X, self.F)), 3, 8)
         assert (0,) * 5 not in level_words(cs, 3)
         ok, _ = is_chain(FREE_X, (0,) * 5, self.F, 3)
         assert not ok
@@ -56,7 +56,7 @@ class TestCubeChains:
     def test_deeper_pattern(self):
         # levels alternate: even level 2m gives x^(3m+1), odd 2m+1 gives x^(3m+3)
         cs = enumerate_chains(TailGraph(
-            FREE_X, antichain_matcher(FREE_X, self.F), 7, 16))
+            FREE_X, antichain_matcher(FREE_X, self.F)), 7, 16)
         for n in range(1, 8):
             words = level_words(cs, n)
             assert len(words) == 1
@@ -76,7 +76,7 @@ class TestSquareSumChains:
 
     def test_family(self):
         cs = enumerate_chains(TailGraph(
-            self.pres, antichain_matcher(self.pres, self.F), 6, 16))
+            self.pres, antichain_matcher(self.pres, self.F)), 6, 16)
         x, y = 0, 1
         for n in range(1, 7):
             expected = {(x,) * n + (y, y), (x,) * (n + 1)}
@@ -88,7 +88,7 @@ class TestSquareSumChains:
         ok, _ = is_chain(self.pres, (0, 1, 1, 0, 0), self.F, 2)
         assert not ok
         cs = enumerate_chains(TailGraph(
-            self.pres, antichain_matcher(self.pres, self.F), 2, 8))
+            self.pres, antichain_matcher(self.pres, self.F)), 2, 8)
         assert (0, 1, 1, 0, 0) not in level_words(cs, 2)
 
 
@@ -101,7 +101,7 @@ class TestCompositionChains:
     def test_chain_words_are_tail_products(self):
         # n-chains are exactly x y^(k1) x y^(k2) ... y^(kn) x
         cs = enumerate_chains(TailGraph(
-            self.pres, antichain_matcher(self.pres, self.F), 3, 9))
+            self.pres, antichain_matcher(self.pres, self.F)), 3, 9)
         x, y = 0, 1
         for n in range(1, 4):
             expected = set()
@@ -115,7 +115,7 @@ class TestCompositionChains:
 
     def test_counts_by_degree(self):
         counts = enumerate_chains(TailGraph(
-            self.pres, antichain_matcher(self.pres, self.F), 3, 9)).counts()
+            self.pres, antichain_matcher(self.pres, self.F)), 3, 9).counts()
         # degree d words x y^(k1) x ... y^(kn) x: compositions of d-n-1
         # into n nonnegative parts
         for n in range(1, 4):
@@ -135,8 +135,8 @@ class TestB1Chains:
 
     def chains(self, max_level=5, max_degree=12):
         return enumerate_chains(TailGraph(
-            self.pres, antichain_matcher(self.pres, self.F), max_level,
-            max_degree))
+            self.pres, antichain_matcher(self.pres, self.F)), max_level,
+            max_degree)
 
     def test_level_1_is_obstruction_set(self):
         cs = self.chains()
@@ -221,7 +221,7 @@ class TestB2Chains:
 
     def chains(self):
         return enumerate_chains(TailGraph(
-            self.pres, antichain_matcher(self.pres, self.F), 4, 12))
+            self.pres, antichain_matcher(self.pres, self.F)), 4, 12)
 
     def printed_level_2(self):
         p = self.pres
@@ -312,17 +312,17 @@ class TestB2Chains:
 class TestChainSetShape:
     def test_level_minus_one_and_zero(self):
         cs = enumerate_chains(TailGraph(
-            FREE_XY, antichain_matcher(FREE_XY, ((0, 0),)), 1, 4))
-        assert cs.words(-1) == [()]
-        assert set(cs.words(0)) == {(0,), (1,)}
+            FREE_XY, antichain_matcher(FREE_XY, ((0, 0),))), 1, 4)
+        assert [c.word for c in cs.levels[-1]] == [()]
+        assert level_words(cs, 0) == {(0,), (1,)}
         counts = cs.counts()
         assert counts[-1] == {0: 1}
         assert counts[0] == {1: 2}
 
     def test_empty_obstructions(self):
-        cs = enumerate_chains(TailGraph(FREE_XY, antichain_matcher(FREE_XY, ()), 3, 6))
+        cs = enumerate_chains(TailGraph(FREE_XY, antichain_matcher(FREE_XY, ())), 3, 6)
         for n in range(1, 4):
-            assert cs.words(n) == []
+            assert cs.levels[n] == ()
 
     def test_one_letter_tip_rejected(self):
         # a tip x has no rest, so it would leave x without chains; neither
@@ -331,26 +331,33 @@ class TestChainSetShape:
             for max_level in (-1, 0, 3):
                 with pytest.raises(OneLetterTipError, match="leading word x;"):
                     enumerate_chains(TailGraph(
-                        FREE_XY, antichain_matcher(FREE_XY, F), max_level, 6))
+                        FREE_XY, antichain_matcher(FREE_XY, F)), max_level, 6)
             with pytest.raises(OneLetterTipError, match="leading word x;"):
                 hilbert_from_chains(FREE_XY, antichain_matcher(FREE_XY, F), 6)
+
+    def test_enumeration_checks_its_bounds(self):
+        graph = TailGraph(FREE_XY, antichain_matcher(FREE_XY, ((0, 0),)))
+        with pytest.raises(AlgebraError, match="max_level must be at least -1"):
+            enumerate_chains(graph, -2, 4)
+        with pytest.raises(AlgebraError, match="max_degree must be nonnegative"):
+            enumerate_chains(graph, 1, -1)
 
     def test_non_antichain_rejected(self):
         with pytest.raises(AlgebraError):
             enumerate_chains(TailGraph(
-                FREE_XY, antichain_matcher(FREE_XY, ((0, 0), (0, 0, 1))), 2, 6))
+                FREE_XY, antichain_matcher(FREE_XY, ((0, 0), (0, 0, 1)))), 2, 6)
 
     def test_degree_bound_prunes(self):
         pres = FREE_XY.with_relations([parse_poly(FREE_XY, "x^2 + y^2")])
         F = tuple(leading_words(pres))
-        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F), 5, 4))
+        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F)), 5, 4)
         assert level_words(cs, 3) == {(0, 0, 0, 0)}
-        assert cs.words(4) == []
+        assert cs.levels[4] == ()
 
     def test_min_degree_strictly_increases(self):
         pres = make_bn(1)
         F = tuple(leading_words(pres, 12))
-        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F), 5, 12))
+        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F)), 5, 12)
         mins = [min(pres.monomial_degree(c.word) for c in cs.levels[n])
                 for n in range(-1, 6)]
         assert all(a < b for a, b in zip(mins, mins[1:]))
@@ -360,7 +367,7 @@ class TestDecompositionOracle:
     def test_enumeration_matches_search(self):
         pres = FREE_XY.with_relations([parse_poly(FREE_XY, "x^2 - x*y")])
         F = tuple(leading_words(pres, 8))
-        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F), 3, 7))
+        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F)), 3, 7)
         for n in range(1, 4):
             enumerated = level_words(cs, n)
             for k in range(1, 8):
@@ -373,7 +380,7 @@ class TestDecompositionOracle:
     def test_unique_decomposition(self):
         pres = make_bn(1)
         F = tuple(leading_words(pres, 12))
-        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F), 4, 12))
+        cs = enumerate_chains(TailGraph(pres, antichain_matcher(pres, F)), 4, 12)
         for n in range(1, 5):
             for c in cs.levels[n]:
                 decomps = chain_decompositions(pres, c.word, F, n)
@@ -421,7 +428,7 @@ class TestEnumerationProperties:
         is in descending term order."""
         pres, F, max_level, max_degree = case
         cs = enumerate_chains(TailGraph(
-            pres, antichain_matcher(pres, F), max_level, max_degree))
+            pres, antichain_matcher(pres, F)), max_level, max_degree)
         words = words_up_to_degree(pres, max_degree)
         for n in range(-1, max_level + 1):
             chains = cs.levels[n]
@@ -438,7 +445,7 @@ class TestEnumerationProperties:
         word has at most one (chain).(rest) factorization per level."""
         pres, F, max_level, max_degree = case
         cs = enumerate_chains(TailGraph(
-            pres, antichain_matcher(pres, F), max_level, max_degree))
+            pres, antichain_matcher(pres, F)), max_level, max_degree)
         for chains in cs.levels.values():
             level = {c.word for c in chains}
             assert not any(c.word[:k] in level
@@ -463,8 +470,8 @@ class TestCountProperties:
         alternating sum of the enumerated chains by degree, every level
         taken, the (-1)-chain included; ``ChainSet.counts`` is their tally."""
         pres, F, _, max_degree = case
-        graph = TailGraph(pres, antichain_matcher(pres, F), max_degree, max_degree)
-        cs = enumerate_chains(graph)
+        graph = TailGraph(pres, antichain_matcher(pres, F))
+        cs = enumerate_chains(graph, max_degree, max_degree)
         counts = tally(cs)
         assert cs.counts() == counts
         chain_sum = [0] * (max_degree + 1)
@@ -474,5 +481,34 @@ class TestCountProperties:
         # one graph shared by both, walked by the enumeration first, and a
         # fresh graph counted before any enumeration
         assert _path_table(graph.follow, max_degree, -1)[()] == chain_sum
-        fresh = TailGraph(pres, antichain_matcher(pres, F), max_degree, max_degree)
+        fresh = TailGraph(pres, antichain_matcher(pres, F))
         assert _path_table(fresh.follow, max_degree, -1)[()] == chain_sum
+
+
+def chain_words(cs):
+    return {n: [(c.word, c.degree) for c in chains]
+            for n, chains in cs.levels.items()}
+
+
+class TestUnboundedGraph:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(weighted_antichains())
+    def test_one_graph_serves_every_bound(self, case):
+        """A tail graph holds no bounds: enumerated at (L, D), then at
+        (L + 1, D + 2), then walked by its path table, it gives at each
+        level n <= L the chains of degree <= D of the larger enumeration,
+        and the levels and the root row of fresh graphs."""
+        pres, F, max_level, max_degree = case
+        graph = TailGraph(pres, antichain_matcher(pres, F))
+        bounds = (max_level, max_degree), (max_level + 1, max_degree + 2)
+        small, large = (enumerate_chains(graph, *b) for b in bounds)
+        root = _path_table(graph.follow, max_degree + 2, -1)[()]
+        for n in range(-1, max_level + 1):
+            assert chain_words(small)[n] == [
+                (c.word, c.degree) for c in large.levels[n]
+                if c.degree <= max_degree]
+        for cs, b in zip((small, large), bounds):
+            fresh = TailGraph(pres, antichain_matcher(pres, F))
+            assert chain_words(cs) == chain_words(enumerate_chains(fresh, *b))
+        fresh = TailGraph(pres, antichain_matcher(pres, F))
+        assert root == _path_table(fresh.follow, max_degree + 2, -1)[()]

@@ -143,7 +143,7 @@ class TestNormalWordSeries:
         p = parse_presentation(
             "algebra P ; kind commutative ; generators x y ;"
             " order deglex x > y ;")
-        gb = comm_reduce_basis(comm_buchberger(p, []))
+        gb = comm_reduce_basis(comm_buchberger(p))
         assert hilbert_from_normal_words(gb, 5) == series(range(1, 7))
 
     def test_certificate_enforced(self):
@@ -151,6 +151,20 @@ class TestNormalWordSeries:
         gb = nc_buchberger(p, max_degree=6)
         with pytest.raises(BoundError):
             hilbert_from_normal_words(gb, 7)
+
+
+class TestNegativeDegree:
+    """Both noncommutative routes read one path table, which refuses a
+    negative degree."""
+
+    @pytest.mark.parametrize("degree", [-1, -3])
+    def test_both_routes_reject(self, degree):
+        p = pres_nc("generators x y ; order deglex x > y ; relations x^2 - x*y ;")
+        gb = nc_buchberger(p, max_degree=6)
+        with pytest.raises(AlgebraError, match="max_degree must be nonnegative"):
+            hilbert_from_normal_words(gb, degree)
+        with pytest.raises(AlgebraError, match="max_degree must be nonnegative"):
+            hilbert_from_chains(p, gb.tips, degree)
 
 
 class TestChainSeries:
@@ -230,7 +244,7 @@ class TestGeneratorProduct:
         p = parse_presentation(
             "algebra P ; kind commutative ; generators x y ;"
             " order deglex x > y ;")
-        gb = comm_reduce_basis(comm_buchberger(p, []))
+        gb = comm_reduce_basis(comm_buchberger(p))
         assert generator_product_series([1, 1], 6) == \
             hilbert_from_normal_words(gb, 6)
 

@@ -124,6 +124,15 @@ class TestParsing:
                 "algebra A ; kind noncommutative ; generators x ;"
                 " order deglex x > x ;")
 
+    def test_lex_noncommutative_rejected_at_the_order(self):
+        # lex does not well-order the free monoid: a parse error at the
+        # lex token, not a bare AlgebraError from the presentation
+        with pytest.raises(ParseError) as info:
+            parse_presentation("algebra a; kind noncommutative; generators x y;"
+                               " order lex x > y;")
+        assert str(info.value) == ("line 1, column 55: lex does not "
+                                   "well-order the free monoid; use deglex")
+
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_presentation(FREE_XY + "surprise")

@@ -536,8 +536,6 @@ class TestNegativeControls:
         failures = report["dd_zero"]["failures"]
         assert report["splitting"]["failure_count"] == len(failures) == \
             res.split_checks == 25
-        assert report["splitting"]["failures"] == failures[:4]
-        assert len(report["splitting"]["failures"]) == 4
         assert not report["splitting"]["ok"] and not report["ok"]
         assert _report_json(report)["splitting"]["failure_count"] == 25
         for w in (words[1] + words[2] + words[3])[:6]:
@@ -547,19 +545,16 @@ class TestNegativeControls:
 
 
 class TestReportJson:
-    """anick prints verify_resolution's report as built, less the two
-    entries that stay in memory: the splitting's failures and the count of
-    ranked blocks."""
+    """anick prints verify_resolution's report as built, less the one
+    entry that stays in memory: the count of ranked blocks."""
 
     @staticmethod
     def assert_printed_as_built(report):
         want = copy.deepcopy(report)
-        del want["splitting"]["failures"]
         del want["exactness"]["ranked_blocks"]
         assert json.dumps(_report_json(report), indent=2) == \
             json.dumps(want, indent=2)
-        # the report itself keeps both
-        assert "failures" in report["splitting"]
+        # the report itself keeps it
         assert "ranked_blocks" in report["exactness"]
 
     @pytest.mark.parametrize("name", ["x2xy", "xyzx", "B2"])
