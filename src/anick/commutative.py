@@ -130,6 +130,8 @@ def comm_normal_monomials(pres, basis, max_degree):
     """All normal monomials of degree <= max_degree, grouped by degree;
     walked from an explicit stack, not by recursion."""
     _require_commutative(pres)
+    if max_degree < 0:
+        raise AlgebraError("max_degree must be nonnegative")
     lead = [g.leading[0] for g in basis]
     out = {d: [] for d in range(max_degree + 1)}
     stack = [(pres.one(), 0)]

@@ -21,8 +21,9 @@ i_n is linear, so s_n is memoized on basis pairs while the differentials
 are built, and each pair's column d_n(g (x) c) is computed once per level.
 One routine computes i_n for every n >= 0: the (-1)-chain is the empty
 word and the 0-chains are the generators, so s_0 factors 1 (x) w as
-w[0] . w[1:].  g is found by looking up the prefixes of fs in a per-level
-index of chain words, one for each chain word length present at level n.
+w[0] . w[1:].  The chain words of one level are prefix-free, so g is a
+child of f, and g is found by walking s through a trie of f's children's
+tails, built per level as the level's differential is built.
 Values of d on free generators are memoized; d on c (x) a follows by right
 multiplication and normal-form reduction.
 
@@ -88,15 +89,15 @@ class AnickResolution:
         self._word_index = {
             n: {c.word: k for k, c in enumerate(chains)}
             for n, chains in self.levels.items()}
-        self._chain_lengths = {
-            n: sorted({len(c.word) for c in chains})
-            for n, chains in self.levels.items()}
         self._nf_cache = {}
         self.split_checks = 0
         self.diff = {0: [{(0, c.word): 1} for c in self.levels[0]]}
         for n in range(1, max_level + 1):
-            memo = {}  # s_{n-1} on basis pairs, shared while d_n is built
-            self.diff[n] = [self._build_d(n, c, memo) for c in self.levels[n]]
+            # s_{n-1} on basis pairs and the level n-1 child tries, shared
+            # while d_n is built
+            memo, children = {}, _child_tries(self.levels, n - 1)
+            self.diff[n] = [self._build_d(n, c, memo, children)
+                            for c in self.levels[n]]
 
     # -- plumbing ----------------------------------------------------------
 
@@ -149,35 +150,25 @@ class AnickResolution:
 
     def apply_d(self, n, elem):
         """d_n on an arbitrary element of C_n (x) A (n >= 0)."""
-        out = {}
+        out, column, cache = {}, self.diff[n], self._nf_cache
         for (ci, w), coeff in elem.items():
             if not coeff:
                 continue
-            for (cj, u), val in self.diff[n][ci].items():
-                for m, beta in self._nf_word(u + w):
+            for (cj, u), val in column[ci].items():
+                scale = coeff * val
+                terms = cache.get(u + w)
+                if terms is None:
+                    terms = self._nf_word(u + w)
+                for m, beta in terms:
                     key = (cj, m)
-                    acc = out.get(key, 0) + coeff * val * beta
+                    acc = out.get(key, 0) + scale * beta
                     if acc:
                         out[key] = acc
                     else:
                         out.pop(key, None)
         return out
 
-    def _factors(self, m, w):
-        """The factorizations of w as (m-chain index, normal word), found by
-        looking up the prefixes of w in the level-m word index, one per
-        chain word length present at that level."""
-        index, hits = self._word_index[m], self.gb.tips.hits
-        out = []
-        for k in self._chain_lengths[m]:
-            if k > len(w):
-                break
-            gi = index.get(w[:k])
-            if gi is not None and not hits(w[k:]):
-                out.append((gi, w[k:]))
-        return out
-
-    def _isplit(self, m, elem, memo):
+    def _isplit(self, m, elem, memo, children):
         """Splitting i_m for m >= 0: level m-1 kernel elements to level m.
 
         i_m is the linear map sum u_e e -> sum u_e s(e) over basis pairs
@@ -186,16 +177,26 @@ class AnickResolution:
 
             s(e) = g (x) c - sum_{k != e} d_m(g (x) c)_k s(k);
 
-        otherwise s(e) = 0 and the pair is passed over.  The recursion needs
-        d_m(g (x) c) to hold e with coefficient 1 and every other term at a
-        word below w.  That is checked once per pair: a term k != e at the
-        word w raises "ambiguous" (checked first), and a head coefficient
-        other than 1 or a term above w raises "failed to descend".  Every
-        built differential is homogeneous (the constructor asserts it), so
-        a column's words share w's degree and compare as word tuples, in
-        Presentation.heap_key's order.  The recursion only goes to pairs
-        strictly below e, so no pair is revisited; s is memoized and filled
-        from an explicit stack.
+        otherwise s(e) = 0 and the pair is passed over.  g's parent is f:
+        both f.word and g.parent.word are (m-1)-chain words that are
+        prefixes of w, and the chain words of one level are prefix-free.
+        So g is found by walking s through f's trie in ``children``, the
+        tails of f's children (``_child_tries``), and that walk meets at
+        most one tail, since sibling tails are prefix-free too.  c is a
+        suffix of the normal word s, so it is normal with no scan for tips.
+        A word s that is not normal makes no basis pair; if it walks to a
+        tail, the column d_m(g (x) c) holds normal words only, so it lacks
+        e and the descent check below raises.
+
+        The recursion needs d_m(g (x) c) to hold e with coefficient 1 and
+        every other term at a word below w.  That is checked once per pair:
+        a term k != e at the word w raises "ambiguous" (checked first), and
+        a head coefficient other than 1 or a term above w raises "failed to
+        descend".  Every built differential is homogeneous (the constructor
+        asserts it), so a column's words share w's degree and compare as
+        word tuples, in Presentation.heap_key's order.  The recursion only
+        goes to pairs strictly below e, so no pair is revisited; s is
+        memoized and filled from an explicit stack.
 
         Proof that this is the leading-pair loop.  The loop takes the lead
         e of u, with coefficient a; it returns a g (x) c + i(u - a d_m(g (x)
@@ -217,10 +218,11 @@ class AnickResolution:
         ``split``'s audit and ``dd_failures`` see the passed-over pairs.
 
         The caller owns ``memo``, s on the pairs met so far at level m, filled
-        in place: the constructor shares one per level, and ``split`` passes
-        a fresh one, since ``diff`` may have changed since the build.
+        in place, and ``children``, the tries of level m: the constructor
+        shares both while it builds a level, and ``split`` builds them from
+        the ``levels`` it sees, since ``levels`` and ``diff`` may have
+        changed since the build.
         """
-        pres = self.presentation
         below = self.levels[m - 1]
         stack = [e for e, alpha in elem.items() if alpha]
         opened = {}
@@ -238,16 +240,12 @@ class AnickResolution:
                         _add_scaled(s, memo[k], -v)
                 memo[e] = s
             else:
-                w = below[e[0]].word + e[1]
-                found = self._factors(m, w)
-                if not found:
+                gc = _factor(children[e[0]], e[1])
+                if gc is None:
                     memo[e] = {}
                     continue
-                if len(found) > 1:
-                    raise AlgebraError(
-                        f"kernel leading word {pres.format_monomial(w)} admits "
-                        f"{len(found)} chain factorizations at level {m}")
-                col = self.apply_d(m, {found[0]: 1})
+                w = below[e[0]].word + e[1]
+                col = self.apply_d(m, {gc: 1})
                 descends = col.get(e) == 1
                 for ci, t in col:
                     if (ci, t) != e:
@@ -258,7 +256,7 @@ class AnickResolution:
                         descends = descends and u > w
                 if not descends:
                     raise AlgebraError("splitting recursion failed to descend")
-                opened[e] = found[0], col
+                opened[e] = gc, col
                 stack.extend(k for k in col if k != e and k not in memo)
         out = {}
         for e, alpha in elem.items():
@@ -276,34 +274,63 @@ class AnickResolution:
         with another pair or admits no factorization.  Any other failure
         raises "failed the d(i(u)) = u audit".
         """
-        result = self._isplit(m, elem, {})
+        children = _child_tries(self.levels, m)
+        result = self._isplit(m, elem, {}, children)
         back = self.apply_d(m, result)
         residue = {k: v for k, v in elem.items() if v}
         if back != residue:
             _add_scaled(residue, back, -1)
             pres, below = self.presentation, self.levels[m - 1]
-            keys = sorted(pres.heap_key(below[ci].word + s) for ci, s in residue)
-            if len(keys) > 1 and keys[0] == keys[1]:
+            keys = sorted((pres.heap_key(below[ci].word + s), ci, s)
+                          for ci, s in residue)
+            if len(keys) > 1 and keys[0][0] == keys[1][0]:
                 raise AlgebraError("leading pair of a kernel element is ambiguous")
-            w = keys[0][1]
-            if not self._factors(m, w):
+            _, ci, s = keys[0]
+            if _factor(children[ci], s) is None:
                 raise AlgebraError(
-                    f"kernel leading word {pres.format_monomial(w)} admits no "
-                    f"(chain).(normal word) factorization at level {m}")
+                    f"kernel leading word {pres.format_monomial(below[ci].word + s)} "
+                    f"admits no (chain).(normal word) factorization at level {m}")
             raise AlgebraError(
                 f"a splitting at level {m} failed the d(i(u)) = u audit")
         return result
 
-    def _build_d(self, n, chain, memo):
+    def _build_d(self, n, chain, memo, children):
         pi = self._word_index[n - 1][chain.parent.word]
         head = {(pi, chain.tail): 1}
         v = self.apply_d(n - 1, head)
         result = dict(head)
         if v:
             self.split_checks += 1
-            _add_scaled(result, self._isplit(n - 1, v, memo), -1)
+            _add_scaled(result, self._isplit(n - 1, v, memo, children), -1)
         self.element_degree(n - 1, result)
         return result
+
+
+def _child_tries(levels, m):
+    """For each (m-1)-chain, by its index in levels[m - 1], the trie of its
+    children's tails: nested dicts on letters, each tail ending at the index
+    of its m-chain.  Tries are keyed by the parent's word, so copies of one
+    chain share a trie."""
+    tries = {}
+    for gi, g in enumerate(levels[m]):
+        node = tries.setdefault(g.parent.word, {})
+        for a in g.tail[:-1]:
+            node = node.setdefault(a, {})
+        node[g.tail[-1]] = gi
+    return [tries.get(f.word, {}) for f in levels[m - 1]]
+
+
+def _factor(trie, s):
+    """(chain index, c) for the tail in the trie that s starts with, s =
+    tail . c, or None when s starts with none."""
+    node = trie
+    for k, a in enumerate(s):
+        node = node.get(a)
+        if node is None:
+            return None
+        if type(node) is int:
+            return node, s[k + 1:]
+    return None
 
 
 # -- verification ------------------------------------------------------------
@@ -496,15 +523,20 @@ def tor_dimensions(res):
     resolution is minimal this is just the chain count table.  Row i needs
     M_{i+1}, so the table stops one level below the built resolution.
     Each level's blocks are ranked once and shared by the two rows that
-    need them.
+    need them.  rank M = rank M^T, so each degree block is ranked on its
+    columns or its rows, whichever are fewer (the columns on a tie): every
+    vector past the rank reduces to zero, and the smaller side has fewer.
     """
     ranks = {-1: {}}
     for n, entries in res.tensored.items():
-        cols = {}
+        blocks = {}
         for (cj, ci), coeff in entries.items():
-            d = res.levels[n][ci].degree
-            cols.setdefault(d, {}).setdefault(ci, {})[cj] = coeff
-        ranks[n] = {d: sparse_rank(by_col.values()) for d, by_col in cols.items()}
+            by_col, by_row = blocks.setdefault(res.levels[n][ci].degree,
+                                               ({}, {}))
+            by_col.setdefault(ci, {})[cj] = coeff
+            by_row.setdefault(cj, {})[ci] = coeff
+        ranks[n] = {d: sparse_rank(min(by_col, by_row, key=len).values())
+                    for d, (by_col, by_row) in blocks.items()}
     table = {}
     for i in range(-1, res.max_level):
         counts = res.counts[i]

@@ -9,9 +9,9 @@ completion certificate by re-resolving every ambiguity, reduced bases by
 reducing until nothing changes, the Hilbert series of a free (or
 exterior) algebra on given generator degrees, the Hilbert series of a free
 product from its factors' by the identity 1/H = 1/H_A + 1/H_B - 1, series
-inverses by the recurrence in Fractions, and rational fits by one dense
+inverses by the recurrence in Fractions, rational fits by one dense
 Gauss-Jordan solve over Fractions per (numerator degree, denominator
-degree) pair.
+degree) pair, and Tor of a built resolution by dense ranks in ``sympy``.
 
 Nothing here comes from ``anick.hilbert``: the series arithmetic is this
 module's own, and every series is inverted by ``reference_series_inverse``,
@@ -332,6 +332,37 @@ def dense_solve(matrix, rhs):
     for row_idx, c in enumerate(pivot_cols):
         x[c] = m[row_idx][ncols]
     return x
+
+
+def reference_tor_dimensions(res):
+    """Tor of a built resolution by dense ranks in ``sympy``: for each level
+    n and degree d, the matrix of the scalar parts of d_n, from the n-chains
+    of degree d to the (n-1)-chains of degree d, read off ``res.diff``; then
+    Tor_i in degree d is the number of i-chains of degree d less the ranks
+    of d_i and d_(i+1) there.  Keyed as ``tor_dimensions`` keys it, with
+    only the nonzero entries."""
+    import sympy
+
+    def chains(n, d):
+        return [k for k, c in enumerate(res.levels[n]) if c.degree == d]
+
+    def rank(n, d):
+        if n < 0:
+            return 0
+        rows, cols = chains(n - 1, d), chains(n, d)
+        if not rows or not cols:
+            return 0
+        return sympy.Matrix([[res.diff[n][ci].get((cj, ()), 0) for ci in cols]
+                             for cj in rows]).rank()
+
+    degrees = sorted({c.degree for chains_n in res.levels.values()
+                      for c in chains_n})
+    table = {}
+    for i in range(-1, res.max_level):
+        row = {d: len(chains(i, d)) - rank(i, d) - rank(i + 1, d)
+               for d in degrees}
+        table[i] = {d: v for d, v in row.items() if v}
+    return table
 
 
 def search_rational_form(s, max_den_degree=6):

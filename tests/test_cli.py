@@ -209,8 +209,8 @@ class TestTor:
         # then fails, and Tor of the broken complex must not be printed
         split = AnickResolution._isplit
 
-        def broken(self, m, elem, memo):
-            out = split(self, m, elem, memo)
+        def broken(self, m, elem, memo, children):
+            out = split(self, m, elem, memo, children)
             if m == self.max_level - 1 and out:
                 key = next(iter(out))
                 out[key] *= 2

@@ -166,6 +166,16 @@ class TestNegativeDegree:
         with pytest.raises(AlgebraError, match="max_degree must be nonnegative"):
             hilbert_from_chains(p, gb.tips, degree)
 
+    @pytest.mark.parametrize("degree", [-1, -3])
+    def test_commutative_route_rejects(self, degree):
+        # the commutative walk refuses it with the path table's message
+        p = parse_presentation(
+            "algebra comm1 ; kind commutative ; generators x1 x2 ;"
+            " order deglex x1 > x2 ; relations x1^2 + x2^2 ; x1^3 + x2^3 ;")
+        gb = comm_buchberger(p)
+        with pytest.raises(AlgebraError, match="max_degree must be nonnegative"):
+            hilbert_from_normal_words(gb, degree)
+
 
 class TestChainSeries:
     def test_square_sum_agreement(self):

@@ -110,6 +110,21 @@ class TestSparseRank:
         want = sympy.Matrix(dense).rank()
         assert sparse_rank(tuple_column_rows(dense)) == want
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dense_matrices(st.integers(-3, 3)))
+    def test_transpose_and_sympy(self, dense):
+        # rank M = rank M^T, which tor_dimensions relies on when it ranks a
+        # block on its rows
+        sympy = pytest.importorskip("sympy")
+        rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        cols = {}
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                cols.setdefault(j, {})[i] = v
+        rank = sparse_rank(rows)
+        assert sparse_rank(cols.values()) == rank
+        assert rank == (sympy.Matrix(dense).rank() if dense else 0)
+
     def test_rows_are_not_modified(self):
         rows = [{0: 2, 1: Fraction(1, 3)}, {0: 4, 1: 1}]
         copies = [dict(r) for r in rows]

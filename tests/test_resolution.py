@@ -36,6 +36,7 @@ from anick.resolution import (
     tor_dimensions,
     verify_resolution,
 )
+from oracles import reference_tor_dimensions
 from test_noncommutative import small_presentations
 
 
@@ -529,8 +530,8 @@ class TestNegativeControls:
         # built with one fails d.d = 0, and a direct split raises
         isplit = AnickResolution._isplit
         monkeypatch.setattr(
-            AnickResolution, "_isplit", lambda self, m, u, memo: {
-                k: 2 * v for k, v in isplit(self, m, u, memo).items()})
+            AnickResolution, "_isplit", lambda self, m, u, memo, children: {
+                k: 2 * v for k, v in isplit(self, m, u, memo, children).items()})
         res = AnickResolution(gb, 3)
         report = verify_resolution(res)
         failures = report["dd_zero"]["failures"]
@@ -984,7 +985,7 @@ class TestResolutionTables:
 
 
 class TestSplitOracle:
-    """The memoized splitting and prefix index in _isplit against the chain
+    """The memoized splitting and child tries in _isplit against the chain
     scan, at every level including i_0."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1002,6 +1003,51 @@ class TestSplitOracle:
         res = AnickResolution(nc_buchberger(pres, degree), level)
         assert_splits_match_reference(res, random.Random(name),
                                       kernel_samples=50)
+
+
+class TestChildLookup:
+    """The lemma that lets ``_isplit`` look for a pair's chain among its
+    parent's children only: the (m-1)-chain word that is a prefix of an
+    m-chain's word is its parent's word, and no other; and the walk
+    through the parent's trie finds each child from its tail."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(graded_presentations())
+    def test_parent_is_the_only_prefix_one_level_down(self, case):
+        pres, level, degree = case
+        res = AnickResolution(nc_buchberger(pres, degree), level)
+        for m in range(res.max_level + 1):
+            below = {f.word for f in res.levels[m - 1]}
+            for g in res.levels[m]:
+                assert [g.word[:k] for k in range(len(g.word) + 1)
+                        if g.word[:k] in below] == [g.parent.word]
+            children = resolution._child_tries(res.levels, m)
+            index = res._word_index[m - 1]
+            for gi, g in enumerate(res.levels[m]):
+                trie = children[index[g.parent.word]]
+                assert resolution._factor(trie, g.tail) == (gi, ())
+                assert resolution._factor(trie, g.tail + (0, 1)) == (gi, (0, 1))
+
+
+class TestTorOracle:
+    """``tor_dimensions``, which ranks each block on its smaller side by
+    fraction-free elimination, against dense ``sympy`` ranks."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(graded_presentations())
+    def test_random_graded_presentations(self, case):
+        pytest.importorskip("sympy")
+        pres, level, degree = case
+        res = AnickResolution(nc_buchberger(pres, degree), level)
+        assert tor_dimensions(res) == reference_tor_dimensions(res)
+
+    @pytest.mark.parametrize("name, level, degree", [
+        ("x2xy", 5, 10), ("B2", 4, 8)])
+    def test_x2xy_and_b2(self, name, level, degree):
+        pytest.importorskip("sympy")
+        res = AnickResolution(nc_buchberger(presentation_named(name), degree),
+                              level)
+        assert tor_dimensions(res) == reference_tor_dimensions(res)
 
 
 def combine(a, u, b, v):
@@ -1048,7 +1094,7 @@ class TestSharedSplitMemo:
         pres, level, degree = case
         res = AnickResolution(nc_buchberger(pres, degree), level)
         for m in range(res.max_level + 1):
-            shared = {}
+            shared, children = {}, resolution._child_tries(res.levels, m)
             below = list(enumerate(res.levels[m - 1]))
             for _ in range(12 if below else 0):
                 ci, c = rng.choice(below)
@@ -1057,13 +1103,13 @@ class TestSharedSplitMemo:
                 if w is None:
                     continue
                 e = {(ci, w): 1}
-                assert outcome(res._isplit, m, e, shared) == \
-                    outcome(res._isplit, m, e, {})
+                assert outcome(res._isplit, m, e, shared, children) == \
+                    outcome(res._isplit, m, e, {}, children)
             chains = res.levels[m]
             for _ in range(5 if chains else 0):
                 d = rng.randint(min(c.degree for c in chains), res.max_degree)
                 u = res.apply_d(m, random_element(res, rng, m, d))
-                assert outcome(res._isplit, m, u, shared) == \
+                assert outcome(res._isplit, m, u, shared, children) == \
                     outcome(res.split, m, u)
 
 
