@@ -89,7 +89,9 @@ class Presentation:
     free monoid).  Generator ``i`` is the list's entry ``i``, and the list
     runs from the largest generator under the order to the smallest.
 
-    Instances are immutable after construction.  ``relations`` may be empty
+    Instances are immutable after construction, except for the memos of
+    the text they have formatted (see :meth:`format_monomial`), which only
+    grow and never change what a method returns.  ``relations`` may be empty
     (a free or polynomial algebra).  Use :meth:`with_relations` to attach
     relations parsed against a relation-free presentation.
     """
@@ -118,6 +120,10 @@ class Presentation:
         # with unit weights a word's degree is its length
         self._unit_degrees = all(d == 1 for d in self._degrees)
         self._by_name = {g.name: i for i, g in enumerate(generators)}
+        # the text of each monomial and polynomial formatted so far; two
+        # dicts, so a word never meets a Polynomial equal to it
+        self._monomial_text = {}
+        self._poly_text = {}
         relations = tuple(relations)
         for rel in relations:
             if not isinstance(rel, Polynomial):
@@ -275,27 +281,39 @@ class Presentation:
     # -- rendering ---------------------------------------------------------
 
     def format_monomial(self, m):
-        if m == self.one():
-            return "1"
-        parts = []
+        """The monomial as text: a word's runs of one letter as powers
+        (``x^2*y``), an exponent vector's nonzero entries in generator
+        order, and "1" for the unit.
+
+        Each distinct monomial is formatted once and then read from a memo
+        on the presentation, which lives as long as the presentation does:
+        one run, for the command line, which parses one per run.
+        """
+        text = self._monomial_text.get(m)
+        if text is not None:
+            return text
+        gens = self.generators
         if self.kind == NONCOMMUTATIVE:
-            i = 0
-            while i < len(m):
-                j = i
-                while j < len(m) and m[j] == m[i]:
-                    j += 1
-                name = self.generators[m[i]].name
-                parts.append(name if j - i == 1 else f"{name}^{j - i}")
-                i = j
+            parts, last, run = [], None, 0
+            for letter in m:
+                if letter != last and run:
+                    parts.append(_power(gens[last].name, run))
+                    run = 0
+                last, run = letter, run + 1
+            if run:
+                parts.append(_power(gens[last].name, run))
         else:
-            for g, e in zip(self.generators, m):
-                if e:
-                    parts.append(g.name if e == 1 else f"{g.name}^{e}")
-        return "*".join(parts)
+            parts = [_power(g.name, e) for g, e in zip(gens, m) if e]
+        text = self._monomial_text[m] = "*".join(parts) or "1"
+        return text
 
     def format_poly(self, f):
-        if not f:
-            return "0"
+        """The polynomial as text, terms in descending order, "0" for zero;
+        each distinct polynomial is formatted once, memoized as
+        :meth:`format_monomial` is."""
+        text = self._poly_text.get(f)
+        if text is not None:
+            return text
         unit = self.one()
         parts = []
         for k, (m, c) in enumerate(f.terms):
@@ -310,4 +328,9 @@ class Presentation:
                 parts.append(f"-{body}" if c < 0 else body)
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+        text = self._poly_text[f] = " ".join(parts) or "0"
+        return text
+
+
+def _power(name, exponent):
+    return name if exponent == 1 else f"{name}^{exponent}"

@@ -3,7 +3,9 @@
 Subcommands: gb, nf, chains, hilbert, anick, tor.  Input is a presentation
 file (or ``-`` for stdin), or ``--bn N`` for the built-in family.  Output is
 text by default, or JSON with ``--format json``; JSON output is byte-stable
-across runs and thread hints.
+across runs and thread hints.  Every JSON command prints through one writer,
+``_dumps``, whose output is ``json.dumps(result, indent=2)``'s byte for
+byte, built without the pure-Python encoder that ``indent`` selects.
 
 Exit codes: 0 success, 2 input error (parse errors carry line and column),
 3 a bound violation or an uncertified basis, 1 internal failure.
@@ -127,6 +129,50 @@ def certified_basis(pres, args):
             f"{pres.name} is not graded and its basis has overlaps past degree "
             f"{args.max_degree}; nothing is certified (raise --max-degree)")
     return gb
+
+
+# How json.dumps encodes each leaf type (the C string escaper where CPython
+# has one).
+_LEAVES = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(value, indent="\n"):
+    """What ``json.dumps(value, indent=2)`` returns, byte for byte.
+
+    On Python 3.10 and 3.11 ``indent`` makes json.dumps leave its C encoder
+    for nested generators.  This writer joins each container's items in one
+    comprehension; a list of leaves is encoded by type lookup alone, with
+    no recursive call per item.  It takes what the commands print, by
+    exact type: dicts with str keys, lists and tuples, str, int, bool and
+    None.  Anything else raises ``TypeError``, and an int past the
+    int-string limit raises the ``ValueError`` that json.dumps raises.
+    """
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # the escaper raises TypeError on a key that is not a str
+        escape = _LEAVES[str]
+        items = [f"{escape(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            items = [_LEAVES[type(v)](v) for v in value]
+        except KeyError:
+            items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _series_json(coeffs):
@@ -384,7 +430,7 @@ def main(argv=None):
         print(f"anick: internal error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps(result, indent=2))
+        print(_dumps(result))
     else:
         print(result)
     return 0

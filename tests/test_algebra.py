@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anick.algebra import (
     COMMUTATIVE,
@@ -12,6 +14,7 @@ from anick.algebra import (
     Polynomial,
     Presentation,
 )
+from oracles import reference_format_monomial, reference_format_poly
 
 
 def free_xy(names=("x", "y")):
@@ -202,3 +205,51 @@ class TestFormatting:
         as_fractions = Polynomial(tuple((m, Fraction(c)) for m, c in terms))
         assert (p.format_poly(Polynomial(terms))
                 == p.format_poly(as_fractions) == "3*x^2 - x*y + y - 2")
+
+
+@st.composite
+def formatting_cases(draw):
+    """A presentation of 1-3 weighted generators, free or commutative, and
+    the monomials and polynomials to format over it, each listed twice in a
+    shuffled order: random words or exponent vectors, the unit, the zero
+    polynomial, and coefficients +-1, other ints and Fractions, as ints
+    and as Fractions."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "z", "a1", "bb"]),
+                          min_size=1, max_size=3, unique=True))
+    gens = [Generator(nm, draw(st.integers(1, 3))) for nm in names]
+    if draw(st.booleans()):
+        pres = Presentation("P", COMMUTATIVE, gens,
+                            draw(st.sampled_from([DEGLEX, LEX])))
+        monomial = st.tuples(*[st.integers(0, 3)] * len(gens))
+    else:
+        pres = Presentation("F", NONCOMMUTATIVE, gens, DEGLEX)
+        monomial = st.lists(st.integers(0, len(gens) - 1),
+                            max_size=7).map(tuple)
+    coefficient = st.one_of(
+        st.sampled_from([1, -1, Fraction(1), Fraction(-1)]),
+        st.integers(-30, 30).filter(bool),
+        st.fractions(-5, 5, max_denominator=9).filter(bool))
+    poly = st.dictionaries(monomial, coefficient, max_size=4).map(
+        lambda terms: Polynomial(tuple(sorted(
+            terms.items(), key=lambda mc: pres.term_key(mc[0]),
+            reverse=True))))
+    inputs = draw(st.lists(st.one_of(monomial, poly), max_size=8))
+    inputs += [pres.one(), Polynomial(())]
+    return pres, draw(st.permutations(inputs + inputs))
+
+
+class TestMemoizedFormatting:
+    """The memoized formatter against the reference one, on inputs that
+    each come twice, interleaved with others, so a memo entry read for
+    the wrong input or left stale fails."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(formatting_cases())
+    def test_matches_reference(self, case):
+        pres, inputs = case
+        for x in inputs:
+            if isinstance(x, Polynomial):
+                assert pres.format_poly(x) == reference_format_poly(pres, x)
+            else:
+                assert pres.format_monomial(x) == \
+                    reference_format_monomial(pres, x)

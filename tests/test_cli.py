@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anick.cli import _series_json, build_parser, main
+from anick.cli import _dumps, _series_json, build_parser, main
 from anick.presentation import parse_presentation
 from anick.resolution import AnickResolution
 from oracles import serialize_presentation
@@ -506,3 +507,74 @@ class TestGeneratorLineOrder:
                     outs.append((argv[0], code, stdout.getvalue()))
                 runs.append(outs)
         assert runs[0] == runs[1]
+
+
+# strings that json escapes: quotes, backslashes, control characters,
+# non-ASCII, astral characters and lone surrogates
+JSON_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=12),
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é",
+                     "\U0001f600", "\ud800", "x\udfffy", "\u2028"]))
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), JSON_TEXT, st.integers(),
+    st.integers(-10 ** 4000, 10 ** 4000))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    """``_dumps``, the one writer of every --format json command, against
+    ``json.dumps(..., indent=2)``."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}],
+        {"complete_to_degree": None, "member": True, "certified": False},
+        [0, -1, True, False, None, "", "\ud83d"]])
+    def test_empty_containers_and_leaves(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 2), {1, 2}, [object()], {"a": [Fraction(3)]}])
+    def test_unsupported_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-string limit on this interpreter")
+    def test_int_past_the_string_limit_raises_value_error(self):
+        big = [10 ** (sys.get_int_max_str_digits() + 1)]
+        with pytest.raises(ValueError):
+            json.dumps(big, indent=2)
+        with pytest.raises(ValueError):
+            _dumps(big)
+
+    @pytest.mark.parametrize("cmd", [
+        "gb", "nf", "chains", "hilbert", "anick", "tor"])
+    def test_every_command_prints_json_dumps_output(self, capsys, cmd):
+        # every sample and B_1, B_2 at the default bounds; comm1 is
+        # commutative, so chains, anick and tor refuse it
+        inputs = [[str(p)] for p in sorted(SAMPLES.glob("*.alg"))]
+        inputs += [["--bn", "1"], ["--bn", "2"]]
+        for source in inputs:
+            commutative = source[0].endswith("comm1.alg")
+            if commutative and cmd in ("chains", "anick", "tor"):
+                continue
+            poly = ("x1^3" if commutative else
+                    "a1*b1*c1" if source[0] == "--bn" else "x*y*x")
+            extra = [poly] if cmd == "nf" else []
+            code, out, err = run(capsys, cmd, *source, *extra,
+                                 "--format", "json")
+            assert code == 0, err
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -964,6 +964,49 @@ def graded_presentations(draw):
             draw(st.integers(4, 7)))
 
 
+@st.composite
+def x2xy_like_presentations(draw):
+    """x2xy's relation x^2 = x*y, whose resolution is not minimal, over 2-3
+    generators of weight 1-2: a^2 = c*a*b for one or two pairs of a larger
+    generator a and a smaller b of one weight w, with c in {1, -1, 2}; a
+    level 3-5 and a degree 6w-9w, so the family's chains reach level 3."""
+    names = ["x", "y", "z"][:draw(st.integers(2, 3))]
+    weights = [draw(st.integers(1, 2)) for _ in names]
+    a, b = sorted(draw(st.lists(st.integers(0, len(names) - 1), min_size=2,
+                                max_size=2, unique=True)))
+    weights[b] = weights[a]
+    pairs = [(a, b)]
+    others = [(i, j) for i in range(len(names))
+              for j in range(i + 1, len(names))
+              if weights[i] == weights[j] and i != a]
+    if others and draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(others)))
+    relations = "; ".join(
+        f"{names[i]}^2 = {draw(st.sampled_from([1, -1, 2]))}*{names[i]}*"
+        f"{names[j]}" for i, j in pairs)
+    gens = " ".join(f"{nm}:{w}" for nm, w in zip(names, weights))
+    pres = parse_presentation(
+        f"algebra r; kind noncommutative; generators {gens}; "
+        f"order deglex {' > '.join(names)}; relations {relations};")
+    return (pres, draw(st.integers(3, 5)),
+            weights[a] * draw(st.integers(6, 9)))
+
+
+def blocks_ranked_on_rows(res):
+    """How many degree blocks of the tensored matrices have fewer rows than
+    columns: those ``tor_dimensions`` ranks on their rows."""
+    count = 0
+    for n, entries in res.tensored.items():
+        sides = {}
+        for cj, ci in entries:
+            cols, rows = sides.setdefault(res.levels[n][ci].degree,
+                                          (set(), set()))
+            cols.add(ci)
+            rows.add(cj)
+        count += sum(len(rows) < len(cols) for cols, rows in sides.values())
+    return count
+
+
 class TestResolutionTables:
     """The module dimensions and the Hilbert counts, read off the
     resolution's one normal-word table, against enumerated words."""
@@ -1040,6 +1083,23 @@ class TestTorOracle:
         pres, level, degree = case
         res = AnickResolution(nc_buchberger(pres, degree), level)
         assert tor_dimensions(res) == reference_tor_dimensions(res)
+
+    def test_x2xy_like_presentations(self):
+        # graded_presentations seldom give a nonzero tensored block; most
+        # of these give blocks ranked on their rows
+        pytest.importorskip("sympy")
+        on_rows = []
+
+        @settings(max_examples=30, deadline=None, derandomize=True)
+        @given(x2xy_like_presentations())
+        def check(case):
+            pres, level, degree = case
+            res = AnickResolution(nc_buchberger(pres, degree), level)
+            assert tor_dimensions(res) == reference_tor_dimensions(res)
+            on_rows.append(blocks_ranked_on_rows(res) > 0)
+
+        check()
+        assert sum(on_rows) >= 0.8 * len(on_rows)
 
     @pytest.mark.parametrize("name, level, degree", [
         ("x2xy", 5, 10), ("B2", 4, 8)])
