@@ -89,11 +89,12 @@ class Presentation:
     free monoid).  Generator ``i`` is the list's entry ``i``, and the list
     runs from the largest generator under the order to the smallest.
 
-    Instances are immutable after construction, except for the memos of
-    the text they have formatted (see :meth:`format_monomial`), which only
-    grow and never change what a method returns.  ``relations`` may be empty
-    (a free or polynomial algebra).  Use :meth:`with_relations` to attach
-    relations parsed against a relation-free presentation.
+    Instances are immutable after construction, except for the memo of
+    the polynomials they have formatted (see :meth:`format_poly`), which
+    is unbounded, lasts as long as the instance and never changes what a
+    method returns.  ``relations`` may be empty (a free or polynomial
+    algebra).  Use :meth:`with_relations` to attach relations parsed
+    against a relation-free presentation.
     """
 
     def __init__(self, name, kind, generators, order, relations=()):
@@ -120,9 +121,7 @@ class Presentation:
         # with unit weights a word's degree is its length
         self._unit_degrees = all(d == 1 for d in self._degrees)
         self._by_name = {g.name: i for i, g in enumerate(generators)}
-        # the text of each monomial and polynomial formatted so far; two
-        # dicts, so a word never meets a Polynomial equal to it
-        self._monomial_text = {}
+        # the text of each polynomial formatted so far
         self._poly_text = {}
         relations = tuple(relations)
         for rel in relations:
@@ -281,36 +280,33 @@ class Presentation:
     # -- rendering ---------------------------------------------------------
 
     def format_monomial(self, m):
-        """The monomial as text: a word's runs of one letter as powers
-        (``x^2*y``), an exponent vector's nonzero entries in generator
-        order, and "1" for the unit.
-
-        Each distinct monomial is formatted once and then read from a memo
-        on the presentation, which lives as long as the presentation does:
-        one run, for the command line, which parses one per run.
-        """
-        text = self._monomial_text.get(m)
-        if text is not None:
-            return text
-        gens = self.generators
+        if m == self.one():
+            return "1"
+        parts = []
         if self.kind == NONCOMMUTATIVE:
-            parts, last, run = [], None, 0
-            for letter in m:
-                if letter != last and run:
-                    parts.append(_power(gens[last].name, run))
-                    run = 0
-                last, run = letter, run + 1
-            if run:
-                parts.append(_power(gens[last].name, run))
+            i = 0
+            while i < len(m):
+                j = i
+                while j < len(m) and m[j] == m[i]:
+                    j += 1
+                name = self.generators[m[i]].name
+                parts.append(name if j - i == 1 else f"{name}^{j - i}")
+                i = j
         else:
-            parts = [_power(g.name, e) for g, e in zip(gens, m) if e]
-        text = self._monomial_text[m] = "*".join(parts) or "1"
-        return text
+            for g, e in zip(self.generators, m):
+                if e:
+                    parts.append(g.name if e == 1 else f"{g.name}^{e}")
+        return "*".join(parts)
 
     def format_poly(self, f):
-        """The polynomial as text, terms in descending order, "0" for zero;
-        each distinct polynomial is formatted once, memoized as
-        :meth:`format_monomial` is."""
+        """The polynomial as text, terms in descending order, "0" for zero.
+
+        Each distinct polynomial is formatted once and then read from a
+        memo on the presentation (a matrix of Anick's resolution repeats a
+        handful of entries many times).  The memo is unbounded and lives as
+        long as the presentation: one run, for the command line, which
+        parses one presentation per run.
+        """
         text = self._poly_text.get(f)
         if text is not None:
             return text
@@ -330,7 +326,3 @@ class Presentation:
                 parts.append(("- " if c < 0 else "+ ") + body)
         text = self._poly_text[f] = " ".join(parts) or "0"
         return text
-
-
-def _power(name, exponent):
-    return name if exponent == 1 else f"{name}^{exponent}"

@@ -146,8 +146,7 @@ def _dumps(value, indent="\n"):
 
     On Python 3.10 and 3.11 ``indent`` makes json.dumps leave its C encoder
     for nested generators.  This writer joins each container's items in one
-    comprehension; a list of leaves is encoded by type lookup alone, with
-    no recursive call per item.  It takes what the commands print, by
+    comprehension.  It takes what the commands print, by
     exact type: dicts with str keys, lists and tuples, str, int, bool and
     None.  Anything else raises ``TypeError``, and an int past the
     int-string limit raises the ``ValueError`` that json.dumps raises.
@@ -166,6 +165,9 @@ def _dumps(value, indent="\n"):
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        # a matrix row is a list of leaves: encode it with no call per item;
+        # a list that mixes in containers (no command prints one) is
+        # encoded again, item by item
         try:
             items = [_LEAVES[type(v)](v) for v in value]
         except KeyError:

@@ -12,8 +12,8 @@ product from its factors' by the identity 1/H = 1/H_A + 1/H_B - 1, series
 inverses by the recurrence in Fractions, rational fits by one dense
 Gauss-Jordan solve over Fractions per (numerator degree, denominator
 degree) pair, Tor of a built resolution by dense ranks in ``sympy``, and
-the text of monomials and polynomials by the formatter the library had
-before it memoized its output.
+the text of polynomials by the formatter the library had before it
+memoized its output.
 
 Nothing here comes from ``anick.hilbert``: the series arithmetic is this
 module's own, and every series is inverted by ``reference_series_inverse``,
@@ -336,29 +336,9 @@ def dense_solve(matrix, rhs):
     return x
 
 
-def reference_format_monomial(pres, m):
-    """A monomial as text, scanning each run of one letter from its start."""
-    if m == pres.one():
-        return "1"
-    parts = []
-    if pres.kind == NONCOMMUTATIVE:
-        i = 0
-        while i < len(m):
-            j = i
-            while j < len(m) and m[j] == m[i]:
-                j += 1
-            name = pres.generators[m[i]].name
-            parts.append(name if j - i == 1 else f"{name}^{j - i}")
-            i = j
-    else:
-        for g, e in zip(pres.generators, m):
-            if e:
-                parts.append(g.name if e == 1 else f"{g.name}^{e}")
-    return "*".join(parts)
-
-
 def reference_format_poly(pres, f):
-    """A polynomial as text, every term formatted afresh."""
+    """A polynomial as text, every term formatted afresh (its monomials by
+    ``format_monomial``, which keeps no memo)."""
     if not f:
         return "0"
     unit = pres.one()
@@ -368,9 +348,9 @@ def reference_format_poly(pres, f):
         if m == unit:
             body = str(mag)
         elif mag == 1:
-            body = reference_format_monomial(pres, m)
+            body = pres.format_monomial(m)
         else:
-            body = f"{mag}*{reference_format_monomial(pres, m)}"
+            body = f"{mag}*{pres.format_monomial(m)}"
         if k == 0:
             parts.append(f"-{body}" if c < 0 else body)
         else:
