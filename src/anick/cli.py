@@ -309,14 +309,6 @@ def cmd_hilbert(pres, args):
     return "\n".join(lines)
 
 
-def _report_json(report):
-    """The verification report as built, less the count of ranked blocks,
-    which stays in memory."""
-    exactness = {k: v for k, v in report["exactness"].items()
-                 if k != "ranked_blocks"}
-    return {**report, "exactness": exactness}
-
-
 def cmd_anick(pres, args):
     require_noncommutative(pres, "anick")
     require_graded(pres)
@@ -343,7 +335,7 @@ def cmd_anick(pres, args):
         "max_degree": res.max_degree,
         "chains": {str(n): level for n, level in enumerate(words)},
         "differentials": matrices,
-        "verification": _report_json(report),
+        "verification": report,
     }
     if args.format == "json":
         return data

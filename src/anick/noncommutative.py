@@ -505,26 +505,3 @@ def count_normal_words(pres, matcher, max_degree):
     finds no tip; exact integers from the normal-word table."""
     _require_noncommutative(pres)
     return _normal_word_table(pres, matcher, max_degree)[()]
-
-
-def normal_words(gb, max_degree):
-    """The normal words themselves, grouped by degree, each group sorted
-    descending under the order; walked from an explicit stack, not by
-    recursion.  Requires the certificate to cover max_degree."""
-    if max_degree > gb.certified_degree:
-        raise BoundError(
-            f"normal words requested to degree {max_degree} but the basis is "
-            f"only certified to degree {gb.certified_degree}")
-    pres, matcher = gb.presentation, gb.tips
-    letters = [(x, pres.generator_degree(x)) for x in range(pres.ngens)]
-    out = {d: [] for d in range(max_degree + 1)}
-    stack = [((), (), 0)]
-    while stack:
-        word, state, deg = stack.pop()
-        out[deg].append(word)
-        stack.extend((word + (x,), t, deg + dx) for x, dx in letters
-                     if deg + dx <= max_degree
-                     and (t := matcher.step(state, x)) is not None)
-    for words in out.values():
-        words.sort()
-    return out

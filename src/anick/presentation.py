@@ -68,6 +68,10 @@ _TOKEN = re.compile(r"""
   | (?P<other>.)
 """, re.VERBOSE | re.DOTALL)
 
+# Letters in a noncommutative word: a longer term is refused before a
+# power expands it.  Commutative exponents are vector entries, unbounded.
+MAX_WORD = 10 ** 6
+
 _Token = namedtuple("_Token", "kind value line col")  # kind "end" ends the stream
 
 
@@ -270,13 +274,16 @@ def _parse_term(p, pres):
                 idx = pres.generator_index(tok.value)
             except AlgebraError:
                 p.fail(f"unknown generator {tok.value!r}", tok)
-            exp = 1
+            exp, etok = 1, tok
             if p.at_punct("^"):
                 p.next()
                 etok = p.next()
                 if etok.kind != "int" or etok.value < 1:
                     p.fail("exponent must be a positive integer", etok)
                 exp = etok.value
+            if pres.kind == NONCOMMUTATIVE and len(m) + exp > MAX_WORD:
+                p.fail(f"word of {len(m) + exp} letters is too long "
+                       f"(at most {MAX_WORD})", etok)
             m = pres.monomial_mul(m, pres.gen_monomial(idx, exp))
         else:
             p.fail("expected a number or generator", tok)

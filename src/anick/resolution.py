@@ -39,9 +39,9 @@ arithmetic stays exact for any basis.
 Everything downstream lives here too: ``dd_failures``, the one d.d = 0
 check of the built columns, graded exactness ranks, the Euler identity,
 tensoring with the base field, Tor dimensions (exact integer ranks), and
-the minimality test.  Exactness ranks take two routes: a lower bound read
-off the leading terms of d_n, which builds no column, and exact ranks over
-Q for the blocks it leaves open.  The checks read ``normal_word_table``,
+the minimality test.  Exactness takes one route: lower bounds on the ranks,
+read off the leading terms of d_n with no column built, settle a block
+when they sum to its dimension.  The checks read ``normal_word_table``,
 ``hilbert`` and ``dims``: one table, built on first read.  Tor and the
 minimality test build none; they read ``tensored``.
 """
@@ -53,7 +53,7 @@ from functools import cached_property, reduce
 from .algebra import AlgebraError, BoundError, Polynomial
 from .chains import TailGraph, enumerate_chains
 from .linalg import sparse_rank
-from .noncommutative import _normal_word_table, _reduce, normal_words
+from .noncommutative import _normal_word_table, _reduce
 
 
 def _add_scaled(out, vector, scale):
@@ -168,7 +168,7 @@ class AnickResolution:
                         out.pop(key, None)
         return out
 
-    def _isplit(self, m, elem, memo, children):
+    def split(self, m, elem, memo, children):
         """Splitting i_m for m >= 0: level m-1 kernel elements to level m.
 
         i_m is the linear map sum u_e e -> sum u_e s(e) over basis pairs
@@ -215,13 +215,14 @@ class AnickResolution:
         met there has a normal word s = t c, t the tail of g, and then
         d_m(g (x) c) = d_m(g) c keeps the shape that ``leading_term_ranks``
         checks on d_m(g).  So every d_n is built as the loop built it.
-        ``split``'s audit and ``dd_failures`` see the passed-over pairs.
+        A passed-over pair leaves d(i(u)) != u, which ``dd_failures`` sees
+        on the built columns.
 
         The caller owns ``memo``, s on the pairs met so far at level m, filled
-        in place, and ``children``, the tries of level m: the constructor
-        shares both while it builds a level, and ``split`` builds them from
-        the ``levels`` it sees, since ``levels`` and ``diff`` may have
-        changed since the build.
+        in place, and ``children``, ``_child_tries(levels, m)``: the
+        constructor shares both while it builds a level.  A caller that
+        changed ``levels`` or ``diff`` since the build passes a fresh memo
+        and tries built from the ``levels`` it sees.
         """
         below = self.levels[m - 1]
         stack = [e for e, alpha in elem.items() if alpha]
@@ -264,36 +265,6 @@ class AnickResolution:
                 _add_scaled(out, memo[e], alpha)
         return out
 
-    def split(self, m, elem):
-        """i_m for any m >= 0, by the one routine ``_isplit``, with the
-        d(i(u)) = u audit; the constructor calls ``_isplit`` alone.
-
-        When the audit fails, the residue u - d(i(u)) is the sum of the
-        pairs that ``_isplit`` passed over, and its lead is the first lead
-        on which the leading-pair loop fails: that lead raises when it ties
-        with another pair or admits no factorization.  Any other failure
-        raises "failed the d(i(u)) = u audit".
-        """
-        children = _child_tries(self.levels, m)
-        result = self._isplit(m, elem, {}, children)
-        back = self.apply_d(m, result)
-        residue = {k: v for k, v in elem.items() if v}
-        if back != residue:
-            _add_scaled(residue, back, -1)
-            pres, below = self.presentation, self.levels[m - 1]
-            keys = sorted((pres.heap_key(below[ci].word + s), ci, s)
-                          for ci, s in residue)
-            if len(keys) > 1 and keys[0][0] == keys[1][0]:
-                raise AlgebraError("leading pair of a kernel element is ambiguous")
-            _, ci, s = keys[0]
-            if _factor(children[ci], s) is None:
-                raise AlgebraError(
-                    f"kernel leading word {pres.format_monomial(below[ci].word + s)} "
-                    f"admits no (chain).(normal word) factorization at level {m}")
-            raise AlgebraError(
-                f"a splitting at level {m} failed the d(i(u)) = u audit")
-        return result
-
     def _build_d(self, n, chain, memo, children):
         pi = self._word_index[n - 1][chain.parent.word]
         head = {(pi, chain.tail): 1}
@@ -301,7 +272,7 @@ class AnickResolution:
         result = dict(head)
         if v:
             self.split_checks += 1
-            _add_scaled(result, self._isplit(n - 1, v, memo, children), -1)
+            _add_scaled(result, self.split(n - 1, v, memo, children), -1)
         self.element_degree(n - 1, result)
         return result
 
@@ -341,17 +312,6 @@ def euler_horizon(res):
     if all(res.counts[n] for n in range(res.max_level + 1)):
         return min(res.max_degree, min(res.counts[res.max_level]))
     return res.max_degree
-
-
-def _block_columns(res, n, degree, words_by_degree):
-    """Columns of (d_n)_degree as sparse vectors, one per basis pair."""
-    cols = []
-    for ci, c in enumerate(res.levels[n]):
-        if c.degree > degree:
-            continue
-        for w in words_by_degree[degree - c.degree]:
-            cols.append(res.apply_d(n, {(ci, w): 1}))
-    return cols
 
 
 def leading_term_ranks(res, max_degree):
@@ -408,7 +368,8 @@ def leading_term_ranks(res, max_degree):
 
 
 def block_rank_degree(res, budget):
-    """Largest degree whose cumulative column count stays within budget."""
+    """Largest degree whose cumulative column count stays within budget:
+    the cap on the exactness degree that ``verify_resolution`` prints."""
     total = 0
     for d in range(res.max_degree + 1):
         total += sum(res.dims[n][d] for n in range(res.max_level + 1))
@@ -425,6 +386,29 @@ def dd_failures(res):
             if res.apply_d(n - 1, column)]
 
 
+def exactness_blocks(res, bounds, degree):
+    """One block per level -1 <= n < max_level and degree d <= degree, in
+    that order: the dimension of (C_n (x) A)_d, rank_out = bounds[n][d] and
+    rank_in = bounds[n + 1][d], and ``ok`` when the two sum to the
+    dimension.  ``bounds`` are lower bounds on the rational ranks, as
+    ``leading_term_ranks`` gives, valid only where d.d = 0 holds; with
+    ``None`` every rank is None and no block is ok.
+    """
+    blocks = []
+    for n in range(-1, res.max_level):
+        for d in range(degree + 1):
+            dim = res.dims[n][d]
+            if bounds is None:
+                rank_out = rank_in = None
+            else:
+                rank_out, rank_in = bounds[n][d], bounds[n + 1][d]
+            blocks.append({"level": n, "degree": d, "dim": dim,
+                           "rank_out": rank_out, "rank_in": rank_in,
+                           "ok": bounds is not None
+                           and rank_out + rank_in == dim})
+    return blocks
+
+
 def verify_resolution(res, rank_budget=4000):
     """Full audit: d.d = 0, splitting, Euler identity, graded exactness.
 
@@ -433,28 +417,26 @@ def verify_resolution(res, rank_budget=4000):
     is linear over exact arithmetic, so d(d_n(g)) = v - d(i(v)), which
     vanishes iff the splitting of v passes d(i(u)) = u.  "splitting"
     counts the ``split_checks`` columns with v != 0; it fails with d.d.
+    The Euler check runs to ``euler_horizon``.  Every dimension is read
+    from ``res.dims``, built on the bounds' own table.
 
-    Exactness ranks cost memory quadratic in the graded dimensions, so their
-    degree is the largest whose cumulative block columns fit in rank_budget.
-    The other three checks always run to the full built degree.  Every
-    dimension is read from ``res.dims``, built on the bounds' own table.
-
-    Every reported rank is the rank over Q.  Once d.d = 0 holds on the
-    generators, it holds on all of C (x) A by right A-linearity, so
+    Exactness rests on Anick's triangularity alone.  Once d.d = 0 holds on
+    the generators, it holds on all of C (x) A by right A-linearity, so
     im d_{n+1} lies in ker d_n and over Q rank_in + rank_out <= dim at
-    every block.  Where two lower bounds on the ranks already sum to dim,
-    both are therefore the rational ranks and the block is exact.  The
-    ranks come by two routes:
+    every block.  ``leading_term_ranks`` gives lower bounds on both ranks,
+    read off the leading terms; where they sum to dim, both are the
+    rational ranks and the block is exact (``exactness_blocks``).  Where
+    the shape checks pass, the bounds settle every block, and they have
+    passed on every built resolution tested.  A block is unsettled when
+    d.d = 0 or a shape check fails, and then prints null ranks, or when
+    its bounds fall short of dim, and then prints the bounds; either way
+    its ``ok`` is false, and so are exactness's and the report's.
 
-    1. the lower bounds of ``leading_term_ranks``, which build no column;
-    2. exact ranks by ``sparse_rank``, for each matrix that no block settles
-       by route 1; report["exactness"]["ranked_blocks"] counts these.
+    The blocks run to ``block_rank_degree(res, rank_budget)``, which caps
+    the printed exactness degree below the built degree on the larger
+    resolutions; lifting the cap changes recorded outputs.
 
-    When d.d = 0 fails, no block is certified by bounds, and every matrix
-    goes to route 2.  Route 1 settles every block where its checks pass,
-    so route 2 serves only differentials that fail them.
-
-    Keys are in JSON order; the CLI prints all but ``exactness.ranked_blocks``.
+    Keys are in JSON order; the CLI prints the report as built.
     """
     report = {"ok": True}
 
@@ -471,33 +453,12 @@ def verify_resolution(res, rank_budget=4000):
     report["euler"] = {"degree": horizon, "failures": euler_failures,
                        "ok": not euler_failures}
 
-    rank_degree = block_rank_degree(res, rank_budget)
-    degrees = range(rank_degree + 1)
-    dims = {(n, d): res.dims[n][d]
-            for n in range(-1, res.max_level) for d in degrees}
-    # rational ranks only; level -1 is the augmentation, rank 1 in degree 0
-    ranks = {(-1, d): 1 if d == 0 else 0 for d in degrees}
-    bounds = (leading_term_ranks(res, rank_degree)
-              if report["dd_zero"]["ok"] else None)
-    if bounds is not None:
-        # bounds[-1] is the augmentation's own rank
-        for (n, d), dim in dims.items():
-            if bounds[n][d] + bounds[n + 1][d] == dim:
-                ranks[n, d], ranks[n + 1, d] = bounds[n][d], bounds[n + 1][d]
-    ranked = [(n, d) for n in range(res.max_level + 1) for d in degrees
-              if (n, d) not in ranks]
-    words = normal_words(res.gb, rank_degree) if ranked else None
-    for key in ranked:
-        ranks[key] = sparse_rank(_block_columns(res, *key, words))
-    blocks = []
-    for (n, d), dim in dims.items():
-        rank_out, rank_in = ranks[n, d], ranks[n + 1, d]
-        blocks.append({"level": n, "degree": d, "dim": dim,
-                       "rank_out": rank_out, "rank_in": rank_in,
-                       "ok": rank_out + rank_in == dim})
-    report["exactness"] = {
-        "degree": rank_degree, "ok": all(b["ok"] for b in blocks),
-        "blocks": blocks, "ranked_blocks": len(ranked)}
+    degree = block_rank_degree(res, rank_budget)
+    bounds = leading_term_ranks(res, degree) if not failures else None
+    blocks = exactness_blocks(res, bounds, degree)
+    report["exactness"] = {"degree": degree,
+                           "ok": all(b["ok"] for b in blocks),
+                           "blocks": blocks}
     report["ok"] = all(report[k]["ok"] for k in
                        ("dd_zero", "splitting", "euler", "exactness"))
     return report

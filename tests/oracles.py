@@ -15,6 +15,13 @@ degree) pair, Tor of a built resolution by dense ranks in ``sympy``, and
 the text of polynomials by the formatter the library had before it
 memoized its output.
 
+The exact-rank oracle checks the exactness verdicts, which the library
+reads off leading terms alone: ``normal_words`` lists the normal words
+by slicing, not through the tip automaton, ``block_columns`` builds the
+columns of a differential's degree block with ``apply_d``, and
+``exact_ranks`` ranks them by the library's exact elimination,
+``sparse_rank``, so it shares no code with the leading-term count.
+
 Nothing here comes from ``anick.hilbert``: the series arithmetic is this
 module's own, and every series is inverted by ``reference_series_inverse``,
 never by the library's ``series_inverse``, which the chain pipeline uses.
@@ -29,10 +36,12 @@ from anick.algebra import (
     DEGLEX,
     NONCOMMUTATIVE,
     AlgebraError,
+    BoundError,
     Generator,
     Presentation,
 )
 from anick.commutative import CommGB, comm_normal_form, divides
+from anick.linalg import sparse_rank
 from anick.noncommutative import NcGB, Obstruction, antichain_matcher
 
 
@@ -387,6 +396,58 @@ def reference_tor_dimensions(res):
                for d in degrees}
         table[i] = {d: v for d, v in row.items() if v}
     return table
+
+
+def normal_words(gb, max_degree):
+    """The normal words of a noncommutative basis, grouped by degree, each
+    group sorted descending under the order.  Words grow a letter at a time
+    from an explicit stack, and a word is kept when no leading word of
+    ``gb.rules`` is a suffix of it, found by slicing.  Requires the
+    certificate to cover max_degree."""
+    if max_degree > gb.certified_degree:
+        raise BoundError(
+            f"normal words requested to degree {max_degree} but the basis is "
+            f"only certified to degree {gb.certified_degree}")
+    pres = gb.presentation
+    tips = [g.leading[0] for g in gb.rules]
+    letters = [(x, pres.generator_degree(x)) for x in range(pres.ngens)]
+    out = {d: [] for d in range(max_degree + 1)}
+    stack = [((), 0)]
+    while stack:
+        word, deg = stack.pop()
+        out[deg].append(word)
+        for x, dx in letters:
+            w = word + (x,)
+            if deg + dx <= max_degree and not any(
+                    w[len(w) - len(t):] == t for t in tips if len(t) <= len(w)):
+                stack.append((w, deg + dx))
+    for words in out.values():
+        words.sort()
+    return out
+
+
+def block_columns(res, n, degree, words_by_degree):
+    """Columns of (d_n)_degree as sparse vectors, one per basis pair (chain
+    of level n, normal word of ``words_by_degree``)."""
+    cols = []
+    for ci, c in enumerate(res.levels[n]):
+        if c.degree > degree:
+            continue
+        for w in words_by_degree[degree - c.degree]:
+            cols.append(res.apply_d(n, {(ci, w): 1}))
+    return cols
+
+
+def exact_ranks(res, max_degree):
+    """rank (d_n)_d over Q for -1 <= n <= max_level and d <= max_degree, by
+    exact elimination of the built columns (level -1 is the augmentation,
+    rank 1 in degree 0): the ranks that leading-term bounds must match."""
+    words = normal_words(res.gb, max_degree)
+    ranks = {(-1, d): int(d == 0) for d in range(max_degree + 1)}
+    ranks.update({(n, d): sparse_rank(block_columns(res, n, d, words))
+                  for n in range(res.max_level + 1)
+                  for d in range(max_degree + 1)})
+    return ranks
 
 
 def search_rational_form(s, max_den_degree=6):

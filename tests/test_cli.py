@@ -208,7 +208,7 @@ class TestTor:
     def test_failed_splitting_audit_exits_1(self, capsys, monkeypatch):
         # double one coefficient of every top-level splitting: d(i(u)) = u
         # then fails, and Tor of the broken complex must not be printed
-        split = AnickResolution._isplit
+        split = AnickResolution.split
 
         def broken(self, m, elem, memo, children):
             out = split(self, m, elem, memo, children)
@@ -217,7 +217,7 @@ class TestTor:
                 out[key] *= 2
             return out
 
-        monkeypatch.setattr(AnickResolution, "_isplit", broken)
+        monkeypatch.setattr(AnickResolution, "split", broken)
         code, out, err = run(capsys, "tor", SAMPLES / "x2xy.alg",
                              "--max-level", 2, "--max-degree", 6)
         assert code == 1
@@ -258,6 +258,23 @@ class TestPlumbing:
         code, out, err = run(capsys, "nf", SAMPLES / "x2xy.alg", "x^\u00b2")
         assert (code, out) == (2, "")
         assert "column 3: unexpected character '\u00b2'" in err
+
+    @pytest.mark.parametrize("exponent", ["99999999999999999999",
+                                          "9999999999"])
+    def test_power_too_long_exits_2(self, capsys, monkeypatch, exponent):
+        # refused at the exponent, before the word is expanded
+        head = ("algebra h; kind noncommutative; generators x y; "
+                "order deglex x > y;")
+        tail = "letters is too long (at most 1000000)"
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO(f"{head} relations x^{exponent} ;"))
+        code, out, err = run(capsys, "gb", "-")
+        assert (code, out) == (2, "")
+        assert err == f"anick: line 1, column 81: word of {exponent} {tail}\n"
+        code, out, err = run(capsys, "nf", SAMPLES / "x2xy.alg",
+                             f"x^{exponent}")
+        assert (code, out) == (2, "")
+        assert err == f"anick: line 1, column 3: word of {exponent} {tail}\n"
 
     def test_undecodable_file_reads_like_stdin(self, capsys, monkeypatch,
                                                tmp_path):

@@ -23,10 +23,10 @@ from anick.noncommutative import (
     nc_normal_form,
     nc_reduce_basis,
     nc_s_polynomial,
-    normal_words,
 )
 from anick.presentation import make_bn, parse_poly, parse_presentation
 from oracles import (
+    normal_words,
     reference_normal_form,
     reference_obstructions,
     reference_s_polynomial,

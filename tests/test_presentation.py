@@ -208,6 +208,23 @@ class TestEquations:
         (term,) = parse_poly(p, "x^100000*y").terms
         assert term == ((0,) * 100000 + (1,), 1)
 
+    def test_word_length_limit(self):
+        # a noncommutative word has at most 10^6 letters, counted before a
+        # power expands; commutative exponents are not limited
+        p = parse_presentation(FREE_XY)
+        (term,) = parse_poly(p, "x^999999*y").terms
+        assert len(term[0]) == 10 ** 6
+        with pytest.raises(ParseError) as info:
+            parse_poly(p, "x^999999*y^2")
+        assert str(info.value) == ("line 1, column 12: word of 1000001 "
+                                   "letters is too long (at most 1000000)")
+        with pytest.raises(ParseError, match="line 6, column 15: word of 100000000000 "):
+            parse_presentation(FREE_XY + "relations x*y^99999999999 ;")
+        comm = parse_presentation(
+            "algebra c; kind commutative; generators x y; order deglex x > y;")
+        (lead, _) = parse_poly(comm, "x^99999999999999999999 - y").terms
+        assert lead == ((99999999999999999999, 0), 1)
+
 
 # The format's characters and words, plus characters it must reject or
 # read in other scripts: a superscript, a vulgar fraction, a circled digit
