@@ -89,12 +89,9 @@ class Presentation:
     free monoid).  Generator ``i`` is the list's entry ``i``, and the list
     runs from the largest generator under the order to the smallest.
 
-    Instances are immutable after construction, except for the memo of
-    the polynomials they have formatted (see :meth:`format_poly`), which
-    is unbounded, lasts as long as the instance and never changes what a
-    method returns.  ``relations`` may be empty (a free or polynomial
-    algebra).  Use :meth:`with_relations` to attach relations parsed
-    against a relation-free presentation.
+    Instances are immutable after construction.  ``relations`` may be
+    empty (a free or polynomial algebra).  Use :meth:`with_relations` to
+    attach relations parsed against a relation-free presentation.
     """
 
     def __init__(self, name, kind, generators, order, relations=()):
@@ -121,8 +118,6 @@ class Presentation:
         # with unit weights a word's degree is its length
         self._unit_degrees = all(d == 1 for d in self._degrees)
         self._by_name = {g.name: i for i, g in enumerate(generators)}
-        # the text of each polynomial formatted so far
-        self._poly_text = {}
         relations = tuple(relations)
         for rel in relations:
             if not isinstance(rel, Polynomial):
@@ -301,28 +296,26 @@ class Presentation:
     def format_poly(self, f):
         """The polynomial as text, terms in descending order, "0" for zero.
 
-        Each distinct polynomial is formatted once and then read from a
-        memo on the presentation (a matrix of Anick's resolution repeats a
-        handful of entries many times).  The memo is unbounded and lives as
-        long as the presentation: one run, for the command line, which
-        parses one presentation per run.
+        A coefficient past Python's int-string limit
+        (``sys.get_int_max_str_digits()``) raises BoundError.
         """
-        text = self._poly_text.get(f)
-        if text is not None:
-            return text
         unit = self.one()
         parts = []
         for k, (m, c) in enumerate(f.terms):
             mag = abs(c)
+            try:
+                digits = str(mag)
+            except ValueError:
+                raise BoundError("a coefficient has too many digits to print "
+                                 "(past Python's int-string limit)") from None
             if m == unit:
-                body = str(mag)
+                body = digits
             elif mag == 1:
                 body = self.format_monomial(m)
             else:
-                body = f"{mag}*{self.format_monomial(m)}"
+                body = f"{digits}*{self.format_monomial(m)}"
             if k == 0:
                 parts.append(f"-{body}" if c < 0 else body)
             else:
                 parts.append(("- " if c < 0 else "+ ") + body)
-        text = self._poly_text[f] = " ".join(parts) or "0"
-        return text
+        return " ".join(parts) or "0"

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import groupby
 
 from .algebra import COMMUTATIVE, AlgebraError, BoundError, Polynomial
 from .chains import OneLetterTipError, TailGraph, enumerate_chains
@@ -317,16 +318,20 @@ def cmd_anick(pres, args):
     # each level's chain words, formatted once for its rows, cols and chains
     words = [[pres.format_monomial(c.word) for c in res.levels[n]]
              for n in range(res.max_level + 1)]
+    # a matrix repeats a handful of entries many times: format each once
+    @cache
+    def entry_text(terms):
+        return pres.format_poly(Polynomial(terms))
+
     matrices = {}
     for n in range(1, res.max_level + 1):
         entries = []
         for ci, value in enumerate(res.diff[n]):
-            by_row = {}
-            for (cj, w), coeff in value.items():
-                by_row.setdefault(cj, []).append((w, coeff))
-            for cj in sorted(by_row):
-                terms = sorted(by_row[cj], key=lambda t: pres.heap_key(t[0]))
-                entries.append([cj, ci, pres.format_poly(Polynomial(tuple(terms)))])
+            # homogeneous columns: a row's words share a degree, where heap_key
+            # order is word order, so sorting the unique (row, word) keys suffices
+            for cj, row in groupby(sorted(value.items()), key=lambda t: t[0][0]):
+                terms = tuple((w, coeff) for (_, w), coeff in row)
+                entries.append([cj, ci, entry_text(terms)])
         matrices[str(n)] = {"rows": words[n - 1], "cols": words[n],
                             "entries": entries}
     data = {

@@ -11,9 +11,10 @@ exterior) algebra on given generator degrees, the Hilbert series of a free
 product from its factors' by the identity 1/H = 1/H_A + 1/H_B - 1, series
 inverses by the recurrence in Fractions, rational fits by one dense
 Gauss-Jordan solve over Fractions per (numerator degree, denominator
-degree) pair, Tor of a built resolution by dense ranks in ``sympy``, and
-the text of polynomials by the formatter the library had before it
-memoized its output.
+degree) pair, Tor of a built resolution by dense ranks in ``sympy``, the
+text of polynomials by a formatter of its own, and the entries ``anick``
+prints for a differential by grouping each column by row and sorting each
+row's terms by ``heap_key``.
 
 The exact-rank oracle checks the exactness verdicts, which the library
 reads off leading terms alone: ``normal_words`` lists the normal words
@@ -38,6 +39,7 @@ from anick.algebra import (
     AlgebraError,
     BoundError,
     Generator,
+    Polynomial,
     Presentation,
 )
 from anick.commutative import CommGB, comm_normal_form, divides
@@ -367,6 +369,26 @@ def reference_format_poly(pres, f):
     return " ".join(parts)
 
 
+def reference_entries(res):
+    """The entries of each d_n, n >= 1, as ``anick`` prints them, keyed by
+    str(n): column by column, each column's rows in index order, each row's
+    terms sorted by ``heap_key`` and formatted by ``reference_format_poly``."""
+    pres = res.presentation
+    matrices = {}
+    for n in range(1, res.max_level + 1):
+        entries = []
+        for ci, column in enumerate(res.diff[n]):
+            rows = {}
+            for (cj, w), c in column.items():
+                rows.setdefault(cj, []).append((w, c))
+            for cj in sorted(rows):
+                terms = sorted(rows[cj], key=lambda t: pres.heap_key(t[0]))
+                entries.append([cj, ci, reference_format_poly(
+                    pres, Polynomial(tuple(terms)))])
+        matrices[str(n)] = entries
+    return matrices
+
+
 def reference_tor_dimensions(res):
     """Tor of a built resolution by dense ranks in ``sympy``: for each level
     n and degree d, the matrix of the scalar parts of d_n, from the n-chains
@@ -438,15 +460,26 @@ def block_columns(res, n, degree, words_by_degree):
     return cols
 
 
-def exact_ranks(res, max_degree):
+def exact_ranks(res, max_degree, max_columns=None):
     """rank (d_n)_d over Q for -1 <= n <= max_level and d <= max_degree, by
     exact elimination of the built columns (level -1 is the augmentation,
-    rank 1 in degree 0): the ranks that leading-term bounds must match."""
-    words = normal_words(res.gb, max_degree)
+    rank 1 in degree 0): the ranks that leading-term bounds must match.
+    With ``max_columns``, only the blocks of at most that many columns,
+    and of those only the ones whose normal words all lie below the first
+    degree with more than ``max_columns`` normal words (the words are
+    enumerated to that degree, not to ``max_degree``)."""
+    top = max_degree
+    if max_columns is not None:
+        top = next((e - 1 for e, h in enumerate(res.hilbert[:max_degree + 1])
+                    if h > max_columns), max_degree)
+    words = normal_words(res.gb, top)
     ranks = {(-1, d): int(d == 0) for d in range(max_degree + 1)}
-    ranks.update({(n, d): sparse_rank(block_columns(res, n, d, words))
-                  for n in range(res.max_level + 1)
-                  for d in range(max_degree + 1)})
+    for n in range(res.max_level + 1):
+        low = min((c.degree for c in res.levels[n]), default=0)
+        for d in range(max_degree + 1):
+            if max_columns is None or (res.dims[n][d] <= max_columns
+                                       and d - low <= top):
+                ranks[n, d] = sparse_rank(block_columns(res, n, d, words))
     return ranks
 
 

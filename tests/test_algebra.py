@@ -239,9 +239,10 @@ def formatting_cases(draw):
 
 
 class TestMemoizedFormatting:
-    """The memoized ``format_poly`` against the reference one, on inputs that
-    each come twice, interleaved with others, so a memo entry read for
-    the wrong input or left stale fails."""
+    """``format_poly`` against the reference formatter, on inputs that each
+    come twice, interleaved with others.  ``format_poly`` keeps no memo
+    (``anick`` memoizes its matrix entries itself), so a repeat prints what
+    the first call printed."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(formatting_cases())

@@ -7,9 +7,10 @@ import pathlib
 import sys
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anick.cli import _dumps, _series_json, build_parser, main
@@ -595,3 +596,132 @@ class TestJsonWriter:
                                  "--format", "json")
             assert code == 0, err
             assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def run_on_stdin(text, argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` with ``text`` on stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+NINES_2500 = "9" * 2500
+HEAD_XY = ("algebra h; kind noncommutative; generators x y; "
+           "order deglex x > y;")
+# a normal form whose coefficient has 7,500 digits, and a basis element
+# whose monic form has a 6,000-digit denominator
+NF_TOO_LONG = (f"{HEAD_XY} relations x*x - {NINES_2500}*x*y;",
+               ["nf", "-", "x*x*x*x", "--max-degree", "5"])
+GB_TOO_LONG = (f"{HEAD_XY} relations {'9' * 3000}*{'9' * 3000}*x*y - y*x;",
+               ["gb", "-", "--max-degree", "3"])
+
+# what one mutation may put in place of a token or after it
+MUTATIONS = [";", "*", "^", "=", "/", ":", ">", "+", "-", "x", "w", "0", "2",
+             "1/0", "relations", "kind", "order", "#", "²", "lex"]
+
+
+@st.composite
+def presentation_argvs(draw):
+    """Presentation text from the grammar, and one command on it at
+    --max-degree 1-6 and --max-level 1-3.  The text has a kind, 1-3
+    generators of weight 1-2, deglex (or lex, if commutative), and 0-3
+    relations of 1-3 terms
+    with integer or fractional coefficients and powers, some written as
+    equations, all of one degree in half the texts.  About one text in ten
+    has one token replaced, dropped or doubled.  An ungraded presentation
+    on three noncommutative generators stops at degree 4: at degree 5 its
+    completion can take a minute."""
+    commutative = draw(st.booleans())
+    names = ["x", "y", "z"][:draw(st.integers(1, 3))]
+    weights = [draw(st.sampled_from([1, 1, 2])) for _ in names]
+    graded = draw(st.booleans())
+
+    def term():
+        factors = draw(st.lists(st.tuples(st.integers(0, len(names) - 1),
+                                          st.integers(1, 3)), max_size=3))
+        coefficient = draw(st.sampled_from(
+            [[], [], ["2", "*"], ["1", "/", "2", "*"], ["3", "/", "4", "*"]]))
+        body = ["*"] * bool(factors)
+        for i, e in factors:
+            body += [names[i]] + (["^", str(e)] if e > 1 else []) + ["*"]
+        tokens = coefficient + body[1:-1] if factors else ["5"]
+        return tokens, sum(weights[i] * e for i, e in factors)
+
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        terms = [term() for _ in range(draw(st.integers(1, 3)))]
+        if graded:
+            terms = [t for t, d in terms if d == terms[0][1]]
+        else:
+            terms = [t for t, _ in terms]
+        split = draw(st.integers(1, len(terms)))
+        tokens = []
+        for k, t in enumerate(terms):
+            sign = draw(st.sampled_from(["+", "-"]))
+            if k == split:
+                tokens.append("=")
+            if sign == "-" or k not in (0, split):
+                tokens.append(sign)
+            tokens += t
+        relations.append(tokens + [";"])
+    tokens = ["algebra", "r", ";", "kind",
+              "commutative" if commutative else "noncommutative", ";",
+              "generators"]
+    tokens += [n if w == 1 else f"{n}:{w}" for n, w in zip(names, weights)]
+    order = draw(st.sampled_from(["deglex", "lex"])) if commutative else "deglex"
+    tokens += [";", "order", order]
+    tokens += " > ".join(names).split() + [";"]
+    if relations:
+        tokens += ["relations"] + [t for r in relations for t in r]
+    if draw(st.integers(0, 9)) == 0:
+        k = draw(st.integers(0, len(tokens) - 1))
+        change = draw(st.sampled_from(["replace", "drop", "double"]))
+        new = draw(st.sampled_from(MUTATIONS))
+        tokens[k:k + 1] = {"replace": [new], "drop": [],
+                           "double": [tokens[k], new]}[change]
+    command = draw(st.sampled_from(["gb", "nf", "chains", "hilbert", "anick",
+                                    "tor"]))
+    top = 6 if graded or commutative or len(names) < 3 else 4
+    argv = [command, "-"] + ([f"{names[0]}^2*{names[-1]}"] if command == "nf"
+                             else [])
+    argv += ["--max-degree", str(draw(st.integers(1, top))),
+             "--max-level", str(draw(st.integers(1, 3)))]
+    return " ".join(tokens), argv
+
+
+class TestExitCodes:
+    """Exit 1 is for a bug alone: on any presentation text and any command
+    at small bounds, ``main`` exits 0, 2 or 3 and reports no internal
+    error."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(presentation_argvs())
+    @example((f"{HEAD_XY} relations x^99999999999999999999 ;", ["gb", "-"]))
+    @example(NF_TOO_LONG)
+    @example(GB_TOO_LONG)
+    @example(((SAMPLES / "comm1.alg").read_text(),
+              ["hilbert", "-", "--max-degree", "1"]))
+    def test_exit_0_2_or_3(self, case):
+        code, _, err = run_on_stdin(*case)
+        assert code in (0, 2, 3), err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("case", [NF_TOO_LONG, GB_TOO_LONG],
+                             ids=["nf", "gb"])
+    def test_coefficient_past_the_int_string_limit_exits_3(self, case):
+        assert run_on_stdin(*case) == (
+            3, "", "anick: a coefficient has too many digits to print "
+                   "(past Python's int-string limit)\n")
+
+    def test_basis_of_long_coefficients_still_prints(self):
+        # gb prints the relation of NF_TOO_LONG and its family: only the
+        # normal form's coefficient passes the limit
+        code, out, err = run_on_stdin(NF_TOO_LONG[0], ["gb", "-", "--max-degree", "5",
+                                                       "--format", "json"])
+        assert (code, err) == (0, "")
+        c = NINES_2500
+        assert json.loads(out)["basis"] == [f"x^2 - {c}*x*y"] + [
+            f"x*y{'^%d' % k if k > 1 else ''}*x - {c}*x*y^{k + 1}"
+            for k in (1, 2, 3)]

@@ -39,8 +39,11 @@ from oracles import (
     block_columns,
     exact_ranks,
     normal_words,
+    reference_entries,
     reference_tor_dimensions,
+    serialize_presentation,
 )
+from test_cli import run_on_stdin
 from test_noncommutative import small_presentations
 
 
@@ -1048,12 +1051,15 @@ XYZ = presentation_free("x y z")
 
 
 @st.composite
-def graded_presentations(draw):
-    """2-4 homogeneous relations of degree 2-3 with 1-3 terms over 2-3
-    generators, a level 2-4 and a degree 4-7."""
-    pres = draw(st.sampled_from([XY, XYZ]))
+def graded_presentations(draw, algebras=(XY, XYZ), relation_counts=(2, 4),
+                         degrees=(4, 7)):
+    """Homogeneous relations of degree 2-3 with 1-3 terms over one of
+    ``algebras`` (2 or 3 generators), as many as ``relation_counts``
+    allows (2-4), a level 2-4 and a degree in ``degrees`` (4-7); both
+    ranges are inclusive."""
+    pres = draw(st.sampled_from(algebras))
     relations = []
-    for _ in range(draw(st.integers(2, 4))):
+    for _ in range(draw(st.integers(*relation_counts))):
         word = st.integers(2, 3).flatmap(lambda n: st.tuples(
             *[st.integers(0, pres.ngens - 1)] * n))
         terms = draw(st.dictionaries(
@@ -1062,7 +1068,15 @@ def graded_presentations(draw):
         relations.append(pres.poly(
             {w: c for w, c in terms.items() if len(w) == top}))
     return (pres.with_relations(relations), draw(st.integers(2, 4)),
-            draw(st.integers(4, 7)))
+            draw(st.integers(*degrees)))
+
+
+def wide_presentations():
+    """1-3 relations over three generators at degree 8-9: few relations on
+    three letters, so the algebra grows fast and most examples pass the
+    rank budget that caps the printed exactness degree."""
+    return graded_presentations(algebras=(XYZ,), relation_counts=(1, 3),
+                                degrees=(8, 9))
 
 
 @st.composite
@@ -1171,6 +1185,34 @@ class TestChildLookup:
                 trie = children[index[g.parent.word]]
                 assert _factor(trie, g.tail) == (gi, ())
                 assert _factor(trie, g.tail + (0, 1)) == (gi, (0, 1))
+
+
+class TestPrintOrder:
+    """The entries of every d_n that ``anick --format json`` prints, against
+    the reference that groups each column by row and sorts each row's terms
+    by ``heap_key``: the one sort of a column's keys gives the same order."""
+
+    @staticmethod
+    def assert_printed_as_reference(case):
+        pres, level, degree = case
+        code, out, err = run_on_stdin(serialize_presentation(pres), [
+            "anick", "-", "--max-level", str(level), "--max-degree",
+            str(degree), "--format", "json"])
+        assert code == 0, err
+        printed = json.loads(out)["differentials"]
+        res = AnickResolution(nc_buchberger(pres, degree), level)
+        assert {n: d["entries"] for n, d in printed.items()} == \
+            reference_entries(res)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(graded_presentations())
+    def test_graded_presentations(self, case):
+        self.assert_printed_as_reference(case)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(x2xy_like_presentations())
+    def test_weighted_presentations(self, case):
+        self.assert_printed_as_reference(case)
 
 
 class TestTorOracle:
@@ -1377,15 +1419,14 @@ class TestLeadingTermRanks:
     @staticmethod
     def assert_settled_to_the_built_degree(res, budget):
         """The bounds settle every block to the built degree, past the cap
-        of the printed exactness degree, and are the exact ranks wherever
-        the columns fit in budget."""
+        of the printed exactness degree, and are the exact ranks of every
+        block whose columns fit in budget (see ``exact_ranks``)."""
         bounds = leading_term_ranks(res, res.max_degree)
         assert bounds is not None
         for n in range(-1, res.max_level):
             for d in range(res.max_degree + 1):
                 assert bounds[n][d] + bounds[n + 1][d] == res.dims[n][d]
-        for (n, d), rank in exact_ranks(
-                res, block_rank_degree(res, budget)).items():
+        for (n, d), rank in exact_ranks(res, res.max_degree, budget).items():
             assert bounds[n][d] == rank
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1394,6 +1435,21 @@ class TestLeadingTermRanks:
         pres, level, degree = case
         self.assert_settled_to_the_built_degree(
             AnickResolution(nc_buchberger(pres, degree), level), 300)
+
+    def test_bounds_settle_past_the_printed_cap(self):
+        # graded_presentations stay within the rank budget; these pass it
+        capped = []
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(wide_presentations())
+        def check(case):
+            pres, level, degree = case
+            res = AnickResolution(nc_buchberger(pres, degree), level)
+            self.assert_settled_to_the_built_degree(res, 300)
+            capped.append(block_rank_degree(res, 4000) < res.max_degree)
+
+        check()
+        assert sum(capped) >= 0.5 * len(capped)
 
     @pytest.mark.parametrize("name, level, degree, printed", [
         ("B1", 4, 10, 4), ("xyzx", 4, 10, 7)])
