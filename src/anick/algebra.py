@@ -294,20 +294,12 @@ class Presentation:
         return "*".join(parts)
 
     def format_poly(self, f):
-        """The polynomial as text, terms in descending order, "0" for zero.
-
-        A coefficient past Python's int-string limit
-        (``sys.get_int_max_str_digits()``) raises BoundError.
-        """
+        """The polynomial as text, terms in descending order, "0" for zero."""
         unit = self.one()
         parts = []
         for k, (m, c) in enumerate(f.terms):
             mag = abs(c)
-            try:
-                digits = str(mag)
-            except ValueError:
-                raise BoundError("a coefficient has too many digits to print "
-                                 "(past Python's int-string limit)") from None
+            digits = str(mag)
             if m == unit:
                 body = digits
             elif mag == 1:

@@ -8,7 +8,8 @@ across runs and thread hints.  Every JSON command prints through one writer,
 byte, built without the pure-Python encoder that ``indent`` selects.
 
 Exit codes: 0 success, 2 input error (parse errors carry line and column),
-3 a bound violation or an uncertified basis, 1 internal failure.
+3 a bound violation, an uncertified basis or an output number past Python's
+int-string limit, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def _dumps(value, indent="\n"):
     comprehension.  It takes what the commands print, by
     exact type: dicts with str keys, lists and tuples, str, int, bool and
     None.  Anything else raises ``TypeError``, and an int past the
-    int-string limit raises the ``ValueError`` that json.dumps raises.
+    int-string limit raises the ``ValueError`` that json.dumps raises,
+    which ``main`` reports as exit 3.
     """
     leaf = _LEAVES.get(type(value))
     if leaf is not None:
@@ -419,6 +421,7 @@ def main(argv=None):
         check_args(args)
         pres = load_presentation(args)
         result = COMMANDS[args.command](pres, args)
+        text = _dumps(result) if args.format == "json" else result
     except (ParseError, OneLetterTipError, UnitIdealError) as exc:
         print(f"anick: {exc}", file=sys.stderr)
         return 2
@@ -426,12 +429,14 @@ def main(argv=None):
         print(f"anick: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - uniform exit-code contract
+        # str() or _dumps of an int past sys.get_int_max_str_digits()
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            print("anick: a number has too many digits to print "
+                  "(past Python's int-string limit)", file=sys.stderr)
+            return 3
         print(f"anick: internal error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        print(_dumps(result))
-    else:
-        print(result)
+    print(text)
     return 0
 
 

@@ -409,7 +409,7 @@ def exactness_blocks(res, bounds, degree):
     return blocks
 
 
-def verify_resolution(res, rank_budget=4000):
+def verify_resolution(res):
     """Full audit: d.d = 0, splitting, Euler identity, graded exactness.
 
     d.d = 0 and the splitting are one check, ``dd_failures`` on the stored
@@ -432,8 +432,8 @@ def verify_resolution(res, rank_budget=4000):
     its bounds fall short of dim, and then prints the bounds; either way
     its ``ok`` is false, and so are exactness's and the report's.
 
-    The blocks run to ``block_rank_degree(res, rank_budget)``, which caps
-    the printed exactness degree below the built degree on the larger
+    The blocks run to ``block_rank_degree(res, 4000)``, which caps the
+    printed exactness degree below the built degree on the larger
     resolutions; lifting the cap changes recorded outputs.
 
     Keys are in JSON order; the CLI prints the report as built.
@@ -453,7 +453,7 @@ def verify_resolution(res, rank_budget=4000):
     report["euler"] = {"degree": horizon, "failures": euler_failures,
                        "ok": not euler_failures}
 
-    degree = block_rank_degree(res, rank_budget)
+    degree = block_rank_degree(res, 4000)
     bounds = leading_term_ranks(res, degree) if not failures else None
     blocks = exactness_blocks(res, bounds, degree)
     report["exactness"] = {"degree": degree,

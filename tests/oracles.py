@@ -23,6 +23,11 @@ columns of a differential's degree block with ``apply_d``, and
 ``exact_ranks`` ranks them by the library's exact elimination,
 ``sparse_rank``, so it shares no code with the leading-term count.
 
+The span oracle, ``span_counts``, checks every count that starts from a
+completed basis: dim A_d and the minimal relations of degree d, from the
+ranks of the products u*r*v of the relations alone, by an elimination of
+its own, with no basis, tips or ``anick.linalg``.
+
 Nothing here comes from ``anick.hilbert``: the series arithmetic is this
 module's own, and every series is inverted by ``reference_series_inverse``,
 never by the library's ``series_inverse``, which the chain pipeline uses.
@@ -481,6 +486,63 @@ def exact_ranks(res, max_degree, max_columns=None):
                                        and d - low <= top):
                 ranks[n, d] = sparse_rank(block_columns(res, n, d, words))
     return ranks
+
+
+def _insert_row(pivots, row):
+    """Add a sparse row {column: Fraction} to an echelon form, a dict of
+    rows keyed by their largest column.  Every subtraction clears the
+    row's largest column and adds only smaller ones, so the row ends as a
+    new pivot or as zero."""
+    while row:
+        top = max(row)
+        pivot = pivots.get(top)
+        if pivot is None:
+            pivots[top] = row
+            return
+        factor = row[top] / pivot[top]
+        for k, v in pivot.items():
+            x = row.get(k, 0) - factor * v
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
+def span_counts(pres, max_degree):
+    """dim A_d and the number of minimal relations of degree d, for
+    d <= max_degree, from the span of the ideal I of a graded presentation
+    alone: no basis, tips, automaton or chains, and an elimination of this
+    module's own.
+
+    I_d is spanned by the products u*r*v of degree d, for every relation r
+    and all words u and v.  Those with u or v nonempty span V*I + I*V,
+    where V is spanned by the generators; in degree d that is
+    g*I_(d-w) + I_(d-w)*g over the generators g of weight w, so it is
+    built from an echelon form of each I_(d-w).  Then dim A_d is the
+    number of words of weighted degree d less rank I_d, and the minimal
+    relations of degree d (Tor_2, level 1 of the chains) number
+    rank I_d - rank(V*I + I*V)_d.  Returns the two lists, indexed by d."""
+    weights = [g.degree for g in pres.generators]
+    words = [1]
+    ideal = [[]]
+    dims, minimal = [1], [0]
+    for d in range(1, max_degree + 1):
+        words.append(sum(words[d - w] for w in weights if w <= d))
+        pivots = {}
+        for g, w in enumerate(weights):
+            if w > d:
+                continue
+            for row in ideal[d - w]:
+                _insert_row(pivots, {(g,) + m: c for m, c in row.items()})
+                _insert_row(pivots, {m + (g,): c for m, c in row.items()})
+        decomposable = len(pivots)
+        for r in pres.relations:
+            if pres.poly_degree(r) == d:
+                _insert_row(pivots, {m: Fraction(c) for m, c in r.terms})
+        ideal.append(list(pivots.values()))
+        dims.append(words[d] - len(pivots))
+        minimal.append(len(pivots) - decomposable)
+    return dims, minimal
 
 
 def search_rational_form(s, max_den_degree=6):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anick.cli import _dumps, _series_json, build_parser, main
+from anick.cli import COMMANDS, _dumps, _series_json, build_parser, main
 from anick.presentation import parse_presentation
 from anick.resolution import AnickResolution
 from oracles import serialize_presentation
@@ -616,6 +616,14 @@ NF_TOO_LONG = (f"{HEAD_XY} relations x*x - {NINES_2500}*x*y;",
                ["nf", "-", "x*x*x*x", "--max-degree", "5"])
 GB_TOO_LONG = (f"{HEAD_XY} relations {'9' * 3000}*{'9' * 3000}*x*y - y*x;",
                ["gb", "-", "--max-degree", "3"])
+# an ungraded relation with a 5,000-digit coefficient, which the message
+# of anick's and tor's graded-input check cannot print
+UNGRADED_TOO_LONG = f"{HEAD_XY} relations {NINES_2500}*{NINES_2500}*x*y - y;"
+# the free algebra on 10 generators has 10^d normal words in degree d
+FREE10 = ("algebra free10; kind noncommutative; generators a b c d e f g h i j;"
+          " order deglex a > b > c > d > e > f > g > h > i > j;")
+TOO_LONG_ERR = ("anick: a number has too many digits to print "
+                "(past Python's int-string limit)\n")
 
 # what one mutation may put in place of a token or after it
 MUTATIONS = [";", "*", "^", "=", "/", ":", ">", "+", "-", "x", "w", "0", "2",
@@ -708,12 +716,35 @@ class TestExitCodes:
         assert code in (0, 2, 3), err
         assert "internal error" not in err
 
-    @pytest.mark.parametrize("case", [NF_TOO_LONG, GB_TOO_LONG],
-                             ids=["nf", "gb"])
+    @pytest.mark.parametrize("case", [
+        NF_TOO_LONG, GB_TOO_LONG, (UNGRADED_TOO_LONG, ["anick", "-"]),
+        (UNGRADED_TOO_LONG, ["tor", "-"])], ids=["nf", "gb", "anick", "tor"])
     def test_coefficient_past_the_int_string_limit_exits_3(self, case):
-        assert run_on_stdin(*case) == (
-            3, "", "anick: a coefficient has too many digits to print "
-                   "(past Python's int-string limit)\n")
+        assert run_on_stdin(*case) == (3, "", TOO_LONG_ERR)
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no int-string limit on this interpreter")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_count_past_the_int_string_limit_exits_3(self, fmt):
+        # 10^650 normal words in the top degree: 651 digits, past the
+        # lowest limit CPython allows (640), as 10^4400 is past the default
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            got = run_on_stdin(FREE10, ["hilbert", "-", "--max-degree", "650",
+                                        "--format", fmt])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert got == (3, "", TOO_LONG_ERR)
+
+    def test_other_value_errors_stay_internal(self, monkeypatch):
+        # only the int-string limit's ValueError is exit 3; any other is a bug
+        def broken(pres, args):
+            raise ValueError("math domain error")
+
+        monkeypatch.setitem(COMMANDS, "gb", broken)
+        assert run_on_stdin(f"{HEAD_XY} relations x*y;", ["gb", "-"]) == (
+            1, "", "anick: internal error: math domain error\n")
 
     def test_basis_of_long_coefficients_still_prints(self):
         # gb prints the relation of NF_TOO_LONG and its family: only the

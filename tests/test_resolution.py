@@ -15,6 +15,7 @@ from anick import noncommutative, resolution
 from anick.algebra import AlgebraError, BoundError
 from anick.chains import Chain, OneLetterTipError
 from anick.cli import main as cli_main
+from anick.hilbert import hilbert_from_chains, hilbert_from_normal_words
 from anick.linalg import sparse_rank
 from anick.noncommutative import (
     WordMatcher,
@@ -42,6 +43,7 @@ from oracles import (
     reference_entries,
     reference_tor_dimensions,
     serialize_presentation,
+    span_counts,
 )
 from test_cli import run_on_stdin
 from test_noncommutative import small_presentations
@@ -1251,6 +1253,25 @@ class TestTorOracle:
         res = AnickResolution(nc_buchberger(presentation_named(name), degree),
                               level)
         assert tor_dimensions(res) == reference_tor_dimensions(res)
+
+
+class TestSpanOracle:
+    """Every count that rests on the completed basis's tips, against
+    ``span_counts``, which reads the relations' span alone: a basis that
+    resolves its own overlaps but spans the wrong ideal fails here."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(graded_presentations())
+    def test_random_graded_presentations(self, case):
+        pres, level, degree = case
+        dims, minimal = span_counts(pres, degree)
+        gb = nc_buchberger(pres, degree)
+        res = AnickResolution(gb, level)
+        assert list(hilbert_from_normal_words(gb, degree)) == dims
+        assert list(hilbert_from_chains(pres, gb.tips, degree)) == dims
+        assert res.hilbert == dims
+        assert tor_dimensions(res)[1] == {d: k for d, k in enumerate(minimal)
+                                          if k}
 
 
 def combine(a, u, b, v):
