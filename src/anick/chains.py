@@ -16,8 +16,12 @@ r -> t joins each tail to each rest that may follow it, and the rests after
 () are the generators, so an n-chain is a path of n + 1 edges (Anick 1986;
 Ufnarovski's graph of chains).  The rests that may follow r are read off
 the overlaps of r with the F-words, which the matcher looks up by prefix,
-and the edges out of r are listed on the first visit to r, so r.t is
-matched against F once per (tail, rest) pair, not once per chain.
+and each is tested on the matcher's tip automaton.  An overlap makes an
+F-word end r.t, and no other F-word of the antichain ends there too (one
+would be a suffix of the other), so r.t holds one F-word iff the automaton,
+from the state r leads to, reads t[:-1] without meeting one; r, a generator
+or a proper suffix of an F-word, holds none.  The edges out of r are listed
+on the first visit to r: |t| - 1 cached steps per rest, not per chain.
 A ``TailGraph`` depends on F alone and holds no bounds; a bound only says
 where a walk stops.  ``enumerate_chains`` builds each chain word to a level
 and degree bound, level by level, and ``ChainSet.counts`` tallies the
@@ -32,6 +36,7 @@ so no chain set on F is right for the algebra; the tail graph refuses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .algebra import AlgebraError
 
@@ -82,12 +87,18 @@ class TailGraph:
     def follow(self, r):
         out = self._edges.get(r)
         if out is None:
-            # the rests t = v[s:] of the F-words v whose first s letters end r
-            words, hits = self._matcher.words, self._matcher.hits
-            degree = self.pres.monomial_degree
-            out = self._edges[r] = [
-                (t, degree(t)) for k, s in self._matcher.overlaps(r)
-                if len(hits(r + (t := words[k][s:]))) == 1]
+            # the rests t = v[s:] of the F-words v whose first s letters end
+            # r, kept if the tip automaton reads t[:-1] from r's state
+            step, words = self._matcher.step, self._matcher.words
+            here, out = reduce(step, r, ()), []
+            for k, s in self._matcher.overlaps(r):
+                state, t = here, words[k][s:]
+                for a in t[:-1]:
+                    if (state := step(state, a)) is None:
+                        break
+                else:
+                    out.append((t, self.pres.monomial_degree(t)))
+            self._edges[r] = out
         return out
 
 

@@ -129,8 +129,9 @@ class WordMatcher:
     the obstructions of a tip set and the edges of the tail graph.
 
     ``step(state, letter)`` runs the automaton that recognizes words
-    avoiding every tip.  A state is the longest suffix read so far that is
-    a proper prefix of a tip, ``()`` at the start; ``None`` means a tip has
+    avoiding every tip, for the normal-word table and for the edges of the
+    tail graph.  A state is the longest suffix read so far that is a proper
+    prefix of a tip, ``()`` at the start; ``None`` means a tip has
     occurred.  Transitions and ``starts`` are computed on first use and
     dropped when the tips change, so adding a tip costs only its length.
     """

@@ -3,18 +3,19 @@
 Each recomputes something the library computes, by a slower route that
 shares none of its code: overlap ambiguities by comparing every ordered
 pair of words, S-polynomials by polynomial multiplication, normal forms by
-rescanning the work for its largest monomial and the basis
-for the rewriting rule, chain decompositions by recursive search, the
-completion certificate by re-resolving every ambiguity, reduced bases by
-reducing until nothing changes, the Hilbert series of a free (or
-exterior) algebra on given generator degrees, the Hilbert series of a free
-product from its factors' by the identity 1/H = 1/H_A + 1/H_B - 1, series
-inverses by the recurrence in Fractions, rational fits by one dense
-Gauss-Jordan solve over Fractions per (numerator degree, denominator
-degree) pair, Tor of a built resolution by dense ranks in ``sympy``, the
-text of polynomials by a formatter of its own, and the entries ``anick``
-prints for a differential by grouping each column by row and sorting each
-row's terms by ``heap_key``.
+rescanning the work for its largest monomial and the basis for the
+rewriting rule, chain decompositions by recursive search, the tail graph's
+edges by counting the tips in each r.t with ``hits`` rather than the tip
+automaton, the completion certificate by re-resolving every ambiguity,
+reduced bases by reducing until nothing changes, the Hilbert series of a
+free (or exterior) algebra on given generator degrees, the Hilbert series
+of a free product from its factors' by the identity
+1/H = 1/H_A + 1/H_B - 1, series inverses by the recurrence in Fractions,
+rational fits by one dense Gauss-Jordan solve over Fractions per
+(numerator degree, denominator degree) pair, Tor of a built resolution by
+dense ranks in ``sympy``, the text of polynomials by a formatter of its
+own, and the entries ``anick`` prints for a differential by grouping each
+column by row and sorting each row's terms by ``heap_key``.
 
 The exact-rank oracle checks the exactness verdicts, which the library
 reads off leading terms alone: ``normal_words`` lists the normal words
@@ -26,7 +27,9 @@ columns of a differential's degree block with ``apply_d``, and
 The span oracle, ``span_counts``, checks every count that starts from a
 completed basis: dim A_d and the minimal relations of degree d, from the
 ranks of the products u*r*v of the relations alone, by an elimination of
-its own, with no basis, tips or ``anick.linalg``.
+its own, with no basis, tips or ``anick.linalg``.  ``span_member`` reads
+the same elimination for ideal membership, which ``nf`` decides by
+reduction.
 
 Nothing here comes from ``anick.hilbert``: the series arithmetic is this
 module's own, and every series is inverted by ``reference_series_inverse``,
@@ -161,6 +164,18 @@ def is_chain(pres, word, obstructions, level):
         raise AlgebraError(
             f"chain word {pres.format_monomial(word)} admits two decompositions")
     return True, decomps[0]
+
+
+def reference_follow(pres, tips, r):
+    """The edges out of the tail r of the tail graph on the tips, as
+    (t, degree of t) pairs, by counting every tip occurrence in r.t with
+    ``hits`` in place of walking the tip automaton: each rest t of an
+    overlap of r with a tip, kept when r.t holds exactly one tip.  The
+    empty tail's edges lead to the generators."""
+    if not r:
+        return [((i,), pres.generator_degree(i)) for i in range(pres.ngens)]
+    return [(t, pres.monomial_degree(t)) for k, s in tips.overlaps(r)
+            if len(tips.hits(r + (t := tips.words[k][s:]))) == 1]
 
 
 def verify_diamond(gb):
@@ -508,6 +523,27 @@ def _insert_row(pivots, row):
                 del row[k]
 
 
+def _span_echelons(pres, max_degree):
+    """For each d <= max_degree, an echelon form of I_d, as ``_insert_row``
+    leaves it, and the rank of its part (V*I + I*V)_d; see ``span_counts``."""
+    weights = [g.degree for g in pres.generators]
+    ideal, decomposable = [{}], [0]
+    for d in range(1, max_degree + 1):
+        pivots = {}
+        for g, w in enumerate(weights):
+            if w > d:
+                continue
+            for row in ideal[d - w].values():
+                _insert_row(pivots, {(g,) + m: c for m, c in row.items()})
+                _insert_row(pivots, {m + (g,): c for m, c in row.items()})
+        decomposable.append(len(pivots))
+        for r in pres.relations:
+            if pres.poly_degree(r) == d:
+                _insert_row(pivots, {m: Fraction(c) for m, c in r.terms})
+        ideal.append(pivots)
+    return ideal, decomposable
+
+
 def span_counts(pres, max_degree):
     """dim A_d and the number of minimal relations of degree d, for
     d <= max_degree, from the span of the ideal I of a graded presentation
@@ -523,26 +559,24 @@ def span_counts(pres, max_degree):
     relations of degree d (Tor_2, level 1 of the chains) number
     rank I_d - rank(V*I + I*V)_d.  Returns the two lists, indexed by d."""
     weights = [g.degree for g in pres.generators]
-    words = [1]
-    ideal = [[]]
-    dims, minimal = [1], [0]
+    ideal, decomposable = _span_echelons(pres, max_degree)
+    words, dims, minimal = [1], [1], [0]
     for d in range(1, max_degree + 1):
         words.append(sum(words[d - w] for w in weights if w <= d))
-        pivots = {}
-        for g, w in enumerate(weights):
-            if w > d:
-                continue
-            for row in ideal[d - w]:
-                _insert_row(pivots, {(g,) + m: c for m, c in row.items()})
-                _insert_row(pivots, {m + (g,): c for m, c in row.items()})
-        decomposable = len(pivots)
-        for r in pres.relations:
-            if pres.poly_degree(r) == d:
-                _insert_row(pivots, {m: Fraction(c) for m, c in r.terms})
-        ideal.append(list(pivots.values()))
-        dims.append(words[d] - len(pivots))
-        minimal.append(len(pivots) - decomposable)
+        dims.append(words[d] - len(ideal[d]))
+        minimal.append(len(ideal[d]) - decomposable[d])
     return dims, minimal
+
+
+def span_member(pres, f):
+    """Whether a nonzero homogeneous f lies in the ideal of a graded
+    presentation: adding f to the span oracle's echelon form of I_d, d the
+    degree of f, leaves its rank unchanged."""
+    d = pres.poly_degree(f)
+    pivots = dict(_span_echelons(pres, d)[0][d])
+    rank = len(pivots)
+    _insert_row(pivots, {m: Fraction(c) for m, c in f.terms})
+    return len(pivots) == rank
 
 
 def search_rational_form(s, max_den_degree=6):

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +8,16 @@ from hypothesis import strategies as st
 from anick.algebra import AlgebraError
 from anick.chains import OneLetterTipError, TailGraph, enumerate_chains
 from anick.hilbert import hilbert_from_chains
-from anick.noncommutative import _path_table, antichain_matcher, nc_buchberger
+from anick.noncommutative import (
+    WordMatcher,
+    _path_table,
+    antichain_matcher,
+    nc_buchberger,
+)
 from anick.presentation import make_bn, parse_poly, parse_presentation
-from oracles import chain_decompositions, is_chain
+from oracles import chain_decompositions, is_chain, reference_follow
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 FREE_X = parse_presentation(
     "algebra K ; kind noncommutative ; generators x ; order deglex x ;")
@@ -512,3 +520,50 @@ class TestUnboundedGraph:
             assert chain_words(cs) == chain_words(enumerate_chains(fresh, *b))
         fresh = TailGraph(pres, antichain_matcher(pres, F))
         assert root == _path_table(fresh.follow, max_degree + 2, -1)[()]
+
+
+def sample_tips(name, max_degree):
+    """A presentation and the tips of its basis to max_degree: a sample file
+    by name, or B_n as "B<n>"."""
+    pres = (make_bn(int(name[1:])) if name.startswith("B") else
+            parse_presentation((SAMPLES / f"{name}.alg").read_text()))
+    return pres, nc_buchberger(pres, max_degree=max_degree).tips
+
+
+class TestEdgeOracle:
+    """The tail graph's edges, read off the tip automaton, against
+    ``reference_follow``, which counts every tip in each r.t: the same
+    list in the same order out of every tail the graph reaches."""
+
+    def assert_edges_match(self, pres, tips, max_degree):
+        graph = TailGraph(pres, tips)
+        for r in _path_table(graph.follow, max_degree, -1):
+            assert graph.follow(r) == reference_follow(pres, tips, r)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(weighted_antichains())
+    def test_random_antichains(self, case):
+        pres, F, _, max_degree = case
+        self.assert_edges_match(pres, antichain_matcher(pres, F), max_degree)
+
+    @pytest.mark.parametrize("name, max_degree", [
+        ("x2xy", 16), ("xyzx", 15), ("B1", 12), ("B2", 12), ("B3", 12),
+        ("B4", 12)])
+    def test_bases(self, name, max_degree):
+        self.assert_edges_match(*sample_tips(name, max_degree), max_degree)
+
+    def test_edges_never_rescan(self, monkeypatch):
+        """Neither the enumeration nor the chain-inverse series matches
+        r.t against the tips: with ``hits`` refused they still give what
+        they give with it."""
+        pres, tips = sample_tips("x2xy", 12)
+        words = chain_words(enumerate_chains(TailGraph(pres, tips), 12, 12))
+        series = hilbert_from_chains(pres, tips, 12)
+
+        def refuse(self, word):
+            raise AssertionError("the tail graph rescanned a word")
+
+        monkeypatch.setattr(WordMatcher, "hits", refuse)
+        assert chain_words(enumerate_chains(
+            TailGraph(pres, tips), 12, 12)) == words
+        assert hilbert_from_chains(pres, tips, 12) == series

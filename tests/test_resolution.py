@@ -1,5 +1,6 @@
 """Resolution differentials, splittings, verification, Tor, minimality."""
 
+import argparse
 import functools
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from anick import noncommutative, resolution
 from anick.algebra import AlgebraError, BoundError
 from anick.chains import Chain, OneLetterTipError
+from anick.cli import cmd_nf
 from anick.cli import main as cli_main
 from anick.hilbert import hilbert_from_chains, hilbert_from_normal_words
 from anick.linalg import sparse_rank
@@ -44,6 +46,7 @@ from oracles import (
     reference_tor_dimensions,
     serialize_presentation,
     span_counts,
+    span_member,
 )
 from test_cli import run_on_stdin
 from test_noncommutative import small_presentations
@@ -1255,23 +1258,88 @@ class TestTorOracle:
         assert tor_dimensions(res) == reference_tor_dimensions(res)
 
 
-class TestSpanOracle:
-    """Every count that rests on the completed basis's tips, against
-    ``span_counts``, which reads the relations' span alone: a basis that
-    resolves its own overlaps but spans the wrong ideal fails here."""
+def random_word(pres, rng, degree):
+    """A random word of the weighted degree, or None when the letters drawn
+    leave a remainder that no generator fits."""
+    word = ()
+    while degree:
+        fits = [g for g in range(pres.ngens)
+                if pres.generator_degree(g) <= degree]
+        if not fits:
+            return None
+        g = rng.choice(fits)
+        word, degree = word + (g,), degree - pres.generator_degree(g)
+    return word
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(graded_presentations())
-    def test_random_graded_presentations(self, case):
-        pres, level, degree = case
+
+def random_homogeneous(pres, rng, max_degree):
+    """A nonzero homogeneous polynomial of degree <= max_degree: a sum of
+    1-3 products c*u*r*v of one degree, r a relation, and half the time a
+    word of that degree more; None when no draw gives one."""
+    least = min(pres.poly_degree(r) for r in pres.relations)
+    if least > max_degree:
+        return None
+    d = rng.randint(least, max_degree)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        r = rng.choice([r for r in pres.relations if pres.poly_degree(r) <= d])
+        w = random_word(pres, rng, d - pres.poly_degree(r))
+        if w is None:
+            continue
+        cut, c = rng.randint(0, len(w)), rng.choice((-2, -1, 1, 3))
+        for m, a in r.terms:
+            m = w[:cut] + m + w[cut:]
+            terms[m] = terms.get(m, 0) + c * a
+    w = random_word(pres, rng, d) if rng.random() < 0.5 else None
+    if w is not None:
+        terms[w] = terms.get(w, 0) + rng.choice((-1, 1, 2))
+    f = pres.poly(terms)
+    return f if f.terms else None
+
+
+class TestSpanOracle:
+    """Every count that rests on the completed basis's tips, and ``nf``'s
+    membership verdict, against the span oracle, which reads the
+    relations' span alone: a basis that resolves its own overlaps but spans
+    the wrong ideal fails here."""
+
+    def check_counts(self, pres, level, degree):
         dims, minimal = span_counts(pres, degree)
         gb = nc_buchberger(pres, degree)
         res = AnickResolution(gb, level)
         assert list(hilbert_from_normal_words(gb, degree)) == dims
         assert list(hilbert_from_chains(pres, gb.tips, degree)) == dims
         assert res.hilbert == dims
-        assert tor_dimensions(res)[1] == {d: k for d, k in enumerate(minimal)
-                                          if k}
+        tor = tor_dimensions(res)
+        assert tor[1] == {d: k for d, k in enumerate(minimal) if k}
+        weights = [g.degree for g in pres.generators]
+        assert tor[0] == {w: weights.count(w) for w in set(weights)}
+
+    def check_membership(self, pres, degree, rng):
+        """f is in I_d exactly when adding it to the echelon form of I_d
+        leaves the rank unchanged."""
+        for _ in range(4):
+            f = random_homogeneous(pres, rng, degree)
+            if f is not None:
+                args = argparse.Namespace(poly=pres.format_poly(f),
+                                          max_degree=degree, format="json")
+                assert cmd_nf(pres, args)["member"] == span_member(pres, f)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(graded_presentations(), st.randoms(use_true_random=False))
+    def test_random_graded_presentations(self, case, rng):
+        pres, level, degree = case
+        self.check_counts(pres, level, degree)
+        self.check_membership(pres, degree, rng)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(x2xy_like_presentations(), st.randoms(use_true_random=False))
+    def test_weighted_presentations(self, case, rng):
+        """Generators of weight 1-2, where the oracle counts words by
+        weighted degree."""
+        pres, level, degree = case
+        self.check_counts(pres, level, degree)
+        self.check_membership(pres, degree, rng)
 
 
 def combine(a, u, b, v):
