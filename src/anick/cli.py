@@ -88,16 +88,18 @@ def load_presentation(args):
         return make_bn(args.bn)
     if args.input is None:
         raise ParseError("no input: give a presentation file, -, or --bn N")
-    if args.input == "-":
-        return parse_presentation(sys.stdin.read())
     try:
-        # undecodable bytes reach the parser, which reports their position
-        with open(args.input, "r", encoding="utf-8",
-                  errors="surrogateescape") as fh:
-            text = fh.read()
+        if args.input == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(args.input, "rb") as fh:
+                data = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {args.input}: {exc.strerror}")
-    return parse_presentation(text)
+    # one decoding for a file and stdin: undecodable bytes reach the parser,
+    # which reports their position, and every line break reads as "\n"
+    text = data.decode("utf-8", "surrogateescape")
+    return parse_presentation(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def check_args(args):

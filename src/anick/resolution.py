@@ -22,8 +22,8 @@ are built, and each pair's column d_n(g (x) c) is computed once per level.
 One routine computes i_n for every n >= 0: the (-1)-chain is the empty
 word and the 0-chains are the generators, so s_0 factors 1 (x) w as
 w[0] . w[1:].  The chain words of one level are prefix-free, so g is a
-child of f, and g is found by walking s through a trie of f's children's
-tails, built per level as the level's differential is built.
+child of f, and g is found among the edges out of f's tail in the tail
+graph that the chains were enumerated on.
 Values of d on free generators are memoized; d on c (x) a follows by right
 multiplication and normal-form reduction.
 
@@ -70,7 +70,8 @@ class AnickResolution:
     """Differentials d_n for 0 <= n <= max_level on the chain generators.
 
     ``split_checks`` counts the columns built with a splitting, which
-    ``dd_failures`` checks.  ``counts`` holds the chains per (level, degree).
+    ``dd_failures`` checks.  ``counts`` holds the chains per (level, degree),
+    enumerated on ``graph``, the tail graph on ``gb.tips``.
     Built on first read: ``normal_word_table``, the normal words per degree
     from each state of ``gb.tips``; ``hilbert``, its row of the empty state;
     ``dims``, dims[n][d] = dim of the degree-d part of C_n (x) A; and
@@ -83,8 +84,8 @@ class AnickResolution:
         self.gb = gb
         self.max_level = max_level
         self.max_degree = max_degree = gb.complete_to_degree
-        cs = enumerate_chains(TailGraph(presentation, gb.tips), max_level,
-                              max_degree)
+        self.graph = TailGraph(presentation, gb.tips)
+        cs = enumerate_chains(self.graph, max_level, max_degree)
         self.levels, self.counts = cs.levels, cs.counts()
         self._word_index = {
             n: {c.word: k for k, c in enumerate(chains)}
@@ -93,11 +94,8 @@ class AnickResolution:
         self.split_checks = 0
         self.diff = {0: [{(0, c.word): 1} for c in self.levels[0]]}
         for n in range(1, max_level + 1):
-            # s_{n-1} on basis pairs and the level n-1 child tries, shared
-            # while d_n is built
-            memo, children = {}, _child_tries(self.levels, n - 1)
-            self.diff[n] = [self._build_d(n, c, memo, children)
-                            for c in self.levels[n]]
+            memo = {}  # s_{n-1} on basis pairs, shared while d_n is built
+            self.diff[n] = [self._build_d(n, c, memo) for c in self.levels[n]]
 
     # -- plumbing ----------------------------------------------------------
 
@@ -168,7 +166,7 @@ class AnickResolution:
                         out.pop(key, None)
         return out
 
-    def split(self, m, elem, memo, children):
+    def split(self, m, elem, memo):
         """Splitting i_m for m >= 0: level m-1 kernel elements to level m.
 
         i_m is the linear map sum u_e e -> sum u_e s(e) over basis pairs
@@ -180,12 +178,15 @@ class AnickResolution:
         otherwise s(e) = 0 and the pair is passed over.  g's parent is f:
         both f.word and g.parent.word are (m-1)-chain words that are
         prefixes of w, and the chain words of one level are prefix-free.
-        So g is found by walking s through f's trie in ``children``, the
-        tails of f's children (``_child_tries``), and that walk meets at
-        most one tail, since sibling tails are prefix-free too.  c is a
-        suffix of the normal word s, so it is normal with no scan for tips.
-        A word s that is not normal makes no basis pair; if it walks to a
-        tail, the column d_m(g (x) c) holds normal words only, so it lacks
+        So g's tail is an edge out of f's tail in ``self.graph``, which is
+        how ``enumerate_chains`` made g, and ``_factor`` finds it as the
+        rest out of f.tail that s starts with.  At most one rest does: the
+        rests out of one tail r are prefix-free, since were t1 a proper
+        prefix of t2, r.t2[:-1] would hold the F-word that ends r.t1, and
+        the graph would not have kept t2.  c is a suffix of the normal word
+        s, so it is normal with no scan for tips.
+        A word s that is not normal makes no basis pair; if it starts with
+        a rest, the column d_m(g (x) c) holds normal words only, so it lacks
         e and the descent check below raises.
 
         The recursion needs d_m(g (x) c) to hold e with coefficient 1 and
@@ -218,11 +219,10 @@ class AnickResolution:
         A passed-over pair leaves d(i(u)) != u, which ``dd_failures`` sees
         on the built columns.
 
-        The caller owns ``memo``, s on the pairs met so far at level m, filled
-        in place, and ``children``, ``_child_tries(levels, m)``: the
-        constructor shares both while it builds a level.  A caller that
-        changed ``levels`` or ``diff`` since the build passes a fresh memo
-        and tries built from the ``levels`` it sees.
+        The caller owns ``memo``, s on the pairs met so far at level m,
+        filled in place: the constructor shares one while it builds a level.
+        A caller that changed ``levels`` or ``diff`` since the build passes
+        a fresh memo.
         """
         below = self.levels[m - 1]
         stack = [e for e, alpha in elem.items() if alpha]
@@ -241,7 +241,7 @@ class AnickResolution:
                         _add_scaled(s, memo[k], -v)
                 memo[e] = s
             else:
-                gc = _factor(children[e[0]], e[1])
+                gc = self._factor(m, below[e[0]], e[1])
                 if gc is None:
                     memo[e] = {}
                     continue
@@ -265,43 +265,26 @@ class AnickResolution:
                 _add_scaled(out, memo[e], alpha)
         return out
 
-    def _build_d(self, n, chain, memo, children):
+    def _factor(self, m, f, s):
+        """(index of the m-chain g, c) with g.word . c = f.word . s, for the
+        rest t out of f's tail that s starts with and g.word = f.word . t;
+        None when no rest fits or g lies past the built degree."""
+        for t, _ in self.graph.follow(f.tail):
+            if s[:len(t)] == t:
+                gi = self._word_index[m].get(f.word + t)
+                return None if gi is None else (gi, s[len(t):])
+        return None
+
+    def _build_d(self, n, chain, memo):
         pi = self._word_index[n - 1][chain.parent.word]
         head = {(pi, chain.tail): 1}
         v = self.apply_d(n - 1, head)
         result = dict(head)
         if v:
             self.split_checks += 1
-            _add_scaled(result, self.split(n - 1, v, memo, children), -1)
+            _add_scaled(result, self.split(n - 1, v, memo), -1)
         self.element_degree(n - 1, result)
         return result
-
-
-def _child_tries(levels, m):
-    """For each (m-1)-chain, by its index in levels[m - 1], the trie of its
-    children's tails: nested dicts on letters, each tail ending at the index
-    of its m-chain.  Tries are keyed by the parent's word, so copies of one
-    chain share a trie."""
-    tries = {}
-    for gi, g in enumerate(levels[m]):
-        node = tries.setdefault(g.parent.word, {})
-        for a in g.tail[:-1]:
-            node = node.setdefault(a, {})
-        node[g.tail[-1]] = gi
-    return [tries.get(f.word, {}) for f in levels[m - 1]]
-
-
-def _factor(trie, s):
-    """(chain index, c) for the tail in the trie that s starts with, s =
-    tail . c, or None when s starts with none."""
-    node = trie
-    for k, a in enumerate(s):
-        node = node.get(a)
-        if node is None:
-            return None
-        if type(node) is int:
-            return node, s[k + 1:]
-    return None
 
 
 # -- verification ------------------------------------------------------------

@@ -6,16 +6,18 @@ pair of words, S-polynomials by polynomial multiplication, normal forms by
 rescanning the work for its largest monomial and the basis for the
 rewriting rule, chain decompositions by recursive search, the tail graph's
 edges by counting the tips in each r.t with ``hits`` rather than the tip
-automaton, the completion certificate by re-resolving every ambiguity,
-reduced bases by reducing until nothing changes, the Hilbert series of a
-free (or exterior) algebra on given generator degrees, the Hilbert series
-of a free product from its factors' by the identity
-1/H = 1/H_A + 1/H_B - 1, series inverses by the recurrence in Fractions,
-rational fits by one dense Gauss-Jordan solve over Fractions per
-(numerator degree, denominator degree) pair, Tor of a built resolution by
-dense ranks in ``sympy``, the text of polynomials by a formatter of its
-own, and the entries ``anick`` prints for a differential by grouping each
-column by row and sorting each row's terms by ``heap_key``.
+automaton, the chain a splitting pair's word starts with by scanning every
+chain of the level rather than the tail graph, the completion certificate
+by re-resolving every ambiguity, reduced bases by reducing until nothing
+changes, the Hilbert series of a free (or exterior) algebra on given
+generator degrees, the Hilbert series of a free product from its factors'
+by the identity 1/H = 1/H_A + 1/H_B - 1, series inverses by the
+recurrence in Fractions, rational fits by one dense Gauss-Jordan solve over
+Fractions per (numerator degree, denominator degree) pair, Tor of a built
+resolution by dense ranks in ``sympy``, the text of polynomials by a
+formatter of its own, and the entries ``anick`` prints for a differential
+by grouping each column by row and sorting each row's terms by
+``heap_key``.
 
 The exact-rank oracle checks the exactness verdicts, which the library
 reads off leading terms alone: ``normal_words`` lists the normal words
@@ -176,6 +178,18 @@ def reference_follow(pres, tips, r):
         return [((i,), pres.generator_degree(i)) for i in range(pres.ngens)]
     return [(t, pres.monomial_degree(t)) for k, s in tips.overlaps(r)
             if len(tips.hits(r + (t := tips.words[k][s:]))) == 1]
+
+
+def reference_factor(res, m, f, s):
+    """(chain index, c) for the m-chain g of ``res`` with g.word . c =
+    f.word . s, found by scanning every chain of the level for a prefix of
+    that word, or None when no chain is one.  The chain words of a level
+    are prefix-free, so at most one fits."""
+    w = f.word + s
+    found = [(gi, w[len(g.word):]) for gi, g in enumerate(res.levels[m])
+             if w[:len(g.word)] == g.word]
+    assert len(found) <= 1, found
+    return found[0] if found else None
 
 
 def verify_diamond(gb):

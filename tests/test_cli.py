@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -25,6 +27,14 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def stdin_of(data):
+    """A stand-in for ``sys.stdin`` whose ``buffer`` holds ``data``, bytes
+    or a str in UTF-8, as the real one holds what was piped in."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def run_json(capsys, *argv):
@@ -211,8 +221,8 @@ class TestTor:
         # then fails, and Tor of the broken complex must not be printed
         split = AnickResolution.split
 
-        def broken(self, m, elem, memo, children):
-            out = split(self, m, elem, memo, children)
+        def broken(self, m, elem, memo):
+            out = split(self, m, elem, memo)
             if m == self.max_level - 1 and out:
                 key = next(iter(out))
                 out[key] *= 2
@@ -230,8 +240,8 @@ class TestPlumbing:
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin",
-            io.StringIO("algebra t; kind noncommutative; generators x y; "
-                        "order deglex x > y;"))
+            stdin_of("algebra t; kind noncommutative; generators x y; "
+                     "order deglex x > y;"))
         data = run_json(capsys, "hilbert", "-", "--max-degree", 4)
         assert data["normal_words"] == [1, 2, 4, 8, 16]
 
@@ -252,7 +262,7 @@ class TestPlumbing:
         head = ("algebra h; kind noncommutative; generators x y; "
                 "order deglex x > y;")
         monkeypatch.setattr(
-            "sys.stdin", io.StringIO(f"{head} relations x^\u00b2 - y;"))
+            "sys.stdin", stdin_of(f"{head} relations x^\u00b2 - y;"))
         code, out, err = run(capsys, "gb", "-")
         assert (code, out) == (2, "")
         assert "line 1, column 81: unexpected character '\u00b2'" in err
@@ -268,7 +278,7 @@ class TestPlumbing:
                 "order deglex x > y;")
         tail = "letters is too long (at most 1000000)"
         monkeypatch.setattr(
-            "sys.stdin", io.StringIO(f"{head} relations x^{exponent} ;"))
+            "sys.stdin", stdin_of(f"{head} relations x^{exponent} ;"))
         code, out, err = run(capsys, "gb", "-")
         assert (code, out) == (2, "")
         assert err == f"anick: line 1, column 81: word of {exponent} {tail}\n"
@@ -279,17 +289,46 @@ class TestPlumbing:
 
     def test_undecodable_file_reads_like_stdin(self, capsys, monkeypatch,
                                                tmp_path):
-        # stdin decodes undecodable bytes to surrogates, which the parser
-        # rejects by position; a file must exit the same way
+        # undecodable bytes decode to surrogates, which the parser rejects
+        # by position; a file and stdin must exit the same way
         raw = b"algebra t; kind noncommutative; generators x\xff y;"
         path = tmp_path / "bad.alg"
         path.write_bytes(raw)
         code, out, err = run(capsys, "gb", path)
         assert code == 2
         assert "column" in err
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(raw.decode("utf-8", "surrogateescape")))
+        monkeypatch.setattr("sys.stdin", stdin_of(raw))
         assert run(capsys, "gb", "-") == (code, out, err)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+    @pytest.mark.parametrize("raw, code, needle", [
+        (b"algebra t; kind noncommutative; generators x\377 y;", 2,
+         b"line 1, column 45: unexpected character"),
+        (b"algebra t; kind noncommutative; generators x\351 y; "
+         b"order deglex x\351 > y;", 2,
+         b"line 1, column 45: unexpected character"),
+        (b"algebra t; kind noncommutative; # c\rgenerators x y;\r"
+         b"order deglex x > y;", 0, b"")],
+        ids=["invalid-utf8", "latin1-letter", "lone-cr"])
+    def test_stdin_reads_as_a_file_under_any_codec(self, tmp_path, encoding,
+                                                   raw, code, needle):
+        # stdin's own codec and newline rule must not decide how its bytes
+        # read: a lone carriage return ends a comment on both routes
+        path = tmp_path / "in.alg"
+        path.write_bytes(raw)
+        env = {**os.environ, "PYTHONIOENCODING": encoding,
+               "PYTHONPATH": str(SAMPLES.parent / "src")}
+
+        def gb(source):
+            proc = subprocess.run(
+                [sys.executable, "-m", "anick.cli", "gb", source], input=raw,
+                capture_output=True, env=env, timeout=60)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        got = gb("-")
+        assert got[0] == code and needle in got[2]
+        assert bool(got[1]) == (code == 0)
+        assert gb(str(path)) == got
 
     def test_bad_flag_values(self, capsys):
         for flags in (["--max-degree", 0], ["--max-level", 0],
@@ -601,7 +640,7 @@ class TestJsonWriter:
 def run_on_stdin(text, argv):
     """(exit code, stdout, stderr) of ``main(argv)`` with ``text`` on stdin."""
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(text)), \
+    with mock.patch("sys.stdin", stdin_of(text)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()

@@ -2,7 +2,6 @@
 
 import argparse
 import functools
-import io
 import json
 import pathlib
 import random
@@ -29,8 +28,6 @@ from anick.presentation import make_bn, parse_presentation, parse_poly
 from anick.resolution import (
     AnickResolution,
     _add_scaled,
-    _child_tries,
-    _factor,
     block_rank_degree,
     euler_horizon,
     is_minimal,
@@ -43,12 +40,13 @@ from oracles import (
     exact_ranks,
     normal_words,
     reference_entries,
+    reference_factor,
     reference_tor_dimensions,
     serialize_presentation,
     span_counts,
     span_member,
 )
-from test_cli import run_on_stdin
+from test_cli import run_on_stdin, stdin_of
 from test_noncommutative import small_presentations
 
 
@@ -128,8 +126,7 @@ def d_of(res, n, word_text):
 
 
 def audited_split(res, m, elem):
-    """i_m by ``res.split`` with a fresh memo and tries built from the
-    levels it sees, and the d(i(u)) = u audit.
+    """i_m by ``res.split`` with a fresh memo, and the d(i(u)) = u audit.
 
     When the audit fails, the residue u - d(i(u)) is the sum of the pairs
     that ``split`` passed over, and its lead is the first lead on which the
@@ -137,8 +134,7 @@ def audited_split(res, m, elem):
     pair or admits no factorization.  Any other failure raises "failed the
     d(i(u)) = u audit".
     """
-    children = _child_tries(res.levels, m)
-    result = res.split(m, elem, {}, children)
+    result = res.split(m, elem, {})
     back = res.apply_d(m, result)
     residue = {k: v for k, v in elem.items() if v}
     if back != residue:
@@ -149,7 +145,7 @@ def audited_split(res, m, elem):
         if len(keys) > 1 and keys[0][0] == keys[1][0]:
             raise AlgebraError("leading pair of a kernel element is ambiguous")
         _, ci, s = keys[0]
-        if _factor(children[ci], s) is None:
+        if res._factor(m, below[ci], s) is None:
             raise AlgebraError(
                 f"kernel leading word {pres.format_monomial(below[ci].word + s)} "
                 f"admits no (chain).(normal word) factorization at level {m}")
@@ -573,8 +569,8 @@ class TestNegativeControls:
         # built with one fails d.d = 0, and a direct split raises
         split = AnickResolution.split
         monkeypatch.setattr(
-            AnickResolution, "split", lambda self, m, u, memo, children: {
-                k: 2 * v for k, v in split(self, m, u, memo, children).items()})
+            AnickResolution, "split", lambda self, m, u, memo: {
+                k: 2 * v for k, v in split(self, m, u, memo).items()})
         res = AnickResolution(gb, 3)
         report = verify_resolution(res)
         failures = report["dd_zero"]["failures"]
@@ -839,7 +835,7 @@ class TestOneTipMatcher:
                                                       monkeypatch, argv, most):
         # the certificate finds the overlaps through gb.tips; nf adds its
         # own matcher
-        monkeypatch.setattr("sys.stdin", io.StringIO(
+        monkeypatch.setattr("sys.stdin", stdin_of(
             "algebra h; kind noncommutative; generators x y; "
             "order deglex x > y; relations x*y*x = y; y*y = x;"))
         code = cli_main([argv[0], "-", *argv[1:]])
@@ -862,14 +858,14 @@ class TestOneDdCheck:
 
     def test_constructor_splits_once_per_column(self, monkeypatch):
         # one split per column with a splitting, each with its level's
-        # shared memo and tries
+        # shared memo
         calls = []
         monkeypatch.setattr(AnickResolution, "split",
                             self.counting(calls, AnickResolution.split))
         res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 10), 5)
         assert res.split_checks == len(calls) == 381
-        shared = {(m, id(memo), id(tries)) for _, m, _, memo, tries in calls}
-        assert sorted(m for m, _, _ in shared) == [0, 1, 2, 3, 4]
+        shared = {(m, id(memo)) for _, m, _, memo in calls}
+        assert sorted(m for m, _ in shared) == [0, 1, 2, 3, 4]
 
     def test_verification_applies_d_once_per_column(self, monkeypatch):
         res = AnickResolution(nc_buchberger(presentation_sample("x2xy"), 10), 5)
@@ -1171,8 +1167,9 @@ class TestSplitOracle:
 class TestChildLookup:
     """The lemma that lets ``split`` look for a pair's chain among its
     parent's children only: the (m-1)-chain word that is a prefix of an
-    m-chain's word is its parent's word, and no other; and the walk
-    through the parent's trie finds each child from its tail."""
+    m-chain's word is its parent's word, and no other; and ``_factor``
+    finds each child from its tail among the edges out of its parent's
+    tail, as the scan of every chain of the level does."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(graded_presentations())
@@ -1184,12 +1181,28 @@ class TestChildLookup:
             for g in res.levels[m]:
                 assert [g.word[:k] for k in range(len(g.word) + 1)
                         if g.word[:k] in below] == [g.parent.word]
-            children = _child_tries(res.levels, m)
-            index = res._word_index[m - 1]
             for gi, g in enumerate(res.levels[m]):
-                trie = children[index[g.parent.word]]
-                assert _factor(trie, g.tail) == (gi, ())
-                assert _factor(trie, g.tail + (0, 1)) == (gi, (0, 1))
+                assert res._factor(m, g.parent, g.tail) == (gi, ())
+                assert res._factor(m, g.parent, g.tail + (0, 1)) == \
+                    (gi, (0, 1))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(graded_presentations(), st.randoms(use_true_random=False))
+    def test_factor_against_the_scan(self, case, rng):
+        # on normal words, which make basis pairs, and on words that need
+        # not be normal, which the splitting may meet in a column
+        pres, level, degree = case
+        res = AnickResolution(nc_buchberger(pres, degree), level)
+        for m in range(res.max_level + 1):
+            for f in res.levels[m - 1]:
+                for _ in range(4):
+                    d = rng.randint(0, res.max_degree - f.degree)
+                    for s in (random_normal_word(res, rng, d),
+                              tuple(rng.randrange(pres.ngens)
+                                    for _ in range(rng.randint(0, 6)))):
+                        if s is not None:
+                            assert res._factor(m, f, s) == \
+                                reference_factor(res, m, f, s)
 
 
 class TestPrintOrder:
@@ -1386,7 +1399,7 @@ class TestSharedSplitMemo:
         pres, level, degree = case
         res = AnickResolution(nc_buchberger(pres, degree), level)
         for m in range(res.max_level + 1):
-            shared, children = {}, _child_tries(res.levels, m)
+            shared = {}
             below = list(enumerate(res.levels[m - 1]))
             for _ in range(12 if below else 0):
                 ci, c = rng.choice(below)
@@ -1395,13 +1408,13 @@ class TestSharedSplitMemo:
                 if w is None:
                     continue
                 e = {(ci, w): 1}
-                assert outcome(res.split, m, e, shared, children) == \
-                    outcome(res.split, m, e, {}, children)
+                assert outcome(res.split, m, e, shared) == \
+                    outcome(res.split, m, e, {})
             chains = res.levels[m]
             for _ in range(5 if chains else 0):
                 d = rng.randint(min(c.degree for c in chains), res.max_degree)
                 u = res.apply_d(m, random_element(res, rng, m, d))
-                assert outcome(res.split, m, u, shared, children) == \
+                assert outcome(res.split, m, u, shared) == \
                     outcome(audited_split, res, m, u)
 
 
