@@ -117,6 +117,7 @@ class Presentation:
         self._degrees = tuple(g.degree for g in generators)
         # with unit weights a word's degree is its length
         self._unit_degrees = all(d == 1 for d in self._degrees)
+        self._names = tuple(names)
         self._by_name = {g.name: i for i, g in enumerate(generators)}
         relations = tuple(relations)
         for rel in relations:
@@ -275,22 +276,19 @@ class Presentation:
     # -- rendering ---------------------------------------------------------
 
     def format_monomial(self, m):
-        if m == self.one():
+        if self.kind != NONCOMMUTATIVE:
+            return "*".join(n if e == 1 else f"{n}^{e}"
+                            for n, e in zip(self._names, m) if e) or "1"
+        if not m:
             return "1"
-        parts = []
-        if self.kind == NONCOMMUTATIVE:
-            i = 0
-            while i < len(m):
-                j = i
-                while j < len(m) and m[j] == m[i]:
-                    j += 1
-                name = self.generators[m[i]].name
-                parts.append(name if j - i == 1 else f"{name}^{j - i}")
-                i = j
-        else:
-            for g, e in zip(self.generators, m):
-                if e:
-                    parts.append(g.name if e == 1 else f"{g.name}^{e}")
+        # one pass, a power per run of one letter
+        names, parts, prev, run = self._names, [], m[0], 0
+        for a in m:
+            if a != prev:
+                parts.append(names[prev] if run == 1 else f"{names[prev]}^{run}")
+                prev, run = a, 0
+            run += 1
+        parts.append(names[prev] if run == 1 else f"{names[prev]}^{run}")
         return "*".join(parts)
 
     def format_poly(self, f):

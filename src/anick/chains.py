@@ -26,7 +26,8 @@ A ``TailGraph`` depends on F alone and holds no bounds; a bound only says
 where a walk stops.  ``enumerate_chains`` builds each chain word to a level
 and degree bound, level by level, and ``ChainSet.counts`` tallies the
 words it built; ``hilbert_from_chains`` counts the same paths, signed and
-by degree alone, and builds no word.
+by degree alone, and builds no word.  A chain keeps its parent and tail, and
+the CLI renders its word from theirs: the parent's text, "*", the tail's.
 Each chain word's decomposition into tails is unique, so paths and chains
 correspond one to one; the enumeration asserts this.  A one-letter F-word
 is a generator that is not a normal word, yet every generator is a 0-chain,
@@ -45,8 +46,12 @@ class OneLetterTipError(AlgebraError):
     """An obstruction set holds a single generator, so it has no chains."""
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class Chain:
+    """An n-chain: its word and degree, the tail that extends its parent,
+    the (n-1)-chain.  Equal and hashed by identity; nothing assigns to a
+    chain once ``enumerate_chains`` has built it."""
+
     word: tuple
     degree: int
     tail: tuple = ()
@@ -70,8 +75,8 @@ class ChainSet:
 
 class TailGraph:
     """Tail graph of the chains on the tips: ``follow(r)`` lists the edges
-    out of the tail r as (t, degree of t) pairs; those out of the empty
-    tail () lead to the generators."""
+    out of the tail r as (t, degree of t) pairs, sorted by t; those out of
+    the empty tail () lead to the generators."""
 
     def __init__(self, pres, tips):
         self.pres, self._matcher = pres, tips
@@ -98,6 +103,9 @@ class TailGraph:
                         break
                 else:
                     out.append((t, self.pres.monomial_degree(t)))
+            # sorted by rest, for the splitting's bisection; the root's
+            # generator edges are in this order already
+            out.sort()
             self._edges[r] = out
         return out
 
@@ -108,7 +116,7 @@ def enumerate_chains(graph, max_level, max_degree):
         raise AlgebraError("max_level must be at least -1")
     if max_degree < 0:
         raise AlgebraError("max_degree must be nonnegative")
-    root = Chain(word=(), degree=0, tail=(), parent=None)
+    root = Chain((), 0, (), None)
     levels = {-1: (root,)}
     for n in range(max_level + 1):
         produced = {}
@@ -122,8 +130,7 @@ def enumerate_chains(graph, max_level, max_degree):
                     raise AlgebraError(
                         f"chain word {graph.pres.format_monomial(word)} admits two "
                         f"decompositions at level {n}")
-                produced[word] = Chain(word=word, degree=degree, tail=t,
-                                       parent=parent)
+                produced[word] = Chain(word, degree, t, parent)
         # each level lists its chains largest first
         levels[n] = tuple(sorted(produced.values(),
                                  key=lambda c: (-c.degree, c.word)))

@@ -90,6 +90,8 @@ def load_presentation(args):
         raise ParseError("no input: give a presentation file, -, or --bn N")
     try:
         if args.input == "-":
+            if sys.stdin is None:  # the process started with stdin closed
+                raise ParseError("cannot read -: stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(args.input, "rb") as fh:
@@ -188,6 +190,27 @@ def _series_json(coeffs):
     return [c.numerator if c.denominator == 1 else str(c) for c in coeffs]
 
 
+def _chain_texts(pres, levels):
+    """Each level's chain words as text, {level: [text of each chain]}.
+
+    A chain's text is its parent's, "*" and its tail's, and each tail is
+    formatted once.  Where the parent's word ends in the letter that starts
+    the tail, the two runs of that letter merge into one power, and the
+    word is formatted whole."""
+    text, tails = {}, {}
+    for chains in levels.values():
+        for c in chains:
+            p, t = c.parent, c.tail
+            if p is None or not p.word or p.word[-1] == t[0]:
+                text[c] = pres.format_monomial(c.word)
+            else:
+                tt = tails.get(t)
+                if tt is None:
+                    tt = tails[t] = pres.format_monomial(t)
+                text[c] = f"{text[p]}*{tt}"
+    return {n: [text[c] for c in chains] for n, chains in levels.items()}
+
+
 # -- subcommands -------------------------------------------------------------
 
 
@@ -248,11 +271,11 @@ def cmd_chains(pres, args):
     gb = certified_basis(pres, args)
     cs = enumerate_chains(TailGraph(pres, gb.tips), args.max_level,
                           args.max_degree)
-    counts = cs.counts()
+    counts, words = cs.counts(), _chain_texts(pres, cs.levels)
     levels = {str(n): {
-        "words": [pres.format_monomial(c.word) for c in chains],
+        "words": words[n],
         "by_degree": {str(d): c for d, c in sorted(counts[n].items())},
-    } for n, chains in cs.levels.items()}
+    } for n in cs.levels}
     data = {
         "algebra": pres.name,
         "max_level": args.max_level,
@@ -320,8 +343,7 @@ def cmd_anick(pres, args):
     res = AnickResolution(certified_basis(pres, args), args.max_level)
     report = verify_resolution(res)
     # each level's chain words, formatted once for its rows, cols and chains
-    words = [[pres.format_monomial(c.word) for c in res.levels[n]]
-             for n in range(res.max_level + 1)]
+    words = _chain_texts(pres, res.levels)
     # a matrix repeats a handful of entries many times: format each once
     @cache
     def entry_text(terms):
@@ -342,7 +364,7 @@ def cmd_anick(pres, args):
         "algebra": pres.name,
         "max_level": res.max_level,
         "max_degree": res.max_degree,
-        "chains": {str(n): level for n, level in enumerate(words)},
+        "chains": {str(n): words[n] for n in range(res.max_level + 1)},
         "differentials": matrices,
         "verification": report,
     }

@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import (
     NONCOMMUTATIVE,
@@ -83,12 +84,12 @@ class NcGB:
         return -1
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     """One overlap ambiguity between basis[i] and basis[j] (indices, or
     serials): lt(basis[i])·right == left·lt(basis[j]) == ambiguity, and the
     shared part is a proper suffix of the first word and a proper prefix of
-    the second (self-overlaps allowed, i == j).
+    the second (self-overlaps allowed, i == j).  A tuple, so it is built
+    at a tuple's cost: completion makes one per ambiguity it pops.
     """
 
     i: int

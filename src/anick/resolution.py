@@ -48,7 +48,9 @@ minimality test build none; they read ``tensored``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property, reduce
+from operator import itemgetter
 
 from .algebra import AlgebraError, BoundError, Polynomial
 from .chains import TailGraph, enumerate_chains
@@ -268,8 +270,16 @@ class AnickResolution:
     def _factor(self, m, f, s):
         """(index of the m-chain g, c) with g.word . c = f.word . s, for the
         rest t out of f's tail that s starts with and g.word = f.word . t;
-        None when no rest fits or g lies past the built degree."""
-        for t, _ in self.graph.follow(f.tail):
+        None when no rest fits or g lies past the built degree.
+
+        The rests out of a tail are prefix-free (see ``split``) and
+        ``follow`` lists them sorted, so only the last rest t <= s can fit:
+        a rest that s starts with is <= s, and every word between it and s
+        starts with it, which no other rest does."""
+        edges = self.graph.follow(f.tail)
+        k = bisect_right(edges, s, key=itemgetter(0))
+        if k:
+            t = edges[k - 1][0]
             if s[:len(t)] == t:
                 gi = self._word_index[m].get(f.word + t)
                 return None if gi is None else (gi, s[len(t):])

@@ -14,8 +14,8 @@ generator degrees, the Hilbert series of a free product from its factors'
 by the identity 1/H = 1/H_A + 1/H_B - 1, series inverses by the
 recurrence in Fractions, rational fits by one dense Gauss-Jordan solve over
 Fractions per (numerator degree, denominator degree) pair, Tor of a built
-resolution by dense ranks in ``sympy``, the text of polynomials by a
-formatter of its own, and the entries ``anick`` prints for a differential
+resolution by dense ranks in ``sympy``, the text of monomials by run
+lengths and of polynomials by a formatter of its own, and the entries ``anick`` prints for a differential
 by grouping each column by row and sorting each row's terms by
 ``heap_key``.
 
@@ -42,6 +42,7 @@ the free-product identity.
 """
 
 from fractions import Fraction
+from itertools import groupby
 
 from anick.algebra import (
     DEGLEX,
@@ -381,9 +382,21 @@ def dense_solve(matrix, rhs):
     return x
 
 
+def reference_format_monomial(pres, m):
+    """A monomial as text by run lengths: ``groupby`` over a word's letters,
+    or the nonzero entries of an exponent vector, each as name^length."""
+    names = [g.name for g in pres.generators]
+    if pres.kind == NONCOMMUTATIVE:
+        runs = [(names[a], len(list(run))) for a, run in groupby(m)]
+    else:
+        runs = [(name, e) for name, e in zip(names, m) if e]
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in runs) or "1"
+
+
 def reference_format_poly(pres, f):
-    """A polynomial as text, every term formatted afresh (its monomials by
-    ``format_monomial``, which keeps no memo)."""
+    """A polynomial as text, every term formatted afresh, its monomials by
+    ``reference_format_monomial``."""
     if not f:
         return "0"
     unit = pres.one()
@@ -393,9 +406,9 @@ def reference_format_poly(pres, f):
         if m == unit:
             body = str(mag)
         elif mag == 1:
-            body = pres.format_monomial(m)
+            body = reference_format_monomial(pres, m)
         else:
-            body = f"{mag}*{pres.format_monomial(m)}"
+            body = f"{mag}*{reference_format_monomial(pres, m)}"
         if k == 0:
             parts.append(f"-{body}" if c < 0 else body)
         else:

@@ -14,7 +14,7 @@ from anick.algebra import (
     Polynomial,
     Presentation,
 )
-from oracles import reference_format_poly
+from oracles import reference_format_monomial, reference_format_poly
 
 
 def free_xy(names=("x", "y")):
@@ -250,3 +250,12 @@ class TestMemoizedFormatting:
         pres, inputs = case
         for f in inputs:
             assert pres.format_poly(f) == reference_format_poly(pres, f)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(formatting_cases())
+    def test_monomials_match_run_length_reference(self, case):
+        pres, inputs = case
+        for f in inputs:
+            for m, _ in f.terms:
+                assert pres.format_monomial(m) == \
+                    reference_format_monomial(pres, m)

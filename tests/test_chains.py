@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anick.algebra import AlgebraError
+from anick.cli import _chain_texts
 from anick.chains import OneLetterTipError, TailGraph, enumerate_chains
 from anick.hilbert import hilbert_from_chains
 from anick.noncommutative import (
@@ -16,6 +17,7 @@ from anick.noncommutative import (
 )
 from anick.presentation import make_bn, parse_poly, parse_presentation
 from oracles import chain_decompositions, is_chain, reference_follow
+from test_hilbert import graded_presentations
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
@@ -533,12 +535,12 @@ def sample_tips(name, max_degree):
 class TestEdgeOracle:
     """The tail graph's edges, read off the tip automaton, against
     ``reference_follow``, which counts every tip in each r.t: the same
-    list in the same order out of every tail the graph reaches."""
+    edges out of every tail the graph reaches, listed sorted by rest."""
 
     def assert_edges_match(self, pres, tips, max_degree):
         graph = TailGraph(pres, tips)
         for r in _path_table(graph.follow, max_degree, -1):
-            assert graph.follow(r) == reference_follow(pres, tips, r)
+            assert graph.follow(r) == sorted(reference_follow(pres, tips, r))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(weighted_antichains())
@@ -567,3 +569,32 @@ class TestEdgeOracle:
         assert chain_words(enumerate_chains(
             TailGraph(pres, tips), 12, 12)) == words
         assert hilbert_from_chains(pres, tips, 12) == series
+
+
+class TestChainTexts:
+    """``cli._chain_texts`` joins a chain's text from its parent's and its
+    tail's, or formats the word whole where their runs of one letter
+    merge: on every chain of every level it prints ``format_monomial`` of
+    the chain's word."""
+
+    def test_matches_format_monomial(self):
+        merged = []
+
+        @settings(max_examples=80, deadline=None, derandomize=True)
+        @given(st.one_of(graded_presentations(),
+                         graded_presentations(names=("a0", "b0", "c0"))))
+        @example(make_bn(2))
+        def check(pres):
+            gb = nc_buchberger(pres, max_degree=9)
+            if any(len(w) == 1 for w in gb.tips.words):
+                return
+            cs = enumerate_chains(TailGraph(pres, gb.tips), 5, 9)
+            assert _chain_texts(pres, cs.levels) == {
+                n: [pres.format_monomial(c.word) for c in chains]
+                for n, chains in cs.levels.items()}
+            merged.append(any(c.parent.word[-1:] == c.tail[:1]
+                              for n in range(1, 6) for c in cs.levels[n]))
+
+        check()
+        # the draws reach the merged runs, not only the joined texts
+        assert any(merged)

@@ -249,6 +249,12 @@ class TestPlumbing:
         code, out, err = run(capsys, "gb")
         assert code == 2
 
+    def test_closed_stdin_exits_2(self, capsys, monkeypatch):
+        # a process started with stdin closed has sys.stdin None
+        monkeypatch.setattr("sys.stdin", None)
+        assert run(capsys, "gb", "-") == (
+            2, "", "anick: cannot read -: stdin is closed\n")
+
     def test_file_and_bn_conflict(self, capsys):
         code, out, err = run(capsys, "gb", SAMPLES / "x2xy.alg", "--bn", 1)
         assert code == 2

@@ -395,13 +395,14 @@ class TestRationalFormOracle:
 @st.composite
 def graded_presentations(draw, names="uvw"):
     """A graded noncommutative presentation on 2-3 generators of weight 1
-    or 2, with 1-2 homogeneous relations of degree 2-3, each a sum of 1-3
-    words with small integer coefficients."""
+    or 2, named by the first of ``names`` (a str of letters, or a tuple of
+    names such as ``--bn``'s "a0"), with 1-2 homogeneous relations of
+    degree 2-3, each a sum of 1-3 words with small integer coefficients."""
     weights = draw(st.lists(st.sampled_from((1, 2)), min_size=2, max_size=3))
     names = names[:len(weights)]
     gens = " ".join(n if w == 1 else f"{n}:{w}" for n, w in zip(names, weights))
     pres = parse_presentation(
-        f"algebra {names} ; kind noncommutative ; generators {gens} ;"
+        f"algebra {''.join(names)} ; kind noncommutative ; generators {gens} ;"
         f" order deglex {' > '.join(names)} ;")
     words = {d: [w for k in range(1, d + 1)
                  for w in itertools.product(range(pres.ngens), repeat=k)

@@ -362,6 +362,22 @@ def tips_of(pres, basis):
 
 
 class TestObstructions:
+    def test_fields_equality_and_repr(self):
+        # a tuple of its six fields, in this order, that prints by name
+        ob = Obstruction(0, 1, (0,), (1,), (0, 0, 1), 3)
+        assert Obstruction._fields == (
+            "i", "j", "left", "right", "ambiguity", "degree")
+        assert ob == Obstruction(i=0, j=1, left=(0,), right=(1,),
+                                 ambiguity=(0, 0, 1), degree=3)
+        assert ob == (0, 1, (0,), (1,), (0, 0, 1), 3)
+        assert hash(ob) == hash((0, 1, (0,), (1,), (0, 0, 1), 3))
+        assert ob != ob._replace(degree=4)
+        assert (ob.i, ob.j, ob.left, ob.right, ob.ambiguity, ob.degree) == ob
+        assert repr(ob) == ("Obstruction(i=0, j=1, left=(0,), right=(1,), "
+                            "ambiguity=(0, 0, 1), degree=3)")
+        with pytest.raises(AttributeError):
+            ob.degree = 4
+
     def test_self_overlap(self):
         basis = [parse_poly(FREE_XY, "x^2 - x*y")]
         obs = find_obstructions(FREE_XY, tips_of(FREE_XY, basis))
