@@ -7,7 +7,9 @@ rescanning the work for its largest monomial and the basis for the
 rewriting rule, chain decompositions by recursive search, the tail graph's
 edges by counting the tips in each r.t with ``hits`` rather than the tip
 automaton, the chain a splitting pair's word starts with by scanning every
-chain of the level rather than the tail graph, the completion certificate
+chain of the level rather than the tail graph, a differential on an
+element by normal-forming each product word with the reference normal
+form, even where the right factor is empty, the completion certificate
 by re-resolving every ambiguity, reduced bases by reducing until nothing
 changes, the Hilbert series of a free (or exterior) algebra on given
 generator degrees, the Hilbert series of a free product from its factors'
@@ -191,6 +193,21 @@ def reference_factor(res, m, f, s):
              if w[:len(g.word)] == g.word]
     assert len(found) <= 1, found
     return found[0] if found else None
+
+
+def reference_apply_d(res, n, elem):
+    """d_n on an element of C_n (x) A, term by term from the stored columns:
+    each product word u.w of a column term (cj, u) and an element term
+    (ci, w), the empty w included, normal-formed by
+    ``reference_normal_form``; the keys that cancel are dropped."""
+    pres, out = res.presentation, {}
+    for (ci, w), coeff in elem.items():
+        for (cj, u), val in res.diff[n][ci].items():
+            nf = reference_normal_form(pres, pres.monomial_poly(u + w),
+                                       res.gb.basis)
+            for m, beta in nf.terms:
+                out[cj, m] = out.get((cj, m), 0) + coeff * val * beta
+    return {k: v for k, v in out.items() if v}
 
 
 def verify_diamond(gb):

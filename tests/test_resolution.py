@@ -39,6 +39,7 @@ from oracles import (
     block_columns,
     exact_ranks,
     normal_words,
+    reference_apply_d,
     reference_entries,
     reference_factor,
     reference_tor_dimensions,
@@ -474,6 +475,16 @@ class TestStructuralInvariants:
                 for ci, row in enumerate(res.diff[n]):
                     assert res.element_degree(n - 1, row) == \
                         res.levels[n][ci].degree
+
+    def test_inhomogeneous_column_is_refused(self, monkeypatch):
+        # a splitting that adds terms at chain 0 of degrees d and d + 1 puts
+        # at least one term off the column's degree
+        split = AnickResolution.split
+        monkeypatch.setattr(
+            AnickResolution, "split", lambda self, m, u, memo: {
+                **split(self, m, u, memo), (0, ()): 1, (0, (0,)): 1})
+        with pytest.raises(AlgebraError, match="inhomogeneous element"):
+            AnickResolution(nc_buchberger(presentation_sample("x2xy"), 6), 3)
 
     def test_split_inverts_d_on_kernel(self):
         # d-images lie in the kernel one level down, so they are valid
@@ -1021,11 +1032,16 @@ def assert_splits_match_reference(res, rng, kernel_samples):
     random homogeneous x per level, both ways, from level 0 up.  Then split
     kernel_samples random elements of normal-word basis pairs per level,
     which are mostly not images of d, so most splittings raise: both ways
-    must return the same element or raise the same message."""
+    must return the same element or raise the same message.  The pairs of
+    the sample that factor as g.c must include some with c empty, whose
+    column ``split`` reads as stored, and some with c nonempty, whose
+    products it reduces."""
+    met = set()
     for n in range(res.max_level + 1):
         for row in res.diff[n]:
             assert outcome(audited_split, res, n, row) == \
                 outcome(reference_split, res, n, row)
+            note_factor_kinds(res, n, row, met)
     for n in range(res.max_level + 1):
         chains = list(enumerate(res.levels[n]))
         for _ in range(kernel_samples if chains else 0):
@@ -1038,6 +1054,7 @@ def assert_splits_match_reference(res, rng, kernel_samples):
             u = res.apply_d(n, x)
             assert outcome(audited_split, res, n, u) == \
                 outcome(reference_split, res, n, u)
+            note_factor_kinds(res, n, u, met)
     for n in range(res.max_level + 1):
         below = res.levels[n - 1]
         for _ in range(kernel_samples if below else 0):
@@ -1045,6 +1062,34 @@ def assert_splits_match_reference(res, rng, kernel_samples):
             y = random_element(res, rng, n - 1, d)
             assert outcome(audited_split, res, n, y) == \
                 outcome(reference_split, res, n, y)
+            note_factor_kinds(res, n, y, met)
+    assert met == {True, False}
+
+
+def note_factor_kinds(res, m, elem, met):
+    """Add to met, for each pair of elem that factors as g.c at level m,
+    whether c is empty."""
+    for ci, s in elem:
+        gc = reference_factor(res, m, res.levels[m - 1][ci], s)
+        if gc is not None:
+            met.add(gc[1] == ())
+
+
+def random_right_factors(res, rng, n):
+    """An element of C_n (x) A on up to four random n-chains: each has the
+    empty word or, half the time when the degree bound leaves room, a random
+    normal word, and an int or Fraction coefficient, 0 included."""
+    x = {}
+    for ci, c in rng.sample(list(enumerate(res.levels[n])),
+                            min(len(res.levels[n]), 4)):
+        w = ()
+        if c.degree < res.max_degree and rng.random() < 0.5:
+            w = random_normal_word(
+                res, rng, rng.randint(c.degree + 1, res.max_degree) - c.degree)
+        if w is not None:
+            x[ci, w] = rng.choice((-2, 0, 1, 3, Fraction(1, 2),
+                                   Fraction(-5, 3)))
+    return x
 
 
 XY = presentation_free("x y")
@@ -1164,6 +1209,31 @@ class TestSplitOracle:
                                       kernel_samples=50)
 
 
+class TestApplyDOracle:
+    """``apply_d`` against ``reference_apply_d``, which normal-forms every
+    product word, on elements that mix empty and nonempty right factors with
+    int and Fraction coefficients."""
+
+    def test_random_graded_presentations(self):
+        met = set()
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(graded_presentations(), st.randoms(use_true_random=False))
+        def check(case, rng):
+            pres, level, degree = case
+            res = AnickResolution(nc_buchberger(pres, degree), level)
+            for n in range(res.max_level + 1):
+                for _ in range(3):
+                    x = random_right_factors(res, rng, n)
+                    assert res.apply_d(n, x) == reference_apply_d(res, n, x)
+                    met.update((bool(w), type(v)) for (_, w), v in x.items()
+                               if v)
+
+        check()
+        assert met == {(False, int), (True, int), (False, Fraction),
+                       (True, Fraction)}
+
+
 class TestChildLookup:
     """The lemma that lets ``split`` look for a pair's chain among its
     parent's children only: the (m-1)-chain word that is a prefix of an
@@ -1235,7 +1305,8 @@ class TestPrintOrder:
 
 class TestTorOracle:
     """``tor_dimensions``, which ranks each block on its smaller side by
-    fraction-free elimination, against dense ``sympy`` ranks."""
+    fraction-free elimination, the vectors in reverse first-seen order,
+    against dense ``sympy`` ranks."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(graded_presentations())
@@ -1262,13 +1333,22 @@ class TestTorOracle:
         check()
         assert sum(on_rows) >= 0.8 * len(on_rows)
 
-    @pytest.mark.parametrize("name, level, degree", [
-        ("x2xy", 5, 10), ("B2", 4, 8)])
-    def test_x2xy_and_b2(self, name, level, degree):
+    @staticmethod
+    def assert_named_matches(name, level, degree):
         pytest.importorskip("sympy")
         res = AnickResolution(nc_buchberger(presentation_named(name), degree),
                               level)
         assert tor_dimensions(res) == reference_tor_dimensions(res)
+
+    @pytest.mark.parametrize("name, level, degree", [
+        ("x2xy", 5, 10), ("B2", 4, 8)])
+    def test_x2xy_and_b2(self, name, level, degree):
+        self.assert_named_matches(name, level, degree)
+
+    @pytest.mark.parametrize("name, level, degree", [
+        ("xyzx", 4, 10), ("B1", 4, 8), ("B3", 4, 8)])
+    def test_xyzx_and_bn(self, name, level, degree):
+        self.assert_named_matches(name, level, degree)
 
 
 def random_word(pres, rng, degree):
@@ -1416,6 +1496,42 @@ class TestSharedSplitMemo:
                 u = res.apply_d(m, random_element(res, rng, m, d))
                 assert outcome(res.split, m, u, shared) == \
                     outcome(audited_split, res, m, u)
+
+
+class TestPlantedZero:
+    """A stored column that holds an explicit 0, at a pair above its head:
+    read as it stands, the column would fail the descent check, so
+    ``split`` and ``apply_d`` must drop the zero as the references do."""
+
+    @pytest.mark.parametrize("name, level, degree", [
+        ("x2xy", 4, 10), ("xyzx", 4, 9), ("x2y2", 4, 10)])
+    def test_split_and_apply_d_drop_the_zero(self, name, level, degree):
+        res = AnickResolution(nc_buchberger(presentation_named(name), degree),
+                              level)
+        pres, words = res.presentation, normal_words(res.gb, degree)
+        planted = 0
+        for m in range(1, level + 1):
+            below, chains = res.levels[m - 1], [*enumerate(res.levels[m])]
+            # the first and last two chains of the level
+            for gi, g in chains[:2] + chains[2:][-2:]:
+                above = next(((cj, u) for cj, f in enumerate(below)
+                              if f.degree <= g.degree
+                              for u in words[g.degree - f.degree]
+                              if pres.heap_key(f.word + u)
+                              < pres.heap_key(g.word)), None)
+                if above is None:
+                    continue
+                column = res.diff[m][gi]
+                res.diff[m][gi] = {**column, above: 0}
+                # d_m(g) splits to g (x) 1 through the planted column
+                assert outcome(audited_split, res, m, column) == \
+                    outcome(reference_split, res, m, column) == {(gi, ()): 1}
+                x = {(gi, ()): 3}
+                if g.degree < degree:
+                    x[gi, words[1][0]] = Fraction(1, 2)
+                assert res.apply_d(m, x) == reference_apply_d(res, m, x)
+                planted += 1
+        assert planted >= 3
 
 
 class TestSplitErrors:
