@@ -6,17 +6,18 @@ Completion adjoins normal forms of S-polynomials until every ambiguity whose
 word has degree at most the requested bound resolves; the bound is recorded
 on the result as ``complete_to_degree`` since free-algebra bases may well be
 infinite.  Pending ambiguities wait in a queue, each element's overlaps
-pushed once when it is inserted.  Overlaps are found by lookup, not by
-comparing pairs of words: completion indexes the proper prefixes and
-suffixes of the live leading words and looks up a new word's suffixes among
-the prefixes and its prefixes among the suffixes; ``find_obstructions``
-reads ``WordMatcher.overlaps``.  Inclusions are never queued: inserting an
-element drops and re-reduces every element whose leading word contains the
-new one, so the leading-word set stays an antichain under the subword
-relation.  That antichain is exactly the obstruction set the chain machinery
-consumes.  Every question of which leading words occur in a word, and where,
-goes through ``WordMatcher``; completion keeps one over the live leading
-words, adding and discarding words as the basis changes.
+pushed once when it is inserted, less those of two monomials.  Overlaps are
+found by lookup, not by comparing pairs of words: completion indexes the
+proper prefixes and suffixes of the live leading words and looks up a new
+word's suffixes among the prefixes and its prefixes among the suffixes;
+``find_obstructions`` reads ``WordMatcher.overlaps``.  Inclusions are never
+queued: inserting an element drops and re-reduces every element whose
+leading word contains the new one, so the leading-word set stays an
+antichain under the subword relation.  That antichain is exactly the
+obstruction set the chain machinery consumes.  Every question of which
+leading words occur in a word, and where, goes through ``WordMatcher``;
+completion keeps one over the live leading words, adding and discarding
+words as the basis changes.
 
 Completion builds no intermediate polynomial: an S-polynomial is one
 coefficient dict over the two elements' non-leading terms, and it is reduced
@@ -119,10 +120,14 @@ class WordMatcher:
     insertion serial.
 
     ``hits(word)`` lists every occurrence as (k, start) with
-    word[start:start + len(words[k])] == words[k], in no particular order.
-    At each end position it looks up the suffix of each length that some
-    tip ending in that letter has, so its cost does not grow with the
-    number of tips.
+    word[start:start + len(words[k])] == words[k], by end position and, at
+    one end, shorter tips first.  From each end position it walks back
+    through a trie of the reversed tips, one dict lookup per letter, for as
+    long as the letters read end some tip.  So it costs at most |word| times the longest tip, and does
+    not grow with the number of tips, nor with the number of tip lengths.
+    ``add`` and ``discard`` keep the trie up to date, at a cost of the
+    tip's length, and a tip's node holds the same list of keys as
+    ``_index``.
 
     ``starts`` maps each proper nonempty prefix of a tip to the keys of the
     tips that start with it.  ``overlaps(word)`` reads it: (k, s) for each
@@ -140,7 +145,7 @@ class WordMatcher:
     def __init__(self, words=()):
         self.words = []
         self._index = {}
-        self._ends = {}
+        self._trie = {}
         self._starts, self._delta = None, {}
         for w in words:
             self.add(w)
@@ -151,9 +156,15 @@ class WordMatcher:
             raise AlgebraError("tips must be nonempty words")
         k = len(self.words)
         self.words.append(word)
-        self._index.setdefault(word, []).append(k)
-        ends = self._ends.setdefault(word[-1], {})
-        ends[len(word)] = ends.get(len(word), 0) + 1
+        ks = self._index.get(word)
+        if ks is None:
+            # the trie's node for the word shares the word's list of keys
+            ks = self._index[word] = []
+            node = self._trie
+            for a in reversed(word):
+                node = node.setdefault(a, {})
+            node[None] = ks
+        ks.append(k)
         self._starts, self._delta = None, {}
         return k
 
@@ -164,10 +175,16 @@ class WordMatcher:
         ks.remove(k)
         if not ks:
             del self._index[word]
-        ends = self._ends[word[-1]]
-        ends[len(word)] -= 1
-        if not ends[len(word)]:
-            del ends[len(word)]
+            path = [self._trie]
+            for a in reversed(word):
+                path.append(path[-1][a])
+            node = path.pop()
+            del node[None]
+            for a in word:  # prune the nodes left leading to no tip
+                if node:
+                    break
+                node = path.pop()
+                del node[a]
         self._starts, self._delta = None, {}
 
     @property
@@ -180,15 +197,20 @@ class WordMatcher:
         return self._starts
 
     def hits(self, word):
-        get = self._index.get
+        trie = self._trie
         out = []
-        for end, letter in enumerate(word, 1):
-            for n in self._ends.get(letter, ()):
-                if n > end:
-                    continue
-                ks = get(word[end - n:end])
-                if ks is not None:
-                    out.extend((k, end - n) for k in ks)
+        for end, letter in enumerate(word):
+            # walk back from the end letter while the letters read,
+            # reversed, spell a path of the trie
+            node, start = trie.get(letter), end
+            while node is not None:
+                if None in node:
+                    for k in node[None]:
+                        out.append((k, start))
+                if not start:
+                    break
+                start -= 1
+                node = node.get(word[start])
         return out
 
     def overlaps(self, word):
@@ -217,7 +239,8 @@ class WordMatcher:
 
 def antichain_matcher(pres, words):
     """A matcher on the words, after checking that they are pairwise
-    distinct and that none occurs inside another."""
+    distinct and that none occurs inside another.  A failure names the
+    first word, in list order, that holds another, and its first hit."""
     matcher = WordMatcher(words)
     for k, w in enumerate(matcher.words):
         for j, _ in matcher.hits(w):
@@ -345,6 +368,12 @@ def nc_buchberger(pres, max_degree):
     rest in order, so serial order is index order, and reducing by the least
     (serial, start) hit is ``nc_normal_form``'s rule on the live basis.
 
+    An overlap of two monomials is never queued.  Both reductions of its
+    ambiguity give 0, so the S-polynomial is identically 0 and adds nothing.
+    A serial's element never changes (a changed element is dropped and
+    inserted anew under a new serial), so whether a pair is two monomials
+    is known when it is pushed.
+
     Overlaps are found by lookup, not by comparing pairs of words.
     ``starts`` maps each proper nonempty prefix of a live leading word to
     the serials of the live words that start with it, and ``ends`` each
@@ -383,6 +412,8 @@ def nc_buchberger(pres, max_degree):
 
     def push(i, j, s):
         # the last s letters of words[i] are the first s of words[j]
+        if len(live[i].terms) == 1 == len(live[j].terms):
+            return
         u = words[i]
         right = words[j][s:]
         amb = u + right

@@ -40,6 +40,7 @@ from .algebra import (
     LEX,
     AlgebraError,
     Generator,
+    Polynomial,
     Presentation,
 )
 
@@ -296,23 +297,26 @@ def make_bn(n):
     """The algebra B_n on generators a_i, b_i, c_i for 0 <= i <= n.
 
     Quadratic-free cubic/quadratic mix whose resolution stays minimal for
-    B_1 but not for B_2 and beyond.
+    B_1 but not for B_2 and beyond.  Each relation is built as it is
+    stored, with no sort: words from the generator index, coefficients
+    ``Fraction(1)``, terms largest first (c_{i+1} has the smaller index,
+    so it leads a_i*b_i*c_i + c_{i+1}*a_{i+1}*b_{i+1}).
     """
     if n < 1:
         raise AlgebraError("make_bn needs n >= 1")
     names = [f"{letter}{i}" for i in range(n, -1, -1) for letter in "abc"]
-    gens = [Generator(nm) for nm in names]
-    pres = Presentation(f"B{n}", NONCOMMUTATIVE, gens, DEGLEX)
+    pres = Presentation(f"B{n}", NONCOMMUTATIVE, [Generator(nm) for nm in names],
+                        DEGLEX)
+    index, one = pres._by_name.__getitem__, Fraction(1)
 
-    def w(*names):
-        return pres.monomial_poly(pres.word(*names))
+    def poly(*words):
+        return Polynomial(tuple((tuple(map(index, w.split())), one)
+                                for w in words))
 
-    relations = [w(f"a{n}", f"b{n}", f"c{n}"), w("c0", "a0")]
+    relations = [poly(f"a{n} b{n} c{n}"), poly("c0 a0")]
     for i in range(n):
         j = i + 1
-        relations.append(pres.add(w(f"a{i}", f"b{i}", f"c{i}"),
-                                  w(f"c{j}", f"a{j}", f"b{j}")))
-        relations.append(w(f"b{j}", f"c{j}", f"a{j}"))
-        relations.append(w(f"c{i}", f"c{j}"))
-        relations.append(w(f"b{j}", f"a{i}"))
+        relations += [poly(f"c{j} a{j} b{j}", f"a{i} b{i} c{i}"),
+                      poly(f"b{j} c{j} a{j}"), poly(f"c{i} c{j}"),
+                      poly(f"b{j} a{i}")]
     return pres.with_relations(relations)

@@ -496,6 +496,19 @@ def is_minimal(res):
     return True, None
 
 
+def _smaller_side(by_col):
+    """A block grouped by column, or its transpose when it has fewer rows.
+    The entries come column by column, so the rows of the transpose keep
+    the order in which they were first seen."""
+    if len({cj for column in by_col.values() for cj in column}) >= len(by_col):
+        return by_col
+    by_row = {}
+    for ci, column in by_col.items():
+        for cj, coeff in column.items():
+            by_row.setdefault(cj, {})[ci] = coeff
+    return by_row
+
+
 def tor_dimensions(res):
     """Homology of the tensored complex, keyed by chain level then degree.
 
@@ -522,15 +535,14 @@ def tor_dimensions(res):
     """
     ranks = {-1: {}}
     for n, entries in res.tensored.items():
-        blocks = {}
+        blocks, level, last = {}, res.levels[n], None
         for (cj, ci), coeff in entries.items():
-            by_col, by_row = blocks.setdefault(res.levels[n][ci].degree,
-                                               ({}, {}))
-            by_col.setdefault(ci, {})[cj] = coeff
-            by_row.setdefault(cj, {})[ci] = coeff
-        ranks[n] = {d: sparse_rank([*reversed(min(by_col, by_row,
-                                                  key=len).values())])
-                    for d, (by_col, by_row) in blocks.items()}
+            if ci != last:  # the entries come column by column
+                last, column = ci, {}
+                blocks.setdefault(level[ci].degree, {})[ci] = column
+            column[cj] = coeff
+        ranks[n] = {d: sparse_rank([*reversed(_smaller_side(by_col).values())])
+                    for d, by_col in blocks.items()}
     table = {}
     for i in range(-1, res.max_level):
         counts = res.counts[i]

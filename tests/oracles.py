@@ -38,9 +38,10 @@ reduction.
 Nothing here comes from ``anick.hilbert``: the series arithmetic is this
 module's own, and every series is inverted by ``reference_series_inverse``,
 never by the library's ``series_inverse``, which the chain pipeline uses.
-The module also builds the free product of two presentations and prints a
-presentation back to parseable text, for the tests of the parser and of
-the free-product identity.
+The module also builds the free product of two presentations, B_n
+through the generic word and polynomial constructors, and prints a
+presentation back to parseable text, for the tests of the parser, of
+``make_bn`` and of the free-product identity.
 """
 
 from fractions import Fraction
@@ -670,6 +671,28 @@ def free_product(p, q):
     for rel in q.relations:
         relations.append(out.poly({tuple(i + shift for i in m): c for m, c in rel.terms}))
     return out.with_relations(relations)
+
+
+def reference_make_bn(n):
+    """B_n as ``make_bn`` built it before it built its terms directly:
+    every word through ``Presentation.word``, every relation through
+    ``monomial_poly`` or ``add``, each sorted by ``poly``."""
+    names = [f"{letter}{i}" for i in range(n, -1, -1) for letter in "abc"]
+    pres = Presentation(f"B{n}", NONCOMMUTATIVE,
+                        [Generator(nm) for nm in names], DEGLEX)
+
+    def w(*names):
+        return pres.monomial_poly(pres.word(*names))
+
+    relations = [w(f"a{n}", f"b{n}", f"c{n}"), w("c0", "a0")]
+    for i in range(n):
+        j = i + 1
+        relations.append(pres.add(w(f"a{i}", f"b{i}", f"c{i}"),
+                                  w(f"c{j}", f"a{j}", f"b{j}")))
+        relations.append(w(f"b{j}", f"c{j}", f"a{j}"))
+        relations.append(w(f"c{i}", f"c{j}"))
+        relations.append(w(f"b{j}", f"a{i}"))
+    return pres.with_relations(relations)
 
 
 def serialize_presentation(pres):

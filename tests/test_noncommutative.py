@@ -96,11 +96,12 @@ def reference_completion(pres, max_degree):
 
 @st.composite
 def small_presentations(draw, homogeneous=st.booleans(), max_degree=8,
-                        coefficients=st.integers(-2, 2).filter(bool)):
-    """1-3 relations of degree <= 4 with no constant term, over 2-3
-    generators if graded and 2 if not, with coefficients drawn from
-    ``coefficients``, and a completion degree D <= max_degree no lower
-    than the relations.  Over 3 generators about one
+                        coefficients=st.integers(-2, 2).filter(bool),
+                        min_terms=2):
+    """1-3 relations of degree <= 4 with no constant term and min_terms to
+    3 terms, over 2-3 generators if graded and 2 if not, with coefficients
+    drawn from ``coefficients``, and a completion degree D <= max_degree no
+    lower than the relations.  Over 3 generators about one
     ungraded draw in a few hundred makes completion's rational coefficients
     grow to 10^4 digits and more, and completion then runs for 30 s to over
     a minute."""
@@ -113,7 +114,7 @@ def small_presentations(draw, homogeneous=st.booleans(), max_degree=8,
         word = length.flatmap(lambda n: st.tuples(
             *[st.integers(0, pres.ngens - 1)] * n))
         terms = draw(st.dictionaries(
-            word, coefficients, min_size=2, max_size=3))
+            word, coefficients, min_size=min_terms, max_size=3))
         relations.append(pres.poly(terms))
     top = max(pres.poly_degree(f) for f in relations)
     return pres.with_relations(relations), draw(st.integers(max(top, 2), max_degree))
@@ -183,6 +184,21 @@ tips_and_word = st.integers(2, 3).flatmap(lambda n: st.tuples(
     st.lists(st.integers(0, n - 1), max_size=10).map(tuple)))
 
 
+# Up to five tips, duplicates and non-antichains included, then up to 12
+# edits over 2-3 letters: add a tip, discard a live key (the n-th, modulo
+# how many are live) or ask for the hits in a word of length <= 10.
+tips_and_queries = st.integers(2, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=4).map(tuple),
+             max_size=5),
+    st.lists(st.one_of(
+        st.tuples(st.just("add"), st.lists(st.integers(0, n - 1), min_size=1,
+                                           max_size=4).map(tuple)),
+        st.tuples(st.just("discard"), st.integers(0, 9)),
+        st.tuples(st.just("hits"), st.lists(st.integers(0, n - 1),
+                                            max_size=10).map(tuple))),
+        max_size=12)))
+
+
 class TestFindSubword:
     """Finding which tips occur in a word, and where: WordMatcher.hits."""
 
@@ -210,6 +226,46 @@ class TestFindSubword:
         expected = sorted((k, len(pre)) for k, tip in enumerate(tips)
                           for pre, _ in occurrences(word, tip))
         assert sorted(WordMatcher(tips).hits(word)) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(tips_and_queries)
+    @example(([(0, 1, 2), (1, 2), (2,)], [("hits", (0, 1, 2))]))
+    @example(([(1,), (0, 1)], [("discard", 0), ("hits", (0, 1)),
+                               ("add", (1,)), ("discard", 0),
+                               ("hits", (1, 0, 1))]))
+    def test_matches_slicing_across_edits(self, case):
+        # every hit, each as often as it occurs, while tips come and go;
+        # each tip is asked for too, so a tip inside another is met
+        tips, edits = case
+        m = WordMatcher(tips)
+        live = dict(enumerate(tips))
+        for op, arg in edits + [("hits", w) for w in tips]:
+            if op == "add":
+                live[m.add(arg)] = arg
+            elif op == "discard":
+                if live:
+                    k = sorted(live)[arg % len(live)]
+                    m.discard(k)
+                    del live[k]
+            else:
+                expected = sorted((k, len(pre)) for k, tip in live.items()
+                                  for pre, _ in occurrences(arg, tip))
+                assert sorted(m.hits(arg)) == expected
+
+    def test_discard_prunes_the_trie(self):
+        m = WordMatcher([(0, 1), (1,), (0, 1)])
+        m.discard(1)
+        assert m._trie == {1: {0: {None: [0, 2]}}}
+        m.discard(0)
+        m.discard(2)
+        assert m._trie == {}
+
+    def test_antichain_names_the_shortest_word_at_an_end(self):
+        # the walk back from the last letter of x*y*z meets z before y*z
+        words = [XYZ.word("x", "y", "z"), XYZ.word("y", "z"), XYZ.word("z")]
+        with pytest.raises(AlgebraError, match=r"^words are not an antichain:"
+                           r" z occurs in x\*y\*z$"):
+            antichain_matcher(XYZ, words)
 
 
 # tips_and_word with one more tip to add and a choice of a key to discard
@@ -599,6 +655,8 @@ def popped_ambiguities(monkeypatch, pres, max_degree):
     real = anick.noncommutative.nc_s_polynomial
 
     def spy(pres, ob, basis):
+        # the S-polynomial of two monomials is 0, so no such pair is queued
+        assert len(basis[ob.i].terms) > 1 or len(basis[ob.j].terms) > 1
         log.append((ob.i, ob.j, len(ob.left), ob.ambiguity))
         return real(pres, ob, basis)
 
@@ -611,15 +669,16 @@ def popped_ambiguities(monkeypatch, pres, max_degree):
 class TestOverlapQueue:
     """The order in which completion pops its ambiguities, recorded before
     overlaps were found by prefix and suffix lookup instead of by comparing
-    every pair of leading words."""
+    every pair of leading words, less the pairs of two monomials, which
+    completion does not queue."""
 
     XYX = FREE_XY.with_relations([parse_poly(FREE_XY, "x*y*x - y"),
                                   parse_poly(FREE_XY, "y*y - x")])
 
     @pytest.mark.parametrize("name, degree, count, digest", [
         ("x2xy", 16, 105, "cb426cbbff40876b86b093c4400371ccb0ae337204d57019f10515ed6c520d82"),
-        ("xyzx", 14, 90, "d22207561dbce64e9e61e5b0fff14329ee207aeac5e38c84ae1619f32682619b"),
-        ("bn4", 8, 23, "22904e65da48b61adb3eefa1ff3df5e9b4752d2d1ad8996c588550c1fafa3f61"),
+        ("xyzx", 14, 12, "30a693818e4a609615254015ee1e087cdd135e0f5cde622e01cd303ef1bbcd17"),
+        ("bn4", 8, 18, "a66f723a32fac016039b9a1f5e17b57fd2b764481fa47d2e8e7d33e2bcb8f4c3"),
     ])
     def test_pop_sequence_pinned(self, monkeypatch, name, degree, count, digest):
         pres = (make_bn(4) if name == "bn4" else
@@ -666,6 +725,24 @@ class TestCompletionProperties:
         gb = nc_buchberger(pres, max_degree=degree)
         assert gb.basis == reference_completion(pres, degree)
         verify_diamond(gb)
+
+    def test_monomial_relations_same_basis_as_relisting_loop(self):
+        # the relisting loop processes the overlaps of two monomials too
+        skipped = []
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(small_presentations(homogeneous=st.just(True), min_terms=1))
+        def check(case):
+            pres, degree = case
+            gb = nc_buchberger(pres, max_degree=degree)
+            assert gb.basis == reference_completion(pres, degree)
+            skipped.append(any(
+                len(gb.rules[ob.i].terms) == 1 == len(gb.rules[ob.j].terms)
+                for ob in find_obstructions(pres, gb.tips)))
+
+        check()
+        # the draws reach bases with overlapping monomials
+        assert any(skipped)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(small_presentations(homogeneous=st.just(False), max_degree=6))

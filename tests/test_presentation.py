@@ -18,7 +18,7 @@ from anick.presentation import (
     parse_poly,
     parse_presentation,
 )
-from oracles import free_product, serialize_presentation
+from oracles import free_product, reference_make_bn, serialize_presentation
 
 FREE_XY = """
 algebra F ;
@@ -367,6 +367,15 @@ class TestBnFamily:
     def test_bad_n(self):
         with pytest.raises(AlgebraError):
             make_bn(0)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_matches_generic_constructors(self, n):
+        # built directly, term by term, and through word/poly/add: the same
+        # presentation, the same terms in the same order, Fraction
+        # coefficients included
+        p, q = make_bn(n), reference_make_bn(n)
+        assert p == q
+        assert repr(p.relations) == repr(q.relations)
 
 
 class TestFreeProduct:
