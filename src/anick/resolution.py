@@ -141,14 +141,6 @@ class AnickResolution:
             self._nf_cache[word] = cached
         return cached
 
-    def element_degree(self, n, elem):
-        pres = self.presentation
-        degs = {self.levels[n][ci].degree + pres.monomial_degree(w)
-                for ci, w in elem}
-        if len(degs) > 1:
-            raise AlgebraError("inhomogeneous element")
-        return degs.pop() if degs else None
-
     # -- the maps ----------------------------------------------------------
 
     def apply_d(self, n, elem):

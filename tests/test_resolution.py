@@ -471,10 +471,11 @@ class TestStructuralInvariants:
 
     def test_differentials_homogeneous(self):
         for res in (resolution_xfam(), resolution_bn(2, 4)):
+            deg = res.presentation.monomial_degree
             for n in range(1, res.max_level + 1):
                 for ci, row in enumerate(res.diff[n]):
-                    assert res.element_degree(n - 1, row) == \
-                        res.levels[n][ci].degree
+                    assert {res.levels[n - 1][cj].degree + deg(w)
+                            for cj, w in row} == {res.levels[n][ci].degree}
 
     def test_inhomogeneous_column_is_refused(self, monkeypatch):
         # a splitting that adds terms at chain 0 of degrees d and d + 1 puts
